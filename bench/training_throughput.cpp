@@ -1,9 +1,10 @@
 // Training throughput: times random-forest fits on a wide synthetic
 // matrix with the exact (per-node sort) and histogram (pre-binned)
-// split searches, checks that both forests make near-identical test
-// predictions on simulated telemetry, and times grid-search tuning at
-// one thread and at CLOUDSURV_THREADS threads. Reports everything as
-// JSON on stdout.
+// split searches, plus a histogram fit that searches every feature at
+// each node (MaxFeaturesRule::kAll), checks that exact and histogram
+// forests make near-identical test predictions on simulated telemetry,
+// and times grid-search tuning at one thread and at CLOUDSURV_THREADS
+// threads. Reports everything as JSON on stdout.
 //
 // Scale knobs (environment): CLOUDSURV_BENCH_ROWS (default 50000),
 // CLOUDSURV_BENCH_FEATURES (30), CLOUDSURV_BENCH_TREES (10),
@@ -84,10 +85,12 @@ struct FitTiming {
 };
 
 FitTiming TimeFit(const ml::Dataset& data, ml::SplitAlgorithm algorithm,
-                  size_t trees, uint64_t seed) {
+                  ml::MaxFeaturesRule max_features, size_t trees,
+                  uint64_t seed) {
   ml::ForestParams params;
   params.num_trees = static_cast<int>(trees);
   params.max_depth = 12;
+  params.max_features = max_features;
   params.num_threads = 1;
   params.split_algorithm = algorithm;
   ml::RandomForestClassifier forest;
@@ -173,10 +176,12 @@ int main() {
 
   const ml::Dataset data = SyntheticMatrix(rows, features, 99);
 
-  const FitTiming exact =
-      TimeFit(data, ml::SplitAlgorithm::kExact, trees, 99);
-  const FitTiming hist =
-      TimeFit(data, ml::SplitAlgorithm::kHistogram, trees, 99);
+  const FitTiming exact = TimeFit(data, ml::SplitAlgorithm::kExact,
+                                  ml::MaxFeaturesRule::kSqrt, trees, 99);
+  const FitTiming hist = TimeFit(data, ml::SplitAlgorithm::kHistogram,
+                                 ml::MaxFeaturesRule::kSqrt, trees, 99);
+  const FitTiming hist_all = TimeFit(data, ml::SplitAlgorithm::kHistogram,
+                                     ml::MaxFeaturesRule::kAll, trees, 99);
 
   // Grid search at 1 and N threads must agree bit-for-bit.
   const ml::Dataset grid_data = SyntheticMatrix(grid_rows, features, 100);
@@ -230,6 +235,12 @@ int main() {
       "\"tree_rows_per_sec\": %.0f, \"oob\": %.4f},\n",
       hist.elapsed_s, rows_d / hist.elapsed_s,
       rows_d * trees_d / hist.elapsed_s, hist.oob);
+  std::printf(
+      "  \"histogram_all_features\": {\"fit_s\": %.3f, "
+      "\"rows_per_sec\": %.0f, \"tree_rows_per_sec\": %.0f, "
+      "\"oob\": %.4f},\n",
+      hist_all.elapsed_s, rows_d / hist_all.elapsed_s,
+      rows_d * trees_d / hist_all.elapsed_s, hist_all.oob);
   std::printf("  \"speedup_exact_to_histogram\": %.2f,\n",
               exact.elapsed_s / hist.elapsed_s);
   std::printf(

@@ -17,8 +17,9 @@ enum class SplitAlgorithm {
   /// feature per node). Exhaustive over all distinct thresholds.
   kExact,
   /// LightGBM-style histogram search over pre-binned feature codes
-  /// (O(n + bins) per feature per node, with the parent-minus-sibling
-  /// histogram subtraction trick). The default.
+  /// (O(n + bins) per feature per node). The classifier tree counts only
+  /// the node's candidate features; GBDT, which searches every feature,
+  /// uses the parent-minus-sibling subtraction trick. The default.
   kHistogram,
 };
 

@@ -234,38 +234,22 @@ int DecisionTreeClassifier::BuildNode(const Dataset& data,
 }
 
 // Shared state of one FitBinned call. Histograms store RAW (unweighted)
-// per-class counts — integer-valued doubles — so the parent-minus-sibling
-// subtraction is floating-point-exact; class weights are applied by
-// multiplication only when a gini is evaluated.
+// per-class counts; class weights are applied by multiplication only when
+// a gini is evaluated.
 struct DecisionTreeClassifier::BinnedBuildContext {
   const BinnedDataset* binned = nullptr;
   const std::vector<int>* labels = nullptr;
   const TreeParams* params = nullptr;
   size_t total_samples = 0;
   size_t num_classes = 0;
-  /// Flat histogram layout: feature f's counts start at offset[f] and
-  /// hold num_bins(f) * num_classes doubles (bin-major, class-minor).
-  std::vector<size_t> offset;
-  size_t hist_size = 0;
-
-  /// Accumulates the flat raw-count histogram of positions [begin, end).
-  void ComputeHistogram(const std::vector<size_t>& positions, size_t begin,
-                        size_t end, std::vector<double>& out) const {
-    std::fill(out.begin(), out.end(), 0.0);
-    const size_t num_features = binned->num_features();
-    const size_t C = num_classes;
-    const std::vector<int>& label = *labels;
-    for (size_t f = 0; f < num_features; ++f) {
-      if (binned->constant(f)) continue;  // single bin, never split on
-      const uint8_t* column = binned->column(f);
-      double* h = out.data() + offset[f];
-      for (size_t i = begin; i < end; ++i) {
-        const size_t row = positions[i];
-        h[static_cast<size_t>(column[row]) * C +
-          static_cast<size_t>(label[row])] += 1.0;
-      }
-    }
-  }
+  int num_candidates = 0;  ///< features drawn per node
+  /// Histogram arena shared by every node of the tree: the node's i-th
+  /// candidate feature f counts into hist[i * slot_size, ...), holding
+  /// num_bins(f) * num_classes counts (bin-major, class-minor). A node
+  /// finishes with the arena before its children are built.
+  size_t slot_size = 0;
+  std::vector<uint32_t> hist;
+  std::vector<int> features;  ///< candidate-draw buffer
 };
 
 Status DecisionTreeClassifier::FitBinned(
@@ -287,6 +271,9 @@ Status DecisionTreeClassifier::FitBinned(
   for (size_t p : sample_positions) {
     if (p >= binned.num_rows()) {
       return Status::OutOfRange("sample index out of range");
+    }
+    if (labels[p] < 0 || labels[p] >= num_classes) {
+      return Status::InvalidArgument("label out of range [0, num_classes)");
     }
   }
   if (!params.class_weights.empty() &&
@@ -312,17 +299,20 @@ Status DecisionTreeClassifier::FitBinned(
   ctx.params = &params;
   ctx.total_samples = sample_positions.size();
   ctx.num_classes = static_cast<size_t>(num_classes);
-  ctx.offset.resize(num_features_);
-  size_t off = 0;
+  int max_bins = 1;
   for (size_t f = 0; f < num_features_; ++f) {
-    ctx.offset[f] = off;
-    off += static_cast<size_t>(binned.num_bins(f)) * ctx.num_classes;
+    max_bins = std::max(max_bins, binned.num_bins(f));
   }
-  ctx.hist_size = off;
+  const int d = static_cast<int>(num_features_);
+  ctx.num_candidates =
+      params.max_features <= 0 ? d : std::min(params.max_features, d);
+  ctx.slot_size = static_cast<size_t>(max_bins) * ctx.num_classes;
+  ctx.hist.resize(static_cast<size_t>(ctx.num_candidates) * ctx.slot_size);
+  ctx.features.resize(num_features_);
 
   std::vector<size_t> positions = sample_positions;
   Rng rng(seed);
-  BuildNodeBinned(ctx, positions, 0, positions.size(), 0, rng, {});
+  BuildNodeBinned(ctx, positions, 0, positions.size(), 0, rng);
 
   const double total =
       std::accumulate(importances_.begin(), importances_.end(), 0.0);
@@ -335,17 +325,17 @@ Status DecisionTreeClassifier::FitBinned(
 int DecisionTreeClassifier::BuildNodeBinned(BinnedBuildContext& ctx,
                                             std::vector<size_t>& positions,
                                             size_t begin, size_t end,
-                                            int depth, Rng& rng,
-                                            std::vector<double> node_hist) {
+                                            int depth, Rng& rng) {
   const TreeParams& params = *ctx.params;
   const size_t n = end - begin;
   const size_t C = ctx.num_classes;
+  const std::vector<int>& label = *ctx.labels;
   auto class_weight = [&](size_t cls) {
     return params.class_weights.empty() ? 1.0 : params.class_weights[cls];
   };
   std::vector<double> raw(C, 0.0);  // unweighted per-class counts
   for (size_t i = begin; i < end; ++i) {
-    raw[static_cast<size_t>((*ctx.labels)[positions[i]])] += 1.0;
+    raw[static_cast<size_t>(label[positions[i]])] += 1.0;
   }
   std::vector<double> counts(C);  // weighted, as the exact path sees them
   double n_d = 0.0;
@@ -375,8 +365,8 @@ int DecisionTreeClassifier::BuildNodeBinned(BinnedBuildContext& ctx,
   // same partial Fisher-Yates — so a fixed seed yields the same sequence
   // of candidate features at every node.
   const int d = static_cast<int>(num_features_);
-  int k = params.max_features <= 0 ? d : std::min(params.max_features, d);
-  std::vector<int> features(static_cast<size_t>(d));
+  const int k = ctx.num_candidates;
+  std::vector<int>& features = ctx.features;
   std::iota(features.begin(), features.end(), 0);
   for (int i = 0; i < k; ++i) {
     const int j =
@@ -385,13 +375,9 @@ int DecisionTreeClassifier::BuildNodeBinned(BinnedBuildContext& ctx,
               features[static_cast<size_t>(j)]);
   }
 
-  if (node_hist.empty()) {
-    node_hist.assign(ctx.hist_size, 0.0);
-    ctx.ComputeHistogram(positions, begin, end, node_hist);
-  }
-
   int best_feature = -1;
   int best_bin = -1;
+  const uint32_t* best_hist = nullptr;
   double best_decrease = params.min_impurity_decrease;
 
   std::vector<double> left_raw(C);
@@ -399,7 +385,14 @@ int DecisionTreeClassifier::BuildNodeBinned(BinnedBuildContext& ctx,
     const int f = features[static_cast<size_t>(fi)];
     const int num_bins = ctx.binned->num_bins(static_cast<size_t>(f));
     if (num_bins < 2) continue;  // globally constant feature
-    const double* h = node_hist.data() + ctx.offset[static_cast<size_t>(f)];
+    uint32_t* h = ctx.hist.data() + static_cast<size_t>(fi) * ctx.slot_size;
+    std::fill(h, h + static_cast<size_t>(num_bins) * C, 0u);
+    const uint8_t* column = ctx.binned->column(static_cast<size_t>(f));
+    for (size_t i = begin; i < end; ++i) {
+      const size_t row = positions[i];
+      ++h[static_cast<size_t>(column[row]) * C +
+          static_cast<size_t>(label[row])];
+    }
     std::fill(left_raw.begin(), left_raw.end(), 0.0);
     size_t n_left = 0;
     // A cut is evaluated at the boundary after every bin that holds node
@@ -443,6 +436,7 @@ int DecisionTreeClassifier::BuildNodeBinned(BinnedBuildContext& ctx,
         best_decrease = decrease;
         best_feature = f;
         best_bin = b;
+        best_hist = h;
       }
     }
   }
@@ -471,19 +465,16 @@ int DecisionTreeClassifier::BuildNodeBinned(BinnedBuildContext& ctx,
   // Refine the stored threshold toward the node-local gap midpoint: the
   // next in-node non-empty bin bounds the gap the exact search would
   // cut in the middle of.
+  const int best_num_bins =
+      ctx.binned->num_bins(static_cast<size_t>(best_feature));
   int next_bin = best_bin + 1;
-  {
-    const double* h =
-        node_hist.data() + ctx.offset[static_cast<size_t>(best_feature)];
-    const int num_bins = ctx.binned->num_bins(static_cast<size_t>(best_feature));
-    while (next_bin + 1 < num_bins) {
-      double bin_total = 0.0;
-      for (size_t c = 0; c < C; ++c) {
-        bin_total += h[static_cast<size_t>(next_bin) * C + c];
-      }
-      if (bin_total > 0.0) break;
-      ++next_bin;
+  while (next_bin + 1 < best_num_bins) {
+    uint32_t bin_total = 0;
+    for (size_t c = 0; c < C; ++c) {
+      bin_total += best_hist[static_cast<size_t>(next_bin) * C + c];
     }
+    if (bin_total > 0) break;
+    ++next_bin;
   }
 
   const int node_index = static_cast<int>(nodes_.size());
@@ -493,37 +484,10 @@ int DecisionTreeClassifier::BuildNodeBinned(BinnedBuildContext& ctx,
       ctx.binned->refined_threshold(static_cast<size_t>(best_feature),
                                     best_bin, next_bin);
 
-  // Subtraction trick: scan only the smaller child; the sibling is the
-  // parent histogram minus it. Skip the work entirely when neither child
-  // can split again.
-  const size_t n_left_child = mid - begin;
-  const size_t n_right_child = end - mid;
-  auto child_may_split = [&](size_t child_n) {
-    return depth + 1 < params.max_depth &&
-           child_n >= params.min_samples_split &&
-           child_n >= 2 * params.min_samples_leaf;
-  };
-  std::vector<double> left_hist;
-  std::vector<double> right_hist;
-  if (child_may_split(n_left_child) || child_may_split(n_right_child)) {
-    std::vector<double> small(ctx.hist_size, 0.0);
-    if (n_left_child <= n_right_child) {
-      ctx.ComputeHistogram(positions, begin, mid, small);
-      for (size_t i = 0; i < ctx.hist_size; ++i) node_hist[i] -= small[i];
-      left_hist = std::move(small);
-      right_hist = std::move(node_hist);
-    } else {
-      ctx.ComputeHistogram(positions, mid, end, small);
-      for (size_t i = 0; i < ctx.hist_size; ++i) node_hist[i] -= small[i];
-      right_hist = std::move(small);
-      left_hist = std::move(node_hist);
-    }
-  }
-
-  const int left = BuildNodeBinned(ctx, positions, begin, mid, depth + 1,
-                                   rng, std::move(left_hist));
-  const int right = BuildNodeBinned(ctx, positions, mid, end, depth + 1,
-                                    rng, std::move(right_hist));
+  const int left =
+      BuildNodeBinned(ctx, positions, begin, mid, depth + 1, rng);
+  const int right =
+      BuildNodeBinned(ctx, positions, mid, end, depth + 1, rng);
   nodes_[static_cast<size_t>(node_index)].left = left;
   nodes_[static_cast<size_t>(node_index)].right = right;
   return node_index;

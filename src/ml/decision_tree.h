@@ -51,7 +51,8 @@ class DecisionTreeClassifier {
 
   /// Learns a tree from a pre-binned dataset over the multiset of binned
   /// row positions `sample_positions` (positions index binned rows, not
-  /// original dataset rows). `labels[i]` is the class of binned row i.
+  /// original dataset rows). `labels[i]` is the class of binned row i;
+  /// a sampled row whose label is outside [0, num_classes) is rejected.
   /// Ensembles use this to share one BinnedDataset across all trees
   /// instead of re-binning per tree. Ignores params.split_algorithm
   /// (this IS the histogram path).
@@ -127,8 +128,7 @@ class DecisionTreeClassifier {
 
   struct BinnedBuildContext;  // defined in decision_tree.cc
   int BuildNodeBinned(BinnedBuildContext& ctx, std::vector<size_t>& positions,
-                      size_t begin, size_t end, int depth, Rng& rng,
-                      std::vector<double> node_hist);
+                      size_t begin, size_t end, int depth, Rng& rng);
 
   std::vector<Node> nodes_;
   std::vector<double> importances_;

@@ -11,8 +11,36 @@
 #include <thread>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 
 namespace cloudsurv::ml {
+
+namespace {
+
+// Runs `work` on `threads` threads (inline when fewer than two) and
+// joins them.
+template <typename Work>
+void RunOnWorkers(unsigned threads, const Work& work) {
+  if (threads <= 1) {
+    work();
+    return;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (unsigned i = 0; i < threads; ++i) pool.emplace_back(work);
+  for (auto& th : pool) th.join();
+}
+
+// Wall time of one forest's out-of-bag accuracy pass.
+obs::Histogram* OobHistogram() {
+  static obs::Histogram* const oob_us =
+      obs::Registry::Default().GetHistogram(
+          "cloudsurv_ml_forest_oob_us",
+          "Out-of-bag accuracy pass of one random-forest fit");
+  return oob_us;
+}
+
+}  // namespace
 
 std::string ForestParams::ToString() const {
   std::string mf;
@@ -158,14 +186,7 @@ Status RandomForestClassifier::FitOnRows(const Dataset& data,
       }
     }
   };
-  if (hw <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(hw);
-    for (unsigned i = 0; i < hw; ++i) threads.emplace_back(worker);
-    for (auto& th : threads) th.join();
-  }
+  RunOnWorkers(hw, worker);
   if (failed.load()) {
     trees_.clear();
     return first_error;
@@ -179,31 +200,57 @@ Status RandomForestClassifier::FitOnRows(const Dataset& data,
   }
   for (double& v : importances_) v /= static_cast<double>(t);
 
-  // Out-of-bag accuracy.
+  // Out-of-bag accuracy, on the fit's threads. Rows go in fixed chunks,
+  // walked tree by tree so one tree's nodes stay in cache; each row still
+  // sums its OOB trees in tree-index order, and only integer counts cross
+  // threads, so the result is the same for any thread count.
+  oob_accuracy_ = 0.0;
   if (params.bootstrap) {
-    size_t evaluated = 0;
-    size_t correct = 0;
-    std::vector<double> acc(static_cast<size_t>(num_classes_));
-    for (size_t i = 0; i < n; ++i) {
-      std::fill(acc.begin(), acc.end(), 0.0);
-      size_t votes = 0;
-      for (size_t ti = 0; ti < t; ++ti) {
-        if (in_bag[ti][i]) continue;
-        const auto& probs = trees_[ti].LeafDistribution(data.row(rows[i]));
-        for (size_t c = 0; c < acc.size(); ++c) acc[c] += probs[c];
-        ++votes;
+    obs::ScopedTimer oob_timer(OobHistogram());
+    const size_t chunk_rows = 256;
+    const size_t num_chunks = (n + chunk_rows - 1) / chunk_rows;
+    const size_t C = static_cast<size_t>(num_classes_);
+    std::atomic<size_t> next_chunk{0};
+    std::atomic<size_t> evaluated{0};
+    std::atomic<size_t> correct{0};
+    auto oob_worker = [&]() {
+      std::vector<double> acc(chunk_rows * C);
+      std::vector<size_t> votes(chunk_rows);
+      size_t my_evaluated = 0;
+      size_t my_correct = 0;
+      for (size_t ch = next_chunk.fetch_add(1); ch < num_chunks;
+           ch = next_chunk.fetch_add(1)) {
+        const size_t first = ch * chunk_rows;
+        const size_t m = std::min(n - first, chunk_rows);
+        std::fill(acc.begin(), acc.end(), 0.0);
+        std::fill(votes.begin(), votes.end(), 0);
+        for (size_t ti = 0; ti < t; ++ti) {
+          for (size_t r = 0; r < m; ++r) {
+            if (in_bag[ti][first + r]) continue;
+            const auto& probs =
+                trees_[ti].LeafDistribution(data.row(rows[first + r]));
+            for (size_t c = 0; c < C; ++c) acc[r * C + c] += probs[c];
+            ++votes[r];
+          }
+        }
+        for (size_t r = 0; r < m; ++r) {
+          if (votes[r] == 0) continue;
+          const double* row_acc = acc.data() + r * C;
+          const int pred = static_cast<int>(
+              std::max_element(row_acc, row_acc + C) - row_acc);
+          ++my_evaluated;
+          if (pred == data.label(rows[first + r])) ++my_correct;
+        }
       }
-      if (votes == 0) continue;
-      const int pred = static_cast<int>(
-          std::max_element(acc.begin(), acc.end()) - acc.begin());
-      ++evaluated;
-      if (pred == data.label(rows[i])) ++correct;
+      evaluated += my_evaluated;
+      correct += my_correct;
+    };
+    RunOnWorkers(static_cast<unsigned>(std::min<size_t>(hw, num_chunks)),
+                 oob_worker);
+    if (evaluated > 0) {
+      oob_accuracy_ = static_cast<double>(correct.load()) /
+                      static_cast<double>(evaluated.load());
     }
-    oob_accuracy_ = evaluated == 0 ? 0.0
-                                   : static_cast<double>(correct) /
-                                         static_cast<double>(evaluated);
-  } else {
-    oob_accuracy_ = 0.0;
   }
   return Status::OK();
 }

@@ -1,5 +1,7 @@
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -404,6 +406,94 @@ TEST(FitBinnedTest, RejectsInvalidArguments) {
   TreeParams bad;
   bad.min_samples_leaf = 0;
   EXPECT_FALSE(tree.FitBinned(*binned, d.labels(), 2, all, bad, 1).ok());
+  // A sampled label outside [0, num_classes), negative or too large.
+  for (int bad_label : {-1, 2}) {
+    std::vector<int> labels = d.labels();
+    labels[7] = bad_label;
+    const Status s = tree.FitBinned(*binned, labels, 2, all, TreeParams{}, 1);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad_label;
+  }
+}
+
+// 64-bit FNV-1a of a serialized model.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// 30 continuous features (far more than 256 distinct values each), three
+// classes decided by a noisy rule over the first few features.
+Dataset WideData(int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::string> names;
+  for (int f = 0; f < 30; ++f) {
+    names.emplace_back("f");
+    names.back() += std::to_string(f);
+  }
+  std::vector<std::vector<double>> rows;
+  std::vector<int> labels;
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> row(30);
+    for (double& v : row) v = rng.Normal(0.0, 1.0);
+    const double score = row[0] - 0.7 * row[1] + 0.5 * row[2] * row[3] +
+                         rng.Normal(0.0, 0.8);
+    rows.push_back(std::move(row));
+    labels.push_back(score < -0.5 ? 0 : (score < 0.7 ? 1 : 2));
+  }
+  auto d = Dataset::Make(names, std::move(rows), std::move(labels));
+  EXPECT_TRUE(d.ok());
+  return *d;
+}
+
+uint64_t ForestDigest(const ForestParams& params) {
+  const Dataset d = WideData(1500, 61);
+  RandomForestClassifier forest;
+  EXPECT_TRUE(forest.Fit(d, params, 61).ok());
+  return Fnv1a(forest.Serialize());
+}
+
+ForestParams GoldenForestParams(MaxFeaturesRule rule) {
+  ForestParams p;
+  p.num_trees = 12;
+  p.max_depth = 12;
+  p.max_features = rule;
+  p.num_threads = 3;
+  p.split_algorithm = SplitAlgorithm::kHistogram;
+  return p;
+}
+
+// Pinned Serialize() digests (trees, importances and OOB accuracy) of
+// fixed-seed histogram models. Any change to split search, rng draws,
+// thresholds or the OOB pass shows up here.
+TEST(HistogramGoldenTest, ForestDigestsArePinned) {
+  EXPECT_EQ(ForestDigest(GoldenForestParams(MaxFeaturesRule::kSqrt)),
+            0x7db6ed417ed9fb6aull);
+  EXPECT_EQ(ForestDigest(GoldenForestParams(MaxFeaturesRule::kLog2)),
+            0x0d7f55894c76d75dull);
+  EXPECT_EQ(ForestDigest(GoldenForestParams(MaxFeaturesRule::kAll)),
+            0xdf72f082f3b927caull);
+  ForestParams weighted = GoldenForestParams(MaxFeaturesRule::kSqrt);
+  weighted.class_weights = {3.0, 1.0, 1.7};
+  weighted.min_samples_leaf = 3;
+  EXPECT_EQ(ForestDigest(weighted), 0x0ef6947d76f960ecull);
+}
+
+TEST(HistogramGoldenTest, StandaloneTreeDigestIsPinned) {
+  const Dataset d = WideData(1500, 62);
+  auto binned = BinnedDataset::FromDataset(d);
+  ASSERT_TRUE(binned.ok());
+  std::vector<size_t> positions;
+  for (size_t i = 0; i < d.num_rows(); i += 2) positions.push_back(i);
+  TreeParams params;
+  params.max_features = 6;
+  DecisionTreeClassifier tree;
+  ASSERT_TRUE(
+      tree.FitBinned(*binned, d.labels(), 3, positions, params, 62).ok());
+  EXPECT_EQ(Fnv1a(tree.Serialize()), 0xdc59754958a198feull);
 }
 
 }  // namespace

@@ -228,6 +228,7 @@ TEST(RandomForestTest, DeterministicAcrossThreadCounts) {
   RandomForestClassifier f1, f4;
   ASSERT_TRUE(f1.Fit(d, p1, 77).ok());
   ASSERT_TRUE(f4.Fit(d, p4, 77).ok());
+  EXPECT_EQ(f1.Serialize(), f4.Serialize());  // includes OOB accuracy
   auto r1 = f1.PredictPositiveProba(d);
   auto r4 = f4.PredictPositiveProba(d);
   ASSERT_TRUE(r1.ok() && r4.ok());
