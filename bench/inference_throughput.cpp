@@ -2,9 +2,8 @@
 // SoA representation (ml/flat_forest.h), scores a synthetic matrix in
 // batches through the legacy per-row path and the blocked flat path,
 // and reports rows/sec plus p50/p99 per-batch latency for each batch
-// size x thread count x traversal kernel (scalar, AVX2 when the
-// build/CPU has it, and the quantized code path when the forest is
-// quantizable), with the flat-vs-legacy speedup. Every flat prediction
+// size x thread count x traversal kernel (scalar, and AVX2 when the
+// build/CPU has it), with the flat-vs-legacy speedup. Every flat prediction
 // is checked bit-for-bit against the legacy output — any mismatch
 // fails the bench (non-zero exit). Speedups are informational: on a
 // single-core container the parallel sweep cannot demonstrate the
@@ -69,12 +68,8 @@ double Seconds(const std::chrono::steady_clock::time_point& t0,
 }
 
 // Continuous features with a noisy linear label rule (same shape as the
-// training bench) so the forest grows to real depth. `grid` > 0 snaps
-// every value onto a grid of that many points — few distinct values per
-// feature keeps the compiled cut tables within the uint8 code budget,
-// exercising the narrowest quantized tier.
-ml::Dataset SyntheticMatrix(size_t rows, size_t features, size_t grid,
-                            uint64_t seed) {
+// training bench) so the forest grows to real depth.
+ml::Dataset SyntheticMatrix(size_t rows, size_t features, uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
   names.reserve(features);
@@ -91,13 +86,7 @@ ml::Dataset SyntheticMatrix(size_t rows, size_t features, size_t grid,
     std::vector<double> row(features);
     double score = 0.0;
     for (size_t f = 0; f < features; ++f) {
-      double v = rng.Normal(0.0, 1.0);
-      if (grid > 0) {
-        const double step = 6.0 / static_cast<double>(grid);
-        v = std::max(-3.0, std::min(3.0, v));
-        v = std::round(v / step) * step;
-      }
-      row[f] = v;
+      row[f] = rng.Normal(0.0, 1.0);
       if (f < 5) score += row[f] * (f % 2 == 0 ? 1.0 : -1.0);
     }
     labels.push_back(score + rng.Normal(0.0, 1.0) > 0.0 ? 1 : 0);
@@ -171,10 +160,9 @@ int main() {
   const int depth = static_cast<int>(EnvSize("CLOUDSURV_BENCH_DEPTH", 12));
   const size_t iters = EnvSize("CLOUDSURV_BENCH_ITERS", 5);
   const size_t max_threads = EnvSize("CLOUDSURV_THREADS", 8);
-  const size_t grid = EnvSize("CLOUDSURV_BENCH_GRID", 0);
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
 
-  const ml::Dataset data = SyntheticMatrix(rows, features, grid, 99);
+  const ml::Dataset data = SyntheticMatrix(rows, features, 99);
 
   ml::ForestParams params;
   params.num_trees = static_cast<int>(trees);
@@ -332,11 +320,10 @@ int main() {
       rows, features, trees, depth, iters, cores);
   std::printf(
       "  \"compile\": {\"ms\": %.3f, \"nodes\": %zu, \"leaves\": %zu, "
-      "\"memory_bytes\": %zu, \"quantized\": %s, \"code_bits\": %d, "
+      "\"memory_bytes\": %zu, "
       "\"tuned_block_rows\": %zu, \"breadth_first\": %s},\n",
       Seconds(c0, c1) * 1e3, flat.num_nodes(), flat.num_leaves(),
-      flat.memory_bytes(), flat.quantized() ? "true" : "false",
-      flat.code_bits(), flat.tuned_block_rows(),
+      flat.memory_bytes(), flat.tuned_block_rows(),
       flat.nodes_breadth_first() ? "true" : "false");
   std::printf(
       "  \"simd\": {\"avx2_compiled_in\": %s, \"avx2_available\": %s, "
@@ -357,25 +344,12 @@ int main() {
       cold_cache_dropped ? "true" : "false", warm_speedup,
       startup_identical ? "true" : "false");
 
-  // Flat-path configurations: the portable scalar kernel always runs;
-  // the AVX2 kernel runs when the build and CPU both have it; the
-  // quantized (integer-code) path runs when the forest is quantizable.
-  // The quantized path ignores the traversal kind, so it is swept once
-  // and labelled as its own kernel rather than crossed with the kinds.
-  struct FlatConfig {
-    ml::simd::TraversalKind kind;
-    bool use_quantized;
-    const char* label;
-  };
-  std::vector<FlatConfig> flat_configs;
-  flat_configs.push_back(
-      {ml::simd::TraversalKind::kScalar, false, "scalar"});
+  // Flat-path kernels: the portable scalar kernel always runs; the
+  // AVX2 kernel runs when the build and CPU both have it.
+  std::vector<ml::simd::TraversalKind> kinds = {
+      ml::simd::TraversalKind::kScalar};
   if (ml::simd::Avx2Supported()) {
-    flat_configs.push_back({ml::simd::TraversalKind::kAvx2, false, "avx2"});
-  }
-  if (flat.quantized()) {
-    flat_configs.push_back(
-        {ml::simd::TraversalKind::kScalar, true, "quantized"});
+    kinds.push_back(ml::simd::TraversalKind::kAvx2);
   }
 
   std::printf("  \"runs\": [\n");
@@ -418,16 +392,15 @@ int main() {
     first_run = false;
 
     // Flat path: thread sweep (1 = sequential, no pool) x traversal
-    // kernel (scalar / AVX2 / quantized integer codes).
+    // kernel (scalar / AVX2).
     std::vector<size_t> thread_sweep = {1};
     for (size_t t = 2; t <= max_threads; t *= 2) thread_sweep.push_back(t);
-    for (const FlatConfig& cfg : flat_configs)
+    for (const ml::simd::TraversalKind kind : kinds)
     for (size_t num_threads : thread_sweep) {
       ThreadPool pool(num_threads, /*max_queued=*/1024);
       ml::FlatForest::BatchOptions options;
       options.pool = num_threads > 1 ? &pool : nullptr;
-      options.use_quantized = cfg.use_quantized;
-      options.traversal = cfg.kind;
+      options.traversal = kind;
 
       std::vector<double> flat_seconds;
       for (size_t it = 0; it < iters; ++it) {
@@ -462,12 +435,11 @@ int main() {
       }
       std::printf(
           ",\n    {\"mode\": \"flat\", \"batch_rows\": %zu, "
-          "\"threads\": %zu, \"traversal\": \"%s\", \"quantized\": %s, "
+          "\"threads\": %zu, \"traversal\": \"%s\", "
           "\"rows_per_sec\": %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
           "\"speedup_vs_legacy\": %.2f}",
-          batch_rows, num_threads, cfg.label,
-          cfg.use_quantized ? "true" : "false", stats.rows_per_sec,
-          stats.p50_us, stats.p99_us, speedup);
+          batch_rows, num_threads, ml::simd::KindName(kind),
+          stats.rows_per_sec, stats.p50_us, stats.p99_us, speedup);
     }
   }
   std::printf("\n  ],\n");

@@ -66,9 +66,11 @@ enum class SectionId : uint32_t {
   kNodeLeafIndex = 6,   ///< int32[nodes], row into leaf values or -1.
   kLeafValues = 7,      ///< double[leaves * leaf_dim].
   kTreeOffsets = 8,     ///< int32[trees + 1].
-  kQuantThreshold = 9,  ///< uint16[nodes] (present iff quantized).
-  kCutOffsets = 10,     ///< int32[features + 1] (present iff quantized).
-  kCutValues = 11,      ///< double[total cuts] (present iff quantized).
+  // Reserved: tables of the removed quantized traversal. Older files
+  // may carry them; readers ignore them and writers never emit them.
+  kQuantThreshold = 9,  ///< uint16[nodes].
+  kCutOffsets = 10,     ///< int32[features + 1].
+  kCutValues = 11,      ///< double[total cuts].
   // --- LongevityService snapshot ------------------------------------
   kServiceMeta = 32,    ///< One ServiceMeta struct (index 0).
   kModelEntry = 33,     ///< One ModelEntry per slot (index = slot).
@@ -110,7 +112,7 @@ static_assert(sizeof(SectionEntry) == 48, "entry must stay 48 bytes");
 /// Fixed-size metadata for one compiled forest (SectionId::kForestMeta).
 struct ForestMeta {
   int32_t num_classes;   ///< 0 for a boosted regressor.
-  uint32_t flags;        ///< kForestQuantized | kForestNarrowCodes.
+  uint32_t flags;        ///< Reserved bits only; see below.
   uint64_t num_features;
   uint64_t leaf_dim;     ///< num_classes, or 1 for a regressor.
   uint64_t out_dim;
@@ -119,6 +121,8 @@ struct ForestMeta {
 };
 static_assert(sizeof(ForestMeta) == 64, "forest meta must stay 64 bytes");
 
+/// Reserved ForestMeta::flags bits, set by older writers alongside the
+/// quantized sections above; ignored on read, never written.
 inline constexpr uint32_t kForestQuantized = 1u << 0;
 inline constexpr uint32_t kForestNarrowCodes = 1u << 1;
 

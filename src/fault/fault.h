@@ -49,7 +49,7 @@ enum class Site {
   kPoolTask = 0,    ///< ThreadPool worker, before running a task.
   kIngestShard,     ///< EventIngestBuffer::Ingest, keyed by shard.
   kSnapshotBuild,   ///< ScoringEngine snapshot materialization, by shard.
-  kScoreAssess,     ///< ScoringEngine per-database scoring, by shard.
+  kScoreAssess,     ///< ScoringEngine, once per database of a shard batch.
   kRegistrySwap,    ///< ScoringEngine model pin, keyed by shard.
   kRegistryPublish, ///< ModelRegistry::Publish critical section.
   kEngineClock,     ///< ScoringEngine::Poll clock read.

@@ -80,7 +80,7 @@ std::vector<int32_t> BreadthFirstOrder(size_t nodes, Children&& children) {
 obs::Histogram* CompileHistogram() {
   static obs::Histogram* h = obs::Registry::Default().GetHistogram(
       "cloudsurv_inference_compile_ms",
-      "FlatForest compilation time (SoA layout + quantized tables)", "ms");
+      "FlatForest compilation time (SoA layout)", "ms");
   return h;
 }
 
@@ -108,11 +108,9 @@ obs::Counter* MakeKernelRows(const char* kernel) {
       "rows", {{"kernel", kernel}});
 }
 
-obs::Counter* KernelRows(simd::TraversalKind resolved, bool quantized) {
+obs::Counter* KernelRows(simd::TraversalKind resolved) {
   static obs::Counter* scalar = MakeKernelRows("scalar");
   static obs::Counter* avx2 = MakeKernelRows("avx2");
-  static obs::Counter* quant = MakeKernelRows("quantized");
-  if (quantized) return quant;
   return resolved == simd::TraversalKind::kAvx2 ? avx2 : scalar;
 }
 
@@ -208,7 +206,6 @@ Result<FlatForest> FlatForest::Compile(const RandomForestClassifier& forest) {
   flat.leaf_index_.Adopt(std::move(arrays.leaf_index));
   flat.leaf_values_.Adopt(std::move(arrays.leaf_values));
   flat.tree_offsets_.Adopt(std::move(arrays.tree_offsets));
-  flat.BuildQuantizedTables();
   flat.AutotuneBlockRows();
   CompileHistogram()->Observe(ElapsedMs(start));
   return flat;
@@ -285,78 +282,9 @@ Result<FlatForest> FlatForest::Compile(
   flat.leaf_index_.Adopt(std::move(arrays.leaf_index));
   flat.leaf_values_.Adopt(std::move(arrays.leaf_values));
   flat.tree_offsets_.Adopt(std::move(arrays.tree_offsets));
-  flat.BuildQuantizedTables();
   flat.AutotuneBlockRows();
   CompileHistogram()->Observe(ElapsedMs(start));
   return flat;
-}
-
-void FlatForest::BuildQuantizedTables() {
-  quantized_ = false;
-  narrow_codes_ = false;
-  qthreshold_.Adopt({});
-  cut_offsets_.Adopt({});
-  cut_values_.Adopt({});
-  if (num_features_ == 0) return;
-
-  // Per feature: the sorted distinct thresholds the forest splits on.
-  // With cuts c_0 < ... < c_{m-1} and code(v) = #{cuts < v}, routing is
-  // exact for EVERY input value: v <= c_k  <=>  code(v) <= k. Codes run
-  // 0..m, so uint8 works iff every feature has m <= 255 cuts; deep
-  // histogram forests can exceed that (node-local gap-midpoint
-  // refinement mints fresh thresholds), so a uint16 tier covers up to
-  // 65535 cuts before falling back to the double comparison.
-  std::vector<std::vector<double>> cuts(num_features_);
-  for (size_t i = 0; i < feature_.size(); ++i) {
-    if (feature_[i] >= 0) {
-      cuts[static_cast<size_t>(feature_[i])].push_back(threshold_[i]);
-    }
-  }
-  size_t max_cuts = 0;
-  for (auto& c : cuts) {
-    std::sort(c.begin(), c.end());
-    c.erase(std::unique(c.begin(), c.end()), c.end());
-    max_cuts = std::max(max_cuts, c.size());
-  }
-  if (max_cuts > 65535) return;  // Codes would not fit in uint16.
-  narrow_codes_ = max_cuts <= 255;
-
-  std::vector<int32_t> cut_offsets;
-  std::vector<double> cut_values;
-  cut_offsets.reserve(num_features_ + 1);
-  cut_offsets.push_back(0);
-  for (const auto& c : cuts) {
-    cut_values.insert(cut_values.end(), c.begin(), c.end());
-    cut_offsets.push_back(static_cast<int32_t>(cut_values.size()));
-  }
-  std::vector<uint16_t> qthreshold(feature_.size(), 0);
-  for (size_t i = 0; i < feature_.size(); ++i) {
-    if (feature_[i] < 0) continue;
-    const auto& c = cuts[static_cast<size_t>(feature_[i])];
-    const auto it = std::lower_bound(c.begin(), c.end(), threshold_[i]);
-    qthreshold[i] = static_cast<uint16_t>(it - c.begin());
-  }
-  cut_offsets_.Adopt(std::move(cut_offsets));
-  cut_values_.Adopt(std::move(cut_values));
-  qthreshold_.Adopt(std::move(qthreshold));
-  quantized_ = true;
-  BuildUsedFeatures();
-}
-
-void FlatForest::BuildUsedFeatures() {
-  // Quantizing a batch costs one binary search per (row, feature); a
-  // feature with zero cuts is never tested by any split node, so its
-  // code can never be read — skip it. This is the per-compile table
-  // that keeps per-batch quantization proportional to the features the
-  // forest actually uses, not the dataset width.
-  used_features_.clear();
-  if (!quantized_) return;
-  used_features_.reserve(num_features_);
-  for (size_t f = 0; f < num_features_; ++f) {
-    if (cut_offsets_[f + 1] > cut_offsets_[f]) {
-      used_features_.push_back(static_cast<int32_t>(f));
-    }
-  }
 }
 
 void FlatForest::AutotuneBlockRows() {
@@ -432,10 +360,7 @@ size_t FlatForest::memory_bytes() const {
          left_.size() * sizeof(int32_t) + right_.size() * sizeof(int32_t) +
          leaf_index_.size() * sizeof(int32_t) +
          leaf_values_.size() * sizeof(double) +
-         tree_offsets_.size() * sizeof(int32_t) +
-         qthreshold_.size() * sizeof(uint16_t) +
-         cut_offsets_.size() * sizeof(int32_t) +
-         cut_values_.size() * sizeof(double);
+         tree_offsets_.size() * sizeof(int32_t);
 }
 
 Status FlatForest::SelfCheck() const {
@@ -479,16 +404,6 @@ Status FlatForest::SelfCheck() const {
         if (leaf_index_[u] != -1) {
           return Status::Internal("split node with a leaf row");
         }
-        if (quantized_) {
-          const int32_t f = feature_[u];
-          const int32_t cut =
-              cut_offsets_[static_cast<size_t>(f)] + qthreshold_[u];
-          if (cut >= cut_offsets_[static_cast<size_t>(f) + 1] ||
-              cut_values_[static_cast<size_t>(cut)] != threshold_[u]) {
-            return Status::Internal(
-                "quantized threshold does not map back to its cut");
-          }
-        }
       }
     }
   }
@@ -505,8 +420,6 @@ Status FlatForest::WriteTo(artifact::ArtifactWriter& writer,
   artifact::ForestMeta meta;
   std::memset(&meta, 0, sizeof(meta));
   meta.num_classes = num_classes_;
-  meta.flags = (quantized_ ? artifact::kForestQuantized : 0u) |
-               (narrow_codes_ ? artifact::kForestNarrowCodes : 0u);
   meta.num_features = num_features_;
   meta.leaf_dim = leaf_dim_;
   meta.out_dim = out_dim_;
@@ -524,14 +437,6 @@ Status FlatForest::WriteTo(artifact::ArtifactWriter& writer,
                   leaf_values_.size());
   writer.AddArray(SectionId::kTreeOffsets, slot, tree_offsets_.data(),
                   tree_offsets_.size());
-  if (quantized_) {
-    writer.AddArray(SectionId::kQuantThreshold, slot, qthreshold_.data(),
-                    qthreshold_.size());
-    writer.AddArray(SectionId::kCutOffsets, slot, cut_offsets_.data(),
-                    cut_offsets_.size());
-    writer.AddArray(SectionId::kCutValues, slot, cut_values_.data(),
-                    cut_values_.size());
-  }
   return Status::OK();
 }
 
@@ -574,97 +479,23 @@ Result<FlatForest> FlatForest::FromView(
   CLOUDSURV_RETURN_NOT_OK(bind(SectionId::kNodeLeafIndex, flat.leaf_index_));
   CLOUDSURV_RETURN_NOT_OK(bind(SectionId::kLeafValues, flat.leaf_values_));
   CLOUDSURV_RETURN_NOT_OK(bind(SectionId::kTreeOffsets, flat.tree_offsets_));
-
-  flat.quantized_ = (meta.flags & artifact::kForestQuantized) != 0;
-  flat.narrow_codes_ = (meta.flags & artifact::kForestNarrowCodes) != 0;
-  if (flat.quantized_) {
-    CLOUDSURV_RETURN_NOT_OK(
-        bind(SectionId::kQuantThreshold, flat.qthreshold_));
-    CLOUDSURV_RETURN_NOT_OK(bind(SectionId::kCutOffsets, flat.cut_offsets_));
-    CLOUDSURV_RETURN_NOT_OK(bind(SectionId::kCutValues, flat.cut_values_));
-    // SelfCheck indexes these tables by feature id, so their shape must
-    // be validated first.
-    if (flat.qthreshold_.size() != flat.feature_.size()) {
-      return Status::InvalidArgument(
-          "quantized threshold table does not match the node count");
-    }
-    if (flat.cut_offsets_.size() != flat.num_features_ + 1 ||
-        flat.cut_offsets_.front() != 0 ||
-        static_cast<size_t>(flat.cut_offsets_.back()) !=
-            flat.cut_values_.size()) {
-      return Status::InvalidArgument(
-          "cut offset table does not span the cut values");
-    }
-    for (size_t f = 0; f < flat.num_features_; ++f) {
-      if (flat.cut_offsets_[f] > flat.cut_offsets_[f + 1]) {
-        return Status::InvalidArgument("cut offset table is non-monotone");
-      }
-    }
-  }
+  // Older files may also carry the reserved quantized-table sections
+  // and ForestMeta flag bits (artifact/format.h); they are not read.
 
   if (flat.tree_offsets_.empty()) {
     return Status::InvalidArgument("artifact forest has no trees");
   }
   flat.backing_ = reader.backing();
   CLOUDSURV_RETURN_NOT_OK(flat.SelfCheck());
-  // Derived (non-serialized) state: the used-feature skip list for
-  // quantization and the autotuned block size for this machine.
-  flat.BuildUsedFeatures();
+  // Derived (non-serialized) state: the autotuned block size for this
+  // machine.
   flat.AutotuneBlockRows();
   return flat;
 }
 
-template <typename Code>
-void FlatForest::TraverseQuantized(const double* const* rows, size_t n,
-                                   double* out,
-                                   std::vector<uint8_t>& scratch) const {
-  const size_t trees = num_trees();
-  const size_t od = out_dim_;
-  // Quantize the block once: one integer code per (row, used feature)
-  // — a much smaller working set than the double rows while all trees
-  // stream through. Only features with at least one cut are coded
-  // (`used_features_`, built at compile time): a cut-less feature is
-  // never tested by any split node, so its slot is never read. The
-  // byte buffer is reused across a task's blocks; vector storage is
-  // max-aligned, so the uint16 view is safe.
-  scratch.resize(n * num_features_ * sizeof(Code));
-  Code* block_codes = reinterpret_cast<Code*>(scratch.data());
-  for (size_t i = 0; i < n; ++i) {
-    const double* row = rows[i];
-    Code* codes = block_codes + i * num_features_;
-    for (const int32_t f : used_features_) {
-      const size_t uf = static_cast<size_t>(f);
-      const double* cb = cut_values_.data() + cut_offsets_[uf];
-      const double* ce = cut_values_.data() + cut_offsets_[uf + 1];
-      codes[uf] = static_cast<Code>(std::lower_bound(cb, ce, row[uf]) - cb);
-    }
-  }
-  for (size_t t = 0; t < trees; ++t) {
-    const int32_t root = tree_offsets_[t];
-    for (size_t i = 0; i < n; ++i) {
-      const Code* codes = block_codes + i * num_features_;
-      int32_t node = root;
-      int32_t f = feature_[static_cast<size_t>(node)];
-      while (f >= 0) {
-        node = codes[static_cast<size_t>(f)] <=
-                       qthreshold_[static_cast<size_t>(node)]
-                   ? left_[static_cast<size_t>(node)]
-                   : right_[static_cast<size_t>(node)];
-        f = feature_[static_cast<size_t>(node)];
-      }
-      const double* leaf =
-          leaf_values_.data() +
-          static_cast<size_t>(leaf_index_[static_cast<size_t>(node)]) *
-              leaf_dim_;
-      double* acc = out + i * od;
-      for (size_t c = 0; c < leaf_dim_; ++c) acc[c] += leaf[c];
-    }
-  }
-}
-
 void FlatForest::ScoreBlock(const double* const* rows, size_t n, double* out,
-                            bool use_quantized, simd::TraversalFn kernel,
-                            BlockScratch& scratch) const {
+                            simd::TraversalFn kernel,
+                            std::vector<double>& packed) const {
   const size_t trees = num_trees();
   const size_t od = out_dim_;
   if (num_classes_ > 0) {
@@ -673,36 +504,28 @@ void FlatForest::ScoreBlock(const double* const* rows, size_t n, double* out,
     std::fill(out, out + n, base_score_);
   }
 
-  if (use_quantized && quantized_) {
-    if (narrow_codes_) {
-      TraverseQuantized<uint8_t>(rows, n, out, scratch.qcodes);
-    } else {
-      TraverseQuantized<uint16_t>(rows, n, out, scratch.qcodes);
+  // The traversal kernels consume a packed row-major block. The
+  // dense-matrix entry points hand over rows that are already
+  // contiguous — alias them; otherwise (Dataset rows, the serving
+  // path's per-slot row vectors) pack once into reusable scratch.
+  // Packing copies row bytes verbatim, so it cannot perturb results.
+  const double* block = rows[0];
+  bool contiguous = true;
+  for (size_t i = 1; i < n; ++i) {
+    if (rows[i] != rows[0] + i * num_features_) {
+      contiguous = false;
+      break;
     }
-  } else {
-    // The traversal kernels consume a packed row-major block. The
-    // dense-matrix entry points hand over rows that are already
-    // contiguous — alias them; otherwise (Dataset rows, the serving
-    // path's per-slot row vectors) pack once into reusable scratch.
-    // Packing copies row bytes verbatim, so it cannot perturb results.
-    const double* packed = rows[0];
-    bool contiguous = true;
-    for (size_t i = 1; i < n; ++i) {
-      if (rows[i] != rows[0] + i * num_features_) {
-        contiguous = false;
-        break;
-      }
-    }
-    if (!contiguous) {
-      scratch.packed.resize(n * num_features_);
-      for (size_t i = 0; i < n; ++i) {
-        std::memcpy(scratch.packed.data() + i * num_features_, rows[i],
-                    num_features_ * sizeof(double));
-      }
-      packed = scratch.packed.data();
-    }
-    kernel(View(), packed, n, out);
   }
+  if (!contiguous) {
+    packed.resize(n * num_features_);
+    for (size_t i = 0; i < n; ++i) {
+      std::memcpy(packed.data() + i * num_features_, rows[i],
+                  num_features_ * sizeof(double));
+    }
+    block = packed.data();
+  }
+  kernel(View(), block, n, out);
 
   // Finalization mirrors the legacy per-row arithmetic exactly: divide
   // the class sums by the tree count, or squash the logit. Per row the
@@ -726,16 +549,12 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
   // build/CPU cannot serve is a caller error — surfaced as a Status,
   // never silently downgraded (and checked even for n == 0, so a
   // misconfigured pipeline fails on its first call).
-  const bool quant = options.use_quantized && quantized_;
   const simd::TraversalKind resolved = simd::Resolve(options.traversal);
-  simd::TraversalFn kernel = nullptr;
-  if (!quant) {
-    kernel = simd::Kernel(resolved);
-    if (kernel == nullptr) {
-      return Status::InvalidArgument(
-          std::string("traversal kernel '") + simd::KindName(resolved) +
-          "' is not available on this build/CPU");
-    }
+  const simd::TraversalFn kernel = simd::Kernel(resolved);
+  if (kernel == nullptr) {
+    return Status::InvalidArgument(
+        std::string("traversal kernel '") + simd::KindName(resolved) +
+        "' is not available on this build/CPU");
   }
   if (n == 0) return Status::OK();
   obs::ScopedTimer timer(BatchLatency());
@@ -745,7 +564,7 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
   // The AVX2 kernel addresses the packed block with int32 gather
   // indices (row offset in doubles); cap the block so they cannot
   // overflow. Blocking never changes results, so the cap is safe.
-  if (!quant && num_features_ > 0) {
+  if (num_features_ > 0) {
     const size_t cap =
         static_cast<size_t>(std::numeric_limits<int32_t>::max()) /
         num_features_;
@@ -754,12 +573,11 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
   const size_t num_blocks = (n + block - 1) / block;
 
   if (options.pool == nullptr || num_blocks <= 1) {
-    BlockScratch scratch;
+    std::vector<double> packed;
     for (size_t b = 0; b < num_blocks; ++b) {
       const size_t lo = b * block;
       const size_t hi = std::min(n, lo + block);
-      ScoreBlock(row_ptrs + lo, hi - lo, out + lo * out_dim_, quant, kernel,
-                 scratch);
+      ScoreBlock(row_ptrs + lo, hi - lo, out + lo * out_dim_, kernel, packed);
     }
   } else {
     std::vector<std::future<void>> futures;
@@ -768,10 +586,10 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
       const size_t lo = b * block;
       const size_t hi = std::min(n, lo + block);
       futures.push_back(options.pool->Submit(
-          [this, row_ptrs, lo, hi, out, quant, kernel]() {
-            BlockScratch scratch;
-            ScoreBlock(row_ptrs + lo, hi - lo, out + lo * out_dim_, quant,
-                       kernel, scratch);
+          [this, row_ptrs, lo, hi, out, kernel]() {
+            std::vector<double> packed;
+            ScoreBlock(row_ptrs + lo, hi - lo, out + lo * out_dim_, kernel,
+                       packed);
           }));
     }
     try {
@@ -782,7 +600,7 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
     }
   }
   RowsTotal()->Increment(n);
-  KernelRows(resolved, quant)->Increment(n);
+  KernelRows(resolved)->Increment(n);
   return Status::OK();
 }
 

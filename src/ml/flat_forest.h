@@ -125,25 +125,6 @@ class Column {
 /// (class distributions, or scalar leaf weights for boosted trees)
 /// live in one dense `leaf_values` matrix indexed by a per-leaf id.
 ///
-/// Quantized traversal: at compile time the per-feature set of distinct
-/// split thresholds is collected; each node threshold is replaced by
-/// its index into the sorted per-feature cut table and incoming rows
-/// are quantized once per batch to one small integer code per feature
-/// (`code(v) = #{cuts < v}`). Because `v <= cut[k]  <=>  code(v) <= k`
-/// for every cut, the quantized traversal routes every row exactly as
-/// the double comparison would — the smaller row working set costs no
-/// accuracy at all, and the bit-identity tests pin that. Codes are
-/// `uint8_t` (~8x smaller rows) when every feature has <= 255 cuts and
-/// `uint16_t` (~4x) up to 65535; histogram training draws thresholds
-/// from <= 256 bins per feature, but its node-local gap-midpoint
-/// refinement (BinnedDataset::refined_threshold) can push the distinct
-/// count of a deep forest past the uint8 budget, hence the wide tier.
-/// Quantized traversal is opt-in (BatchOptions::use_quantized): rows
-/// are scored exactly once here, so the per-batch quantization cost is
-/// never amortized, and bench/inference_throughput shows the plain SoA
-/// double traversal ahead whenever a block of double rows is
-/// cache-resident.
-///
 /// Batch scoring iterates rows x trees in cache-sized row blocks (all
 /// trees stay hot while a block's rows stream through) and can fan
 /// independent blocks out over a `common::ThreadPool`. The per-block
@@ -179,17 +160,8 @@ class FlatForest {
     /// (honouring CLOUDSURV_FORCE_SCALAR), else the portable scalar
     /// kernel. An *explicit* kAvx2 on a build/CPU without it fails the
     /// batch call with InvalidArgument — never a silent downgrade. All
-    /// kernels are bit-identical. Ignored when the quantized traversal
-    /// runs (that path is scalar integer-code routing).
+    /// kernels are bit-identical.
     simd::TraversalKind traversal = simd::TraversalKind::kAuto;
-    /// Use the integer code traversal when the forest is quantizable.
-    /// Both paths are bit-identical. Off by default: each batch pays
-    /// one binary search per (row, used feature) to quantize, and
-    /// bench/inference_throughput measures that as a net loss against
-    /// the SIMD double traversal when the double rows already fit in
-    /// cache — enable it for very wide rows or feature-heavy models
-    /// where the 4-8x row shrink matters.
-    bool use_quantized = false;
   };
 
   FlatForest() = default;
@@ -229,13 +201,6 @@ class FlatForest {
   /// True for a classifier ensemble (leaf class distributions); false
   /// for a boosted regressor (scalar logit leaves).
   bool is_classifier() const { return num_classes_ > 0; }
-  /// True when the integer code traversal is available.
-  bool quantized() const { return quantized_; }
-  /// Bits per stored row code: 8 (every feature <= 255 cuts), 16
-  /// (<= 65535 cuts), or 0 when the forest is not quantizable.
-  int code_bits() const {
-    return quantized_ ? (narrow_codes_ ? 8 : 16) : 0;
-  }
 
   /// Rows-per-block the compiler picked for this forest (used whenever
   /// BatchOptions::block_rows is 0): sized so one block of double rows
@@ -264,8 +229,8 @@ class FlatForest {
   size_t memory_bytes() const;
 
   /// Verifies structural invariants (offset monotonicity, child and
-  /// leaf references in range, quantized cuts consistent with the
-  /// double thresholds). Cheap; tests and Compile() debug paths use it.
+  /// leaf references in range). Cheap; tests and Compile() debug paths
+  /// use it.
   Status SelfCheck() const;
 
   // --- Single-row scoring (bit-identical to the legacy per-row path) -
@@ -329,44 +294,21 @@ class FlatForest {
   size_t out_dim() const { return leaf_dim_ == 0 ? 0 : out_dim_; }
 
  private:
-  /// Reusable per-task buffers: the packed double row block handed to
-  /// the traversal kernels, and the quantized code block.
-  struct BlockScratch {
-    std::vector<double> packed;
-    std::vector<uint8_t> qcodes;
-  };
-
   /// Raw-pointer view of the SoA arrays for the traversal kernels.
   simd::ForestView View() const;
 
   /// Scores one block of rows addressed through per-row pointers.
-  /// `kernel` walks the double rows (already resolved and validated by
-  /// ScorePtrs; ignored when `use_quantized` selects the code
-  /// traversal). Scratch buffers are resized as needed and reusable
-  /// across the blocks of one task.
+  /// `kernel` walks the rows (already resolved and validated by
+  /// ScorePtrs). `packed` is the reusable row-block buffer of one
+  /// task, resized as needed.
   void ScoreBlock(const double* const* rows, size_t n, double* out,
-                  bool use_quantized, simd::TraversalFn kernel,
-                  BlockScratch& scratch) const;
+                  simd::TraversalFn kernel,
+                  std::vector<double>& packed) const;
 
   /// Shared driver: resolves the traversal kernel, blocks `row_ptrs`
   /// and fans the blocks out.
   Status ScorePtrs(const double* const* row_ptrs, size_t n, double* out,
                    const BatchOptions& options) const;
-
-  /// Quantized-code kernel of ScoreBlock, instantiated for uint8_t and
-  /// uint16_t codes; `scratch` is a reusable raw byte buffer.
-  template <typename Code>
-  void TraverseQuantized(const double* const* rows, size_t n, double* out,
-                         std::vector<uint8_t>& scratch) const;
-
-  /// Collects per-feature distinct thresholds and fills the quantized
-  /// tables when every feature fits in uint8 codes.
-  void BuildQuantizedTables();
-
-  /// Rebuilds `used_features_` (features with >= 1 cut) from the cut
-  /// offset table; quantization skips the rest, since a feature no
-  /// split node tests can never route a row.
-  void BuildUsedFeatures();
 
   /// Derives `tuned_block_rows_` from the forest shape and the machine
   /// L2 size. Runs at the end of Compile() and FromView().
@@ -393,17 +335,6 @@ class FlatForest {
 
   /// Rows per block when BatchOptions::block_rows is 0 (autotuned).
   size_t tuned_block_rows_ = 512;
-
-  // Quantized traversal tables (valid iff quantized_).
-  bool quantized_ = false;
-  bool narrow_codes_ = false;        ///< Row codes fit in uint8_t.
-  /// Features with at least one cut — the only ones quantization needs
-  /// to code. Derived (never serialized); rebuilt by FromView.
-  std::vector<int32_t> used_features_;
-  Column<uint16_t> qthreshold_; ///< Per node: cut index (0 for leaves).
-  Column<int32_t> cut_offsets_; ///< Per feature f: cuts in
-                                ///< cut_values_[off[f], off[f+1]).
-  Column<double> cut_values_;   ///< Ascending distinct thresholds.
 
   /// Pins the mapped/loaded artifact bytes the view columns alias;
   /// nullptr for a Compile()d forest.

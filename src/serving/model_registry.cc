@@ -27,12 +27,11 @@ Result<uint64_t> ModelRegistry::Publish(std::string name, ModelPtr model) {
 }
 
 Result<uint64_t> ModelRegistry::Publish(
-    std::string name, std::shared_ptr<core::LongevityService> model,
-    bool compile_inference) {
+    std::string name, std::shared_ptr<core::LongevityService> model) {
   if (model == nullptr) {
     return Status::InvalidArgument("cannot publish a null model");
   }
-  if (compile_inference) {
+  if (!model->inference_compiled()) {
     // Compile outside the registry lock, before the snapshot becomes
     // visible: readers pin either the previous version or this one
     // fully compiled — never a half-built layout.

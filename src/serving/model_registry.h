@@ -54,14 +54,14 @@ class ModelRegistry {
   Result<uint64_t> Publish(std::string name, ModelPtr model);
 
   /// Publishes a freshly trained (still mutable) service, compiling its
-  /// flat inference representation first when `compile_inference` is
-  /// set. Compilation happens before the snapshot becomes visible, so
+  /// flat inference representation first unless it is already compiled
+  /// (e.g. loaded from an artifact, whose zero-copy views are kept).
+  /// Compilation happens before the snapshot becomes visible, so
   /// scoring threads only ever observe fully compiled versions — the
   /// hot-swap guarantees above are unchanged. The caller must hand over
   /// ownership (no other mutating references).
   Result<uint64_t> Publish(std::string name,
-                           std::shared_ptr<core::LongevityService> model,
-                           bool compile_inference = true);
+                           std::shared_ptr<core::LongevityService> model);
 
   /// A literal nullptr matches both pointer overloads equally well;
   /// resolve it to the same rejection either would produce.

@@ -132,7 +132,8 @@ ScoringEngine::EngineSeries ScoringEngine::MakeEngineSeries() {
       "Health-state machine transitions", "transitions", labels);
   series.scoring_latency_us = registry.GetHistogram(
       "cloudsurv_engine_scoring_latency_us",
-      "Per-database Assess() latency inside worker threads", "us",
+      "Amortized per-database share of a shard batch's AssessMany() "
+      "time", "us",
       labels);
   return series;
 }
@@ -466,18 +467,47 @@ Result<std::vector<ScoredDatabase>> ScoringEngine::ScoreDue(
             read_store = &*snapshot;
           }
 
-          if (injector == nullptr && options_.batch_deadline_us <= 0.0) {
-            // Batched fast path: with no per-database injection points
-            // or virtual-time deadline to honour, the whole shard batch
-            // goes through AssessMany — rows grouped per model slot and
-            // scored by the compiled FlatForest in blocks. Assessments
-            // are bit-identical to the per-id loop below; nullopt marks
-            // exactly the ids whose per-id Assess would fail.
-            std::vector<telemetry::DatabaseId> ids;
-            ids.reserve(task_batch.size());
-            for (const PendingDatabase& pending : task_batch) {
-              ids.push_back(pending.database_id);
+          // One pass over the batch, in batch order: every database
+          // passes the engine.score fault site once and its injected
+          // delay is slept here. The virtual clock advances by those
+          // delays plus a fixed cost per assessment — never by wall
+          // time, and never by an assessment's result — so the deadline
+          // cut is known before anything is scored and is
+          // bit-reproducible across machines and thread counts.
+          size_t cut = task_batch.size();
+          double virtual_us = 0.0;
+          for (size_t i = 0; i < task_batch.size(); ++i) {
+            if (injector != nullptr) {
+              const fault::Outcome outcome = injector->Evaluate(
+                  fault::Site::kScoreAssess, shard_key);
+              fault::SleepFor(outcome.delay_us + outcome.stall_us);
+              virtual_us += outcome.delay_us + outcome.stall_us;
             }
+            if (cut != task_batch.size()) continue;
+            if (options_.batch_deadline_us > 0.0 &&
+                virtual_us > options_.batch_deadline_us) {
+              cut = i;
+              result.deadline_exceeded = true;
+            } else {
+              virtual_us += options_.assess_virtual_cost_us;
+            }
+          }
+
+          // The rows inside the deadline go through one AssessMany
+          // call — rows grouped per model slot, features extracted in
+          // one batch and scored by the compiled FlatForest in blocks.
+          // Assessments are bit-identical to per-id Assess; nullopt
+          // marks exactly the ids whose per-id Assess would fail (e.g.
+          // dropped inside the window with the drop racing the
+          // maturity cutoff), which batch Assess() on the final store
+          // skips identically.
+          std::vector<telemetry::DatabaseId> ids;
+          ids.reserve(cut);
+          for (size_t i = 0; i < cut; ++i) {
+            ids.push_back(task_batch[i].database_id);
+          }
+          result.scored.reserve(task_batch.size());
+          if (!ids.empty()) {
             const auto batch_start = std::chrono::steady_clock::now();
             ml::FlatForest::BatchOptions batch_opts;
             batch_opts.block_rows = options_.inference_block_rows;
@@ -493,13 +523,10 @@ Result<std::vector<ScoredDatabase>> ScoringEngine::ScoreDue(
               result.status = assessments.status();
               return result;
             }
-            // Record the amortized per-database latency so the
-            // histogram keeps its per-assessment semantics (one sample
-            // per scored database, as on the per-row path).
-            const double per_db_us =
-                batch_us / static_cast<double>(task_batch.size());
-            result.scored.reserve(task_batch.size());
-            for (size_t i = 0; i < task_batch.size(); ++i) {
+            // One amortized sample per assessed database keeps the
+            // histogram's per-assessment semantics.
+            const double per_db_us = batch_us / static_cast<double>(cut);
+            for (size_t i = 0; i < cut; ++i) {
               series_.scoring_latency_us->Observe(per_db_us);
               if (!(*assessments)[i].has_value()) {
                 ++result.skipped;
@@ -513,59 +540,15 @@ Result<std::vector<ScoredDatabase>> ScoringEngine::ScoreDue(
               scored.assessment = *std::move((*assessments)[i]);
               result.scored.push_back(std::move(scored));
             }
-            return result;
           }
-
-          // Per-database scoring against a virtual-time deadline. The
-          // virtual clock advances by injected delays plus a fixed cost
-          // per assessment — never by wall time — so deadline behaviour
-          // is bit-reproducible across machines and thread counts.
-          double virtual_us = 0.0;
-          bool past_deadline = false;
-          result.scored.reserve(task_batch.size());
-          for (const PendingDatabase& pending : task_batch) {
-            if (injector != nullptr) {
-              const fault::Outcome outcome = injector->Evaluate(
-                  fault::Site::kScoreAssess, shard_key);
-              fault::SleepFor(outcome.delay_us + outcome.stall_us);
-              virtual_us += outcome.delay_us + outcome.stall_us;
-            }
-            if (!past_deadline && options_.batch_deadline_us > 0.0 &&
-                virtual_us > options_.batch_deadline_us) {
-              past_deadline = true;
-              result.deadline_exceeded = true;
-            }
-            if (past_deadline) {
-              if (fallback_enabled) {
-                result.scored.push_back(FallbackScore(pending));
-                ++result.fallback;
-              } else {
-                ++result.skipped;
-              }
-              continue;
-            }
-            // ScopedTimer records into the engine's latency histogram;
-            // the histogram is thread-safe so tasks observe directly.
-            obs::ScopedTimer timer(series_.scoring_latency_us);
-            auto assessment =
-                active.model->Assess(*read_store, pending.database_id);
-            timer.Stop();
-            virtual_us += options_.assess_virtual_cost_us;
-            if (!assessment.ok()) {
-              // E.g. dropped exactly inside the window with the drop
-              // event racing the maturity cutoff — batch Assess() on
-              // the final store fails identically, so skipping keeps
-              // the two paths equivalent.
+          // Databases past the deadline fall back or are skipped.
+          for (size_t i = cut; i < task_batch.size(); ++i) {
+            if (fallback_enabled) {
+              result.scored.push_back(FallbackScore(task_batch[i]));
+              ++result.fallback;
+            } else {
               ++result.skipped;
-              continue;
             }
-            ScoredDatabase scored;
-            scored.database_id = pending.database_id;
-            scored.subscription_id = pending.subscription_id;
-            scored.matured_at = pending.matures_at;
-            scored.model_version = active.version;
-            scored.assessment = *std::move(assessment);
-            result.scored.push_back(std::move(scored));
           }
           return result;
         }));

@@ -117,7 +117,9 @@ struct EngineMetrics {
 ///   created_at + observe_days) and cancels databases dropped before
 ///   maturing; then every shard holding newly matured databases gets
 ///   one ThreadPool task that scores its due databases against the
-///   registry's current model snapshot. When no fault injector is
+///   registry's current model snapshot in one AssessMany() call (those
+///   inside the batch's virtual-time deadline, if one is set; the rest
+///   fall back or are skipped). When no fault injector is
 ///   configured and the shard's live store is still readable()
 ///   (ordered streaming ingest), the task reads the live columnar
 ///   store directly — no event copy, no Finalize() barrier. Otherwise
@@ -147,14 +149,11 @@ class ScoringEngine {
     /// Observation span x in days; must match the published models'
     /// observe_days for assessments to be meaningful.
     double observe_days = 2.0;
-    /// Rows per FlatForest traversal block when a shard batch takes the
-    /// batched inference path (`LongevityService::AssessMany`); 0 uses
-    /// the compiled forest's autotuned block size. The batched path
-    /// engages only when no fault injector and no batch deadline are
-    /// configured — per-database injection points and virtual-time
-    /// accounting require the per-row loop.
+    /// Rows per FlatForest traversal block when a shard batch is
+    /// scored (`LongevityService::AssessMany`); 0 uses the compiled
+    /// forest's autotuned block size.
     size_t inference_block_rows = 0;
-    /// Traversal kernel for the batched inference path: kAuto picks
+    /// Traversal kernel for shard-batch scoring: kAuto picks
     /// the AVX2 multi-row kernel when available (else scalar); an
     /// explicit kAvx2 on a build/CPU without it fails the batch, which
     /// surfaces as skipped databases. All kernels are bit-identical.

@@ -144,32 +144,25 @@ grep -q "\"metrics\": \[" "$WORK/metrics.json"
 grep -q "\"name\": \"cloudsurv_engine_databases_scored_total\"" \
   "$WORK/metrics.json"
 
-# serve-sim in both inference modes: the flat (compiled) and legacy
-# (per-row) engines must each verify IDENTICAL against the sequential
-# ground truth, and must agree with each other on the engine counters.
+# serve-sim on the default (auto-dispatched) traversal kernel and on
+# the forced portable scalar kernel: each must verify IDENTICAL against
+# the sequential ground truth, the summary line must name the kernel
+# that ran, and the two must agree on the engine counters.
 "$CLI" serve-sim --region 2 --subs 300 --seed 5 \
-  --inference flat --block-rows 128 | tee "$WORK/serve_flat.txt"
-grep -q "inference=flat" "$WORK/serve_flat.txt"
+  --block-rows 128 | tee "$WORK/serve_flat.txt"
+grep -q "block_rows=128" "$WORK/serve_flat.txt"
 grep -q "IDENTICAL" "$WORK/serve_flat.txt"
-"$CLI" serve-sim --region 2 --subs 300 --seed 5 \
-  --inference legacy | tee "$WORK/serve_legacy.txt"
-grep -q "inference=legacy" "$WORK/serve_legacy.txt"
-grep -q "IDENTICAL" "$WORK/serve_legacy.txt"
-
-# Forced-scalar traversal: the portable kernel must also verify
-# IDENTICAL against the sequential ground truth, and the summary line
-# must name the kernel that ran.
 "$CLI" serve-sim --region 2 --subs 300 --seed 5 \
   --traversal scalar | tee "$WORK/serve_scalar.txt"
 grep -q "traversal=scalar" "$WORK/serve_scalar.txt"
 grep -q "IDENTICAL" "$WORK/serve_scalar.txt"
 for line in "databases scored" "confident"; do
   flat_count=$(grep "$line" "$WORK/serve_flat.txt" | head -1)
-  legacy_count=$(grep "$line" "$WORK/serve_legacy.txt" | head -1)
-  if [ "$flat_count" != "$legacy_count" ]; then
-    echo "flat/legacy mismatch on '$line':" >&2
+  scalar_count=$(grep "$line" "$WORK/serve_scalar.txt" | head -1)
+  if [ "$flat_count" != "$scalar_count" ]; then
+    echo "flat/scalar mismatch on '$line':" >&2
     echo "  flat:   $flat_count" >&2
-    echo "  legacy: $legacy_count" >&2
+    echo "  scalar: $scalar_count" >&2
     exit 1
   fi
 done
@@ -207,7 +200,7 @@ grep -q "accounting.*OK" "$WORK/serve_swap.txt"
 for bad in "--threads 0" "--threads -3" "--shards banana" \
            "--flush-interval 0" "--flush-interval -2" \
            "--metrics-interval abc" "--deadline-us -1" "--shed-high -5" \
-           "--inference banana" "--block-rows 0" "--traversal banana"; do
+           "--block-rows 0" "--traversal banana"; do
   if "$CLI" serve-sim --region 2 --subs 50 --seed 5 $bad \
       > "$WORK/bad.txt" 2>&1; then
     echo "expected rejection of '$bad'" >&2

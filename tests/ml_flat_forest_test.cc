@@ -126,11 +126,6 @@ TEST(FlatForestTest, CompileInvariantsAndSelfCheck) {
   EXPECT_GT(flat.num_leaves(), 0u);
   EXPECT_GT(flat.memory_bytes(), 0u);
   EXPECT_OK(flat.SelfCheck());
-  // Histogram training draws thresholds from <= 256 bins per feature;
-  // node-local refinement can widen the codes to uint16, but the
-  // quantized traversal must stay available.
-  EXPECT_TRUE(flat.quantized());
-  EXPECT_TRUE(flat.code_bits() == 8 || flat.code_bits() == 16);
 }
 
 TEST(FlatForestTest, CompileRejectsUnfittedForest) {
@@ -178,40 +173,15 @@ TEST(FlatForestTest, BitIdenticalToHistogramTrainedForest) {
   const Dataset data = ContinuousData(400, 13);
   const auto forest = FitForest(data, SplitAlgorithm::kHistogram);
   ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
-  ASSERT_TRUE(flat.quantized());
   EXPECT_OK(flat.SelfCheck());
 
   ThreadPool pool(4, /*max_queued=*/64);
-  for (const bool use_quantized : {true, false}) {
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      FlatForest::BatchOptions options;
-      options.block_rows = 32;
-      options.pool = p;
-      options.use_quantized = use_quantized;
-      ExpectBitIdentical(forest, flat, data, options);
-    }
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    FlatForest::BatchOptions options;
+    options.block_rows = 32;
+    options.pool = p;
+    ExpectBitIdentical(forest, flat, data, options);
   }
-}
-
-TEST(FlatForestTest, WideCodesStayQuantizedAndBitIdentical) {
-  // A deep histogram forest mints node-local refined thresholds far
-  // beyond the 255-cut uint8 budget; the uint16 tier must pick it up.
-  const Dataset data = ContinuousData(2000, 43);
-  ForestParams params;
-  params.num_trees = 30;
-  params.max_depth = 12;
-  params.num_threads = 1;
-  params.split_algorithm = SplitAlgorithm::kHistogram;
-  RandomForestClassifier forest;
-  ASSERT_OK(forest.Fit(data, params, /*seed=*/47));
-
-  ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
-  EXPECT_OK(flat.SelfCheck());
-  ASSERT_TRUE(flat.quantized());
-  EXPECT_EQ(flat.code_bits(), 16);
-  FlatForest::BatchOptions options;
-  options.use_quantized = true;
-  ExpectBitIdentical(forest, flat, data, options);
 }
 
 TEST(FlatForestTest, SingleLeafTrees) {
@@ -265,7 +235,6 @@ TEST(FlatForestTest, GbdtBitIdentity) {
   EXPECT_OK(flat.SelfCheck());
   EXPECT_FALSE(flat.is_classifier());
   EXPECT_EQ(flat.out_dim(), 1u);
-  EXPECT_TRUE(flat.quantized());  // Histogram-trained by default.
 
   for (size_t i = 0; i < data.num_rows(); ++i) {
     EXPECT_EQ(flat.PredictPositive(data.row(i)),
@@ -274,26 +243,23 @@ TEST(FlatForestTest, GbdtBitIdentity) {
   }
 
   ThreadPool pool(4, /*max_queued=*/64);
-  for (const bool use_quantized : {false, true}) {
-    FlatForest::BatchOptions options;
-    options.block_rows = 50;
-    options.pool = &pool;
-    options.use_quantized = use_quantized;
-    ASSERT_OK_AND_ASSIGN(const std::vector<double> positives,
-                         flat.PredictPositiveProbaBatch(data, options));
-    ASSERT_OK_AND_ASSIGN(const std::vector<double> legacy,
-                         gbdt.PredictPositiveProba(data));
-    ASSERT_EQ(positives.size(), legacy.size());
-    for (size_t i = 0; i < positives.size(); ++i) {
-      EXPECT_EQ(positives[i], legacy[i]) << "row " << i;
-    }
-
-    ASSERT_OK_AND_ASSIGN(const std::vector<int> labels,
-                         flat.PredictBatch(data, options));
-    ASSERT_OK_AND_ASSIGN(const std::vector<int> legacy_labels,
-                         gbdt.PredictBatch(data));
-    EXPECT_EQ(labels, legacy_labels);
+  FlatForest::BatchOptions options;
+  options.block_rows = 50;
+  options.pool = &pool;
+  ASSERT_OK_AND_ASSIGN(const std::vector<double> positives,
+                       flat.PredictPositiveProbaBatch(data, options));
+  ASSERT_OK_AND_ASSIGN(const std::vector<double> legacy,
+                       gbdt.PredictPositiveProba(data));
+  ASSERT_EQ(positives.size(), legacy.size());
+  for (size_t i = 0; i < positives.size(); ++i) {
+    EXPECT_EQ(positives[i], legacy[i]) << "row " << i;
   }
+
+  ASSERT_OK_AND_ASSIGN(const std::vector<int> labels,
+                       flat.PredictBatch(data, options));
+  ASSERT_OK_AND_ASSIGN(const std::vector<int> legacy_labels,
+                       gbdt.PredictBatch(data));
+  EXPECT_EQ(labels, legacy_labels);
 }
 
 // --- Traversal kernels (ml/simd/) ------------------------------------
@@ -390,8 +356,8 @@ TEST(FlatForestTest, EmptySingleRowAndRaggedTailBatches) {
 }
 
 TEST(FlatForestTest, WideCodesAcrossTraversalKinds) {
-  // uint16 quantized codes must stay bit-identical whether the batch
-  // runs the code traversal or any of the double kernels.
+  // A deep histogram forest mints thousands of node-local refined
+  // thresholds; every traversal kernel must stay bit-identical on it.
   const Dataset data = ContinuousData(2000, 43);
   ForestParams params;
   params.num_trees = 30;
@@ -401,16 +367,13 @@ TEST(FlatForestTest, WideCodesAcrossTraversalKinds) {
   RandomForestClassifier forest;
   ASSERT_OK(forest.Fit(data, params, /*seed=*/47));
   ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
-  ASSERT_EQ(flat.code_bits(), 16);
+  EXPECT_OK(flat.SelfCheck());
 
   for (const simd::TraversalKind kind : AvailableKinds()) {
-    for (const bool use_quantized : {false, true}) {
-      FlatForest::BatchOptions options;
-      options.traversal = kind;
-      options.use_quantized = use_quantized;
-      options.block_rows = 256;
-      ExpectBitIdentical(forest, flat, data, options);
-    }
+    FlatForest::BatchOptions options;
+    options.traversal = kind;
+    options.block_rows = 256;
+    ExpectBitIdentical(forest, flat, data, options);
   }
 }
 

@@ -1,7 +1,9 @@
 #include "serving/scoring_engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -357,6 +359,56 @@ int FallbackBaselineLabel(uint64_t seed, double rate, DatabaseId id) {
   return ml::WeightedRandomClassifier::FromPositiveRate(rate).Predict(rng);
 }
 
+/// 64-bit FNV-1a, chained: folds `size` bytes into `hash`.
+uint64_t Fnv1a(uint64_t hash, const void* data, size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+template <typename T>
+uint64_t FnvValue(uint64_t hash, T value) {
+  return Fnv1a(hash, &value, sizeof(value));
+}
+
+/// Current value of a process-wide counter (0 when not registered yet).
+uint64_t DefaultCounterValue(const std::string& name) {
+  for (const obs::SeriesRef& series : obs::Registry::Default().Series()) {
+    if (series.name == name && series.counter != nullptr) {
+      return series.counter->Value();
+    }
+  }
+  return 0;
+}
+
+/// Weekly polls over the event stream, then a drain; every poll must
+/// succeed. Returns all assessments in poll order.
+std::vector<ScoredDatabase> ReplayWeekly(ScoringEngine& engine) {
+  const Timestamp week = 7 * telemetry::kSecondsPerDay;
+  Timestamp next_poll = Store().window_start() + week;
+  std::vector<ScoredDatabase> scored;
+  for (const Event& e : Store().events()) {
+    while (e.timestamp > next_poll) {
+      auto batch = engine.Poll(next_poll);
+      EXPECT_TRUE(batch.ok()) << batch.status();
+      if (batch.ok()) {
+        for (auto& s : *batch) scored.push_back(std::move(s));
+      }
+      next_poll += week;
+    }
+    EXPECT_TRUE(engine.Ingest(e).ok());
+  }
+  auto rest = engine.Drain();
+  EXPECT_TRUE(rest.ok()) << rest.status();
+  if (rest.ok()) {
+    for (auto& s : *rest) scored.push_back(std::move(s));
+  }
+  return scored;
+}
+
 TEST(ScoringEngineFaultTest, FallbackBitMatchesWeightedRandomBaseline) {
   ScoringEngine::Options options;
   options.num_shards = 8;
@@ -582,7 +634,6 @@ TEST(ScoringEngineFaultTest, SameSeedPlanReplaysBitIdentically) {
       "fault registry.swap swap_race every=3\n"
       "fault engine.snapshot io_fail every=4 count=6\n";
 
-  // One full replay: weekly polls over the event stream, then a drain.
   auto run = [&](fault::FaultInjector* injector) {
     ScoringEngine::Options options;
     options.num_shards = 8;
@@ -592,22 +643,7 @@ TEST(ScoringEngineFaultTest, SameSeedPlanReplaysBitIdentically) {
     options.fallback_seed = injector->seed();
     ScoringEngine engine(RegionContext::FromStore(Store()), options);
     EXPECT_TRUE(engine.registry().Publish("v1", service).ok());
-    const Timestamp week = 7 * telemetry::kSecondsPerDay;
-    Timestamp next_poll = Store().window_start() + week;
-    std::vector<ScoredDatabase> scored;
-    for (const Event& e : Store().events()) {
-      while (e.timestamp > next_poll) {
-        auto batch = engine.Poll(next_poll);
-        EXPECT_TRUE(batch.ok()) << batch.status();
-        for (auto& s : *batch) scored.push_back(std::move(s));
-        next_poll += week;
-      }
-      EXPECT_TRUE(engine.Ingest(e).ok());
-    }
-    auto rest = engine.Drain();
-    EXPECT_TRUE(rest.ok()) << rest.status();
-    for (auto& s : *rest) scored.push_back(std::move(s));
-    return scored;
+    return ReplayWeekly(engine);
   };
 
   fault::FaultInjector first(ParsePlan(spec));
@@ -631,6 +667,102 @@ TEST(ScoringEngineFaultTest, SameSeedPlanReplaysBitIdentically) {
               b[i].assessment.positive_probability)
         << "db " << a[i].database_id;
   }
+}
+
+TEST(ScoringEngineFaultTest, FaultAndDeadlineScenarioMatchesGoldenDigest) {
+  // Score delays push batches past a virtual-time deadline, and shard 1
+  // exhausts its snapshot retries once, so one run exercises forest
+  // scoring, deadline fallback, snapshot fallback and retries together.
+  // The digest pins every output of that run. A change that moves it
+  // changed serving behaviour: fix the change, not the digest.
+  auto service = Service();
+  fault::FaultInjector injector(ParsePlan(
+      "seed 13\n"
+      "fault engine.score delay every=9 delay_us=150\n"
+      "fault engine.snapshot io_fail shard=1 from=4 until=7\n"
+      "fault engine.snapshot alloc_fail shard=2 every=6\n"));
+  ScoringEngine::Options options;
+  options.num_shards = 4;
+  options.num_threads = 2;
+  options.fault_injector = &injector;
+  options.batch_deadline_us = 400.0;
+  options.assess_virtual_cost_us = 10.0;
+  options.retry_backoff_us = 10.0;
+  options.fallback_positive_rate = 0.3;
+  options.fallback_seed = injector.seed();
+  ScoringEngine engine(RegionContext::FromStore(Store()), options);
+  ASSERT_TRUE(engine.registry().Publish("v1", service).ok());
+  std::vector<ScoredDatabase> scored = ReplayWeekly(engine);
+  std::sort(scored.begin(), scored.end(),
+            [](const ScoredDatabase& a, const ScoredDatabase& b) {
+              return a.database_id < b.database_id;
+            });
+
+  const EngineMetrics m = engine.Metrics();
+  EXPECT_GT(m.databases_scored, 0u);
+  EXPECT_GT(m.databases_fallback, 0u);
+  EXPECT_GT(m.deadline_exceeded, 0u);
+  EXPECT_GT(m.retries, 0u);
+
+  uint64_t digest = 0xcbf29ce484222325ull;
+  for (const ScoredDatabase& s : scored) {
+    digest = FnvValue<uint64_t>(digest, s.database_id);
+    digest = FnvValue<uint8_t>(digest, s.fallback ? 1 : 0);
+    digest = FnvValue<int32_t>(digest, s.assessment.predicted_label);
+    uint64_t bits = 0;
+    std::memcpy(&bits, &s.assessment.positive_probability, sizeof(bits));
+    digest = FnvValue<uint64_t>(digest, bits);
+    digest = FnvValue<uint8_t>(digest, s.assessment.confident ? 1 : 0);
+    digest = FnvValue<uint64_t>(digest, s.model_version);
+  }
+  const std::string log = injector.LogToString();
+  digest = Fnv1a(digest, log.data(), log.size());
+  for (const uint64_t counter :
+       {m.events_ingested, m.events_flushed, m.databases_tracked,
+        m.databases_cancelled, m.databases_scored, m.databases_confident,
+        m.databases_skipped, m.polls, m.snapshots_built,
+        m.direct_read_batches, m.databases_fallback, m.deadline_exceeded,
+        m.retries, m.rejected_shed, m.rejected_error, m.rejected_invalid,
+        m.health_transitions}) {
+    digest = FnvValue<uint64_t>(digest, counter);
+  }
+  digest = FnvValue<int32_t>(digest, static_cast<int32_t>(m.health));
+  EXPECT_EQ(digest, 0x6e9152df2230f9b2ull)
+      << std::hex << "digest 0x" << digest;
+}
+
+TEST(ScoringEngineFaultTest, FaultedBatchesScoreThroughBatchExtraction) {
+  // An output-neutral engine.score plan still goes through the fused
+  // AssessMany path: feature rows come from batch extraction, and every
+  // assessment bit-matches the per-id baseline.
+  auto service = Service();
+  const auto baseline = BatchBaseline(*service);
+  fault::FaultInjector injector(ParsePlan(
+      "seed 3\n"
+      "fault engine.score delay every=4 delay_us=20\n"));
+  ScoringEngine::Options options;
+  options.num_shards = 4;
+  options.num_threads = 2;
+  options.fault_injector = &injector;
+  ScoringEngine engine(RegionContext::FromStore(Store()), options);
+  ASSERT_TRUE(engine.registry().Publish("v1", service).ok());
+
+  const uint64_t rows_before =
+      DefaultCounterValue("cloudsurv_features_rows_total");
+  std::vector<ScoredDatabase> scored = ReplayWeekly(engine);
+  const uint64_t rows_after =
+      DefaultCounterValue("cloudsurv_features_rows_total");
+
+  EXPECT_GT(injector.total_fired(), 0u);
+  const EngineMetrics m = engine.Metrics();
+  ASSERT_GT(m.databases_scored, 0u);
+  EXPECT_EQ(m.databases_fallback, 0u);
+  EXPECT_GE(rows_after - rows_before, m.databases_scored);
+  std::sort(scored.begin(), scored.end(),
+            [](const ScoredDatabase& a, const ScoredDatabase& b) {
+              return a.database_id < b.database_id;
+            });
+  ExpectMatchesBaseline(scored, baseline);
 }
 
 }  // namespace

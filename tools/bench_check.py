@@ -46,7 +46,7 @@ Coverage rules:
     pass the regression check while benching the wrong kernel);
   - baseline rows with no matching current row fail the check unless
     the kernel is legitimately unavailable on the current host
-    (avx2 without AVX2, quantized when the forest did not quantize).
+    (avx2 without AVX2).
 
 Only the Python standard library is used.
 """
@@ -299,7 +299,6 @@ def main():
     simd = current.get("simd", {})
     avx2_available = bool(simd.get("avx2_available", False))
     forced_scalar = bool(simd.get("force_scalar", False))
-    quantized = bool(current.get("compile", {}).get("quantized", False))
 
     cur_flat = flat_runs(current)
     base_flat = flat_runs(baseline)
@@ -321,9 +320,6 @@ def main():
         if cur_run is None:
             if traversal == "avx2" and not avx2_available:
                 notes.append(f"skip {key}: AVX2 unavailable on this host")
-                continue
-            if traversal == "quantized" and not quantized:
-                notes.append(f"skip {key}: forest did not quantize")
                 continue
             failures.append(f"baseline config {key} missing from current "
                             "run")

@@ -82,9 +82,6 @@ struct Args {
   double deadline_us = 0.0;
   int64_t shed_high = 0;
   int64_t shed_low = 0;
-  /// serve-sim inference path: "flat" (compiled SoA forest) or
-  /// "legacy" (per-row tree walks).
-  std::string inference = "flat";
   /// Rows per traversal block; 0 (the default, not settable via flag)
   /// uses the compiled forest's autotuned size.
   int64_t block_rows = 0;
@@ -131,8 +128,7 @@ int Usage() {
       "            [--metrics-interval DAYS] [--metrics-out FILE]\n"
       "            [--fault-plan FILE] [--deadline-us US]\n"
       "            [--shed-high N] [--shed-low N]\n"
-      "            [--inference flat|legacy] [--block-rows N]\n"
-      "            [--traversal auto|scalar|avx2]\n"
+      "            [--block-rows N] [--traversal auto|scalar|avx2]\n"
       "            [--stream] [--regions N] [--partition-days D]\n"
       "            [--verify full|sample|off] [--verify-sample K]\n"
       "plan replays the region against an architecture catalog under\n"
@@ -305,17 +301,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (!ParseInt64Flag("--shed-low", v, 0, &args->shed_low)) {
         return false;
       }
-    } else if (std::strcmp(argv[i], "--inference") == 0) {
-      const char* v = need_value("--inference");
-      if (v == nullptr) return false;
-      args->inference = v;
-      if (args->inference != "flat" && args->inference != "legacy") {
-        std::fprintf(stderr,
-                     "InvalidArgument: --inference must be flat or "
-                     "legacy, got '%s'\n",
-                     v);
-        return false;
-      }
     } else if (std::strcmp(argv[i], "--block-rows") == 0) {
       const char* v = need_value("--block-rows");
       if (v == nullptr) return false;
@@ -470,8 +455,7 @@ ml::simd::TraversalKind TraversalKindFromArgs(const Args& args) {
 // One --model flag, two formats: sniff the file magic and route to the
 // CSRV artifact loader (zero-copy mmap) or the text loader. An
 // artifact-loaded service arrives already compiled for inference; a
-// text-loaded one is compiled by the caller (registry publish) or
-// served through the legacy path.
+// text-loaded one is compiled by the caller (registry publish).
 Result<core::LongevityService> LoadServiceModel(const std::string& path) {
   CLOUDSURV_ASSIGN_OR_RETURN(const bool is_artifact,
                              artifact::FileHasArtifactMagic(path));
@@ -1045,7 +1029,6 @@ int CmdServeSimStream(const Args& args) {
   // taken before publish compiles the flat layout).
   const auto ground_truth =
       std::make_shared<const core::LongevityService>(*model);
-  const bool use_flat = args.inference == "flat";
 
   simulator::StreamOptions stream_options;
   stream_options.partition_seconds = static_cast<int64_t>(
@@ -1096,8 +1079,7 @@ int CmdServeSimStream(const Args& args) {
     options.inference_traversal = TraversalKindFromArgs(args);
     run.engine = std::make_unique<serving::ScoringEngine>(ctx, options);
     auto version =
-        run.engine->registry().Publish("serve-sim-stream", model,
-                                       use_flat);
+        run.engine->registry().Publish("serve-sim-stream", model);
     if (!version.ok()) {
       std::fprintf(stderr, "%s\n", version.status().ToString().c_str());
       return 1;
@@ -1106,9 +1088,9 @@ int CmdServeSimStream(const Args& args) {
   }
 
   std::printf("stream serve-sim: regions=%d subs/region=%zu "
-              "partition_days=%.1f threads=%d shards=%d inference=%s\n",
+              "partition_days=%.1f threads=%d shards=%d\n",
               args.regions, args.subs, args.partition_days, args.threads,
-              args.shards, args.inference.c_str());
+              args.shards);
 
   // Round-robin partition pulls: every engine ingests its next time
   // slice, then polls at the slice boundary. Ordered ingest keeps each
@@ -1352,7 +1334,6 @@ int CmdServeSim(const Args& args) {
 
   const bool faults_active = injector != nullptr || args.shed_high > 0 ||
                              args.deadline_us > 0.0;
-  const bool use_flat = args.inference == "flat";
 
   serving::ScoringEngine::Options options;
   options.num_threads = static_cast<size_t>(std::max(1, args.threads));
@@ -1387,7 +1368,7 @@ int CmdServeSim(const Args& args) {
   serving::ScoringEngine engine(
       serving::RegionContext::FromStore(*store), options);
   auto version =
-      engine.registry().Publish("serve-sim-initial", model, use_flat);
+      engine.registry().Publish("serve-sim-initial", model);
   if (!version.ok()) {
     std::fprintf(stderr, "%s\n", version.status().ToString().c_str());
     return 1;
@@ -1520,10 +1501,9 @@ int CmdServeSim(const Args& args) {
   }
   std::printf(
       "serve-sim: threads=%zu shards=%zu flush_interval_days=%.2f "
-      "inference=%s block_rows=%s traversal=%s\n",
+      "block_rows=%s traversal=%s\n",
       options.num_threads, options.num_shards,
-      std::max(0.01, args.flush_interval_days), args.inference.c_str(),
-      block_desc,
+      std::max(0.01, args.flush_interval_days), block_desc,
       ml::simd::KindName(ml::simd::Resolve(TraversalKindFromArgs(args))));
   std::printf(
       "  events ingested   %llu\n"
