@@ -200,7 +200,8 @@ grep -q "accounting.*OK" "$WORK/serve_swap.txt"
 for bad in "--threads 0" "--threads -3" "--shards banana" \
            "--flush-interval 0" "--flush-interval -2" \
            "--metrics-interval abc" "--deadline-us -1" "--shed-high -5" \
-           "--block-rows 0" "--traversal banana"; do
+           "--block-rows 0" "--traversal banana" "--verify banana" \
+           "--stream" "--regions 2 --shed-low 3"; do
   if "$CLI" serve-sim --region 2 --subs 50 --seed 5 $bad \
       > "$WORK/bad.txt" 2>&1; then
     echo "expected rejection of '$bad'" >&2
@@ -211,6 +212,38 @@ for bad in "--threads 0" "--threads -3" "--shards banana" \
     exit 1
   }
 done
+
+# Each verb accepts only the flags it reads: a flag another verb owns is
+# rejected, not silently ignored.
+for bad in "simulate --out $WORK/x.csv --catalog x" \
+           "inspect --model $WORK/svc.csrv --threads 4" \
+           "analyze --telemetry $WORK/region.csv --top 3" \
+           "pack --model $WORK/svc.model --out $WORK/x.csrv --format json" \
+           "train --telemetry $WORK/region.csv --out $WORK/x --split banana"; do
+  if "$CLI" $bad > "$WORK/verb_flag.txt" 2>&1; then
+    echo "expected rejection of '$bad'" >&2
+    exit 1
+  fi
+  grep -q "InvalidArgument" "$WORK/verb_flag.txt" || {
+    echo "expected InvalidArgument diagnostic for '$bad'" >&2
+    exit 1
+  }
+done
+
+# --verify off skips verification entirely and still exits 0.
+"$CLI" serve-sim --region 2 --subs 300 --seed 5 --verify off \
+  > "$WORK/serve_noverify.txt"
+if grep -qE "IDENTICAL|DIVERGED" "$WORK/serve_noverify.txt"; then
+  echo "--verify off still verified" >&2
+  exit 1
+fi
+
+# Several regions at once: presets cycle on from --region, and every
+# region verifies IDENTICAL against its own batch simulation.
+"$CLI" serve-sim --region 2 --regions 2 --subs 300 --seed 5 \
+  | tee "$WORK/serve_regions.txt"
+grep -q "^verify Region-2 .*IDENTICAL" "$WORK/serve_regions.txt"
+grep -q "^verify Region-3 .*IDENTICAL" "$WORK/serve_regions.txt"
 
 # A malformed fault plan names the offending line and exits non-zero.
 printf 'fault nowhere delay delay_us=1\n' > "$WORK/plan_bad.txt"

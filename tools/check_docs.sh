@@ -9,10 +9,11 @@
 #      (`| \`name\` |`) in docs/operations.md, and vice versa.
 #   3. Every relative markdown link in docs/*.md and README.md must
 #      point at a file or directory that exists.
-#   4. Every CLI verb dispatched in tools/cloudsurv_main.cpp must be
-#      listed in the Usage() text and shown as `cloudsurv <verb>` in
-#      README.md or docs/, and vice versa (no phantom verbs in docs).
-#   5. Every flag in the Usage() `plan` block must have a row in the
+#   4. Every CLI verb in the flag table of tools/cloudsurv_main.cpp
+#      (between the cli-flag-table markers) must be shown as
+#      `cloudsurv <verb>` in README.md or docs/, and vice versa (no
+#      phantom verbs in docs).
+#   5. Every flag the table lets `plan` accept must have a row in the
 #      docs/provisioning.md flag table (between the plan-flag-table
 #      markers), and vice versa.
 #   6. Every catalog spec key accepted by src/core/architecture.cc
@@ -128,24 +129,22 @@ if [ "$STATUS" -eq 0 ]; then
   echo "check_docs: $LINKS_CHECKED relative doc links resolve"
 fi
 
-# --- CLI verbs <-> Usage() and docs ---------------------------------
+# --- CLI verbs <-> docs --------------------------------------------
+# The flag table is the source of truth: its kVerbs rows are the verbs
+# the binary dispatches, and each kFlags row's first line names the
+# flag and the verbs that accept it.
 CLI_MAIN="$REPO_ROOT/tools/cloudsurv_main.cpp"
 if [ ! -f "$CLI_MAIN" ]; then
   echo "check_docs: $CLI_MAIN not found" >&2
   exit 1
 fi
-# Verbs the binary actually dispatches.
-grep -oE 'command == "[a-z-]+"' "$CLI_MAIN" \
-  | sed 's/.*"\(.*\)"/\1/' | sort -u > "$WORK/verbs"
-sed -n '/^int Usage/,/^}/p' "$CLI_MAIN" > "$WORK/usage"
+sed -n '/cli-flag-table-begin/,/cli-flag-table-end/p' "$CLI_MAIN" \
+  > "$WORK/table"
+sed -n 's/^ *{"\([a-z-]*\)", Cmd.*/\1/p' "$WORK/table" | sort -u \
+  > "$WORK/verbs"
 VERB_COUNT=0
 while read -r verb; do
   VERB_COUNT=$((VERB_COUNT + 1))
-  if ! grep -q "$verb" "$WORK/usage"; then
-    echo "check_docs: CLI verb '$verb' is dispatched but missing from" >&2
-    echo "the Usage() text in tools/cloudsurv_main.cpp" >&2
-    STATUS=1
-  fi
   if ! grep -qE "cloudsurv +$verb\b" "$REPO_ROOT/README.md" \
        "$REPO_ROOT"/docs/*.md; then
     echo "check_docs: CLI verb '$verb' has no 'cloudsurv $verb' usage" >&2
@@ -169,20 +168,17 @@ fi
 
 if [ "$STATUS" -eq 0 ]; then
   echo "check_docs: $VERB_COUNT CLI verbs consistent between" \
-       "cloudsurv_main.cpp, Usage(), and docs"
+       "the cloudsurv_main.cpp flag table and docs"
 fi
 
 # --- `plan` flags <-> docs/provisioning.md flag table ---------------
-# The Usage() plan block is the source of truth for the verb's flags;
-# docs/provisioning.md documents each one in a marker-delimited table.
 PROV_DOC="$REPO_ROOT/docs/provisioning.md"
 if [ ! -f "$PROV_DOC" ]; then
   echo "check_docs: $PROV_DOC not found" >&2
   exit 1
 fi
-sed -n '/"  plan      /,/"  serve-sim /p' "$WORK/usage" \
-  | grep -v '"  serve-sim ' \
-  | grep -oE '\-\-[a-z-]+' | sort -u > "$WORK/plan_flags_code"
+grep -E '^ *\{"--[a-z-]+", "([a-z-]+ )*plan[ "]' "$WORK/table" \
+  | sed 's/^ *{"\(--[a-z-]*\)".*/\1/' | sort -u > "$WORK/plan_flags_code"
 sed -n '/<!-- plan-flag-table-begin -->/,/<!-- plan-flag-table-end -->/p' \
     "$PROV_DOC" \
   | grep -oE '^\| `--[a-z-]+`' | tr -d '|` ' | sort -u \
@@ -190,7 +186,7 @@ sed -n '/<!-- plan-flag-table-begin -->/,/<!-- plan-flag-table-end -->/p' \
 
 UNDOCUMENTED_FLAGS=$(comm -23 "$WORK/plan_flags_code" "$WORK/plan_flags_doc")
 if [ -n "$UNDOCUMENTED_FLAGS" ]; then
-  echo "check_docs: plan flags in Usage() missing from the" >&2
+  echo "check_docs: plan flags in the CLI flag table missing from the" >&2
   echo "docs/provisioning.md flag table:" >&2
   echo "$UNDOCUMENTED_FLAGS" | sed 's/^/  /' >&2
   STATUS=1
@@ -198,13 +194,13 @@ fi
 STALE_FLAGS=$(comm -13 "$WORK/plan_flags_code" "$WORK/plan_flags_doc")
 if [ -n "$STALE_FLAGS" ]; then
   echo "check_docs: flag rows in docs/provisioning.md with no matching" >&2
-  echo "flag in the Usage() plan block:" >&2
+  echo "plan flag in the CLI flag table:" >&2
   echo "$STALE_FLAGS" | sed 's/^/  /' >&2
   STATUS=1
 fi
 if [ "$STATUS" -eq 0 ]; then
   echo "check_docs: $(wc -l < "$WORK/plan_flags_code" | tr -d ' ') plan" \
-       "flags consistent between Usage() and docs/provisioning.md"
+       "flags consistent between the flag table and docs/provisioning.md"
 fi
 
 # --- Catalog spec keys <-> docs/provisioning.md key table -----------

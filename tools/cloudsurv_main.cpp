@@ -1,42 +1,44 @@
 // cloudsurv — command-line front end for the library.
 //
 //   cloudsurv simulate  --region 1 --subs 1500 --seed 7 --out region.csv
-//   cloudsurv analyze   --telemetry region.csv [--region 1]
 //   cloudsurv train     --telemetry region.csv --out service.model
-//   cloudsurv pack      --model service.model --out service.csrv
-//   cloudsurv inspect   --model service.csrv
-//   cloudsurv assess    --telemetry region.csv --model service.model [--top 20]
-//   cloudsurv serve-sim --region 1 --subs 800 --seed 7 --threads 8
-//                       --shards 16 --flush-interval 1 [--fault-plan plan.txt]
-//   cloudsurv serve-sim --stream --regions 3 --subs 100000 --seed 7
-//                       [--partition-days 7] [--verify full|sample|off]
-//                       [--verify-sample K]
+//   cloudsurv serve-sim --region 1 --regions 3 --subs 800 --seed 7
+//
+// Every flag is declared once, in the table between the cli-flag-table
+// markers below: its value kind, bounds, default, help text, and the
+// verbs that accept and require it. One loop parses argv against the
+// table, so a verb rejects any flag it does not read, and Usage() is
+// rendered from it (`cloudsurv` with no arguments lists every verb).
 //
 // The CSV format is TelemetryStore::ExportCsv()'s; `analyze` prints the
 // survival study (Figure 1 / Observations 3.1-3.3 style), `train`
 // builds a LongevityService, `pack` compiles a model into the CSRV
 // binary artifact (mmap-able, checksummed — see docs/artifacts.md),
 // `inspect` prints an artifact's section table, `assess` scores
-// databases and recommends pool placements, and `serve-sim` replays a
-// simulated region's event stream through the online ScoringEngine and
-// verifies the streamed assessments against the sequential batch path.
-// Every command taking --model sniffs the file format: both the text
-// form (train's output) and a packed .csrv are accepted.
+// databases and recommends pool placements, `plan` prices placement
+// policies on an architecture catalog, and `serve-sim` streams one or
+// more simulated regions through online ScoringEngines and verifies the
+// streamed assessments against the sequential batch path. Every command
+// taking --model sniffs the file format: both the text form (train's
+// output) and a packed .csrv are accepted.
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iostream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <variant>
+#include <vector>
 
 #include "artifact/format.h"
 #include "artifact/reader.h"
@@ -62,368 +64,44 @@ using namespace cloudsurv;
 
 namespace {
 
-struct Args {
-  int region = 1;
-  size_t subs = 1500;
-  uint64_t seed = 7;
-  std::string telemetry_path;
-  std::string model_path;
-  std::string out_path;
-  int top = 20;
-  int threads = 8;
-  int shards = 16;
-  double flush_interval_days = 1.0;
-  /// Simulated days between metrics-registry dumps (0 = off).
-  double metrics_interval_days = 0.0;
-  std::string metrics_out_path;
-  std::string split = "histogram";
-  /// serve-sim fault-injection & degradation knobs.
-  std::string fault_plan_path;
-  double deadline_us = 0.0;
-  int64_t shed_high = 0;
-  int64_t shed_low = 0;
-  /// Rows per traversal block; 0 (the default, not settable via flag)
-  /// uses the compiled forest's autotuned size.
-  int64_t block_rows = 0;
-  /// Traversal kernel for batch scoring: auto, scalar, or avx2.
-  std::string traversal = "auto";
-  /// serve-sim streaming mode: generate each region's event log with
-  /// RegionEventStream instead of materializing it, interleaving
-  /// partition pulls across --regions engines.
-  bool stream = false;
-  int regions = 1;
-  double partition_days = 7.0;
-  /// Post-replay verification against batch Assess: "full" re-checks
-  /// every streamed assessment, "sample" checks --verify-sample of
-  /// them per region, "off" skips (the 10M-database setting).
-  std::string verify = "full";
-  int64_t verify_sample = 2000;
-  /// plan: architecture-catalog what-if knobs (docs/provisioning.md).
-  std::string catalog_path;
-  std::string policies = "naive,longevity,oracle";
-  std::string format = "text";
-  double maintenance_interval_days = 14.0;
-  double grace_days = 45.0;
+using Value = std::variant<int64_t, uint64_t, double, std::string>;
+
+// The parsed command line of one verb: every flag the verb accepts,
+// defaulted from the table and overridden from argv. Reading a flag the
+// verb's table rows do not accept aborts, so the table cannot drift
+// from what the commands read.
+class Flags {
+ public:
+  // Parses argv[2..] for `verb`, then applies the required column.
+  // Prints an InvalidArgument diagnostic and returns false on the first
+  // problem.
+  bool Parse(const std::string& verb, int argc, char** argv);
+
+  int64_t Int(const char* name) const { return std::get<int64_t>(Get(name)); }
+  uint64_t Uint64(const char* name) const {
+    return std::get<uint64_t>(Get(name));
+  }
+  double Number(const char* name) const { return std::get<double>(Get(name)); }
+  const std::string& Text(const char* name) const {
+    return std::get<std::string>(Get(name));
+  }
+  // True iff the flag was on the command line, not just defaulted.
+  bool Given(const char* name) const { return given_[Index(name)]; }
+
+ private:
+  size_t Index(const char* name) const;
+  const Value& Get(const char* name) const { return values_[Index(name)]; }
+
+  std::string verb_;
+  std::vector<Value> values_;  // one per kFlags row
+  std::vector<bool> given_;
 };
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: cloudsurv <simulate|analyze|train|pack|inspect|assess|"
-      "plan|serve-sim> [options]\n"
-      "  simulate  --region N --subs N --seed S --out FILE\n"
-      "  analyze   --telemetry FILE [--region N]\n"
-      "  train     --telemetry FILE --out FILE [--seed S] [--threads N]\n"
-      "            [--split exact|histogram]\n"
-      "  pack      --model FILE --out FILE.csrv\n"
-      "  inspect   --model FILE.csrv\n"
-      "  assess    --telemetry FILE --model FILE [--top N]\n"
-      "            [--traversal auto|scalar|avx2]\n"
-      "  plan      --telemetry FILE --model FILE [--region N]\n"
-      "            [--catalog FILE] [--policies LIST] [--format text|json]\n"
-      "            [--maintenance-interval DAYS] [--grace-days DAYS]\n"
-      "            [--out FILE]\n"
-      "  serve-sim --region N --subs N --seed S [--threads N]\n"
-      "            [--model FILE] [--shards N] [--flush-interval DAYS]\n"
-      "            [--metrics-interval DAYS] [--metrics-out FILE]\n"
-      "            [--fault-plan FILE] [--deadline-us US]\n"
-      "            [--shed-high N] [--shed-low N]\n"
-      "            [--block-rows N] [--traversal auto|scalar|avx2]\n"
-      "            [--stream] [--regions N] [--partition-days D]\n"
-      "            [--verify full|sample|off] [--verify-sample K]\n"
-      "plan replays the region against an architecture catalog under\n"
-      "each requested policy (--policies, comma-separated subset of\n"
-      "naive,longevity,oracle) and reports dollar-cost / fragmentation /\n"
-      "SLA tradeoffs; --catalog loads a text catalog spec (built-in\n"
-      "four-tier catalog otherwise) — see docs/provisioning.md.\n"
-      "--stream generates events with the streaming simulator (no\n"
-      "materialized history) and drives one scoring engine per region,\n"
-      "interleaving weekly partitions; incompatible with fault flags.\n"
-      "--model accepts both the text format written by train and the\n"
-      "CSRV binary artifact written by pack (detected by file magic).\n");
-  return 2;
-}
-
-// Strict numeric flag parsing: the whole token must parse and satisfy
-// the bound, otherwise a Status-style diagnostic is printed and the
-// process exits with usage. No more atoi() silently turning garbage
-// into 0.
-bool ParseInt64Flag(const char* flag, const char* text, int64_t min_value,
-                    int64_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr,
-                 "InvalidArgument: %s expects an integer, got '%s'\n",
-                 flag, text);
-    return false;
-  }
-  if (value < min_value) {
-    std::fprintf(stderr,
-                 "InvalidArgument: %s must be >= %lld, got '%s'\n", flag,
-                 static_cast<long long>(min_value), text);
-    return false;
-  }
-  *out = static_cast<int64_t>(value);
-  return true;
-}
-
-bool ParseUint64Flag(const char* flag, const char* text, uint64_t* out) {
-  if (text[0] == '-') {
-    std::fprintf(stderr,
-                 "InvalidArgument: %s must be non-negative, got '%s'\n",
-                 flag, text);
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr,
-                 "InvalidArgument: %s expects an integer, got '%s'\n",
-                 flag, text);
-    return false;
-  }
-  *out = static_cast<uint64_t>(value);
-  return true;
-}
-
-bool ParseDoubleFlag(const char* flag, const char* text, double min_value,
-                     bool exclusive, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(value)) {
-    std::fprintf(stderr,
-                 "InvalidArgument: %s expects a number, got '%s'\n", flag,
-                 text);
-    return false;
-  }
-  if (exclusive ? value <= min_value : value < min_value) {
-    std::fprintf(stderr, "InvalidArgument: %s must be %s %g, got '%s'\n",
-                 flag, exclusive ? ">" : ">=", min_value, text);
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 2; i < argc; ++i) {
-    auto need_value = [&](const char* name) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", name);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--region") == 0) {
-      const char* v = need_value("--region");
-      if (v == nullptr) return false;
-      int64_t region = 0;
-      if (!ParseInt64Flag("--region", v, 1, &region)) return false;
-      args->region = static_cast<int>(region);
-    } else if (std::strcmp(argv[i], "--subs") == 0) {
-      const char* v = need_value("--subs");
-      if (v == nullptr) return false;
-      int64_t subs = 0;
-      if (!ParseInt64Flag("--subs", v, 1, &subs)) return false;
-      args->subs = static_cast<size_t>(subs);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      const char* v = need_value("--seed");
-      if (v == nullptr) return false;
-      if (!ParseUint64Flag("--seed", v, &args->seed)) return false;
-    } else if (std::strcmp(argv[i], "--telemetry") == 0) {
-      const char* v = need_value("--telemetry");
-      if (v == nullptr) return false;
-      args->telemetry_path = v;
-    } else if (std::strcmp(argv[i], "--model") == 0) {
-      const char* v = need_value("--model");
-      if (v == nullptr) return false;
-      args->model_path = v;
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      const char* v = need_value("--out");
-      if (v == nullptr) return false;
-      args->out_path = v;
-    } else if (std::strcmp(argv[i], "--top") == 0) {
-      const char* v = need_value("--top");
-      if (v == nullptr) return false;
-      int64_t top = 0;
-      if (!ParseInt64Flag("--top", v, 0, &top)) return false;
-      args->top = static_cast<int>(top);
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      const char* v = need_value("--threads");
-      if (v == nullptr) return false;
-      int64_t threads = 0;
-      if (!ParseInt64Flag("--threads", v, 1, &threads)) return false;
-      args->threads = static_cast<int>(threads);
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const char* v = need_value("--shards");
-      if (v == nullptr) return false;
-      int64_t shards = 0;
-      if (!ParseInt64Flag("--shards", v, 1, &shards)) return false;
-      args->shards = static_cast<int>(shards);
-    } else if (std::strcmp(argv[i], "--flush-interval") == 0) {
-      const char* v = need_value("--flush-interval");
-      if (v == nullptr) return false;
-      if (!ParseDoubleFlag("--flush-interval", v, 0.0, true,
-                           &args->flush_interval_days)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--metrics-interval") == 0) {
-      const char* v = need_value("--metrics-interval");
-      if (v == nullptr) return false;
-      if (!ParseDoubleFlag("--metrics-interval", v, 0.0, false,
-                           &args->metrics_interval_days)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--fault-plan") == 0) {
-      const char* v = need_value("--fault-plan");
-      if (v == nullptr) return false;
-      args->fault_plan_path = v;
-    } else if (std::strcmp(argv[i], "--deadline-us") == 0) {
-      const char* v = need_value("--deadline-us");
-      if (v == nullptr) return false;
-      if (!ParseDoubleFlag("--deadline-us", v, 0.0, false,
-                           &args->deadline_us)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--shed-high") == 0) {
-      const char* v = need_value("--shed-high");
-      if (v == nullptr) return false;
-      if (!ParseInt64Flag("--shed-high", v, 0, &args->shed_high)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--shed-low") == 0) {
-      const char* v = need_value("--shed-low");
-      if (v == nullptr) return false;
-      if (!ParseInt64Flag("--shed-low", v, 0, &args->shed_low)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--block-rows") == 0) {
-      const char* v = need_value("--block-rows");
-      if (v == nullptr) return false;
-      if (!ParseInt64Flag("--block-rows", v, 1, &args->block_rows)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--traversal") == 0) {
-      const char* v = need_value("--traversal");
-      if (v == nullptr) return false;
-      args->traversal = v;
-      ml::simd::TraversalKind kind;
-      if (!ml::simd::ParseKind(args->traversal, &kind)) {
-        std::fprintf(stderr,
-                     "InvalidArgument: --traversal must be auto, scalar "
-                     "or avx2, got '%s'\n",
-                     v);
-        return false;
-      }
-      // Fail the explicit request up front — scoring would reject it
-      // batch by batch anyway, and a flag typo on a non-AVX2 host
-      // should not masquerade as a slow run.
-      if (kind == ml::simd::TraversalKind::kAvx2 &&
-          !ml::simd::Avx2Supported()) {
-        std::fprintf(stderr,
-                     "InvalidArgument: --traversal avx2 requested but "
-                     "this build/CPU has no AVX2 kernel\n");
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--stream") == 0) {
-      args->stream = true;
-    } else if (std::strcmp(argv[i], "--regions") == 0) {
-      const char* v = need_value("--regions");
-      if (v == nullptr) return false;
-      int64_t regions = 0;
-      if (!ParseInt64Flag("--regions", v, 1, &regions)) return false;
-      args->regions = static_cast<int>(regions);
-    } else if (std::strcmp(argv[i], "--partition-days") == 0) {
-      const char* v = need_value("--partition-days");
-      if (v == nullptr) return false;
-      if (!ParseDoubleFlag("--partition-days", v, 0.0, true,
-                           &args->partition_days)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--verify") == 0) {
-      const char* v = need_value("--verify");
-      if (v == nullptr) return false;
-      args->verify = v;
-      if (args->verify != "full" && args->verify != "sample" &&
-          args->verify != "off") {
-        std::fprintf(stderr,
-                     "InvalidArgument: --verify must be full, sample or "
-                     "off, got '%s'\n",
-                     v);
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--verify-sample") == 0) {
-      const char* v = need_value("--verify-sample");
-      if (v == nullptr) return false;
-      if (!ParseInt64Flag("--verify-sample", v, 1,
-                          &args->verify_sample)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      const char* v = need_value("--metrics-out");
-      if (v == nullptr) return false;
-      args->metrics_out_path = v;
-    } else if (std::strcmp(argv[i], "--catalog") == 0) {
-      const char* v = need_value("--catalog");
-      if (v == nullptr) return false;
-      args->catalog_path = v;
-    } else if (std::strcmp(argv[i], "--policies") == 0) {
-      const char* v = need_value("--policies");
-      if (v == nullptr) return false;
-      args->policies = v;
-      for (const std::string& name : SplitString(args->policies, ',')) {
-        if (name != "naive" && name != "longevity" && name != "oracle") {
-          std::fprintf(stderr,
-                       "InvalidArgument: --policies must be a "
-                       "comma-separated subset of naive,longevity,oracle, "
-                       "got '%s'\n",
-                       name.c_str());
-          return false;
-        }
-      }
-    } else if (std::strcmp(argv[i], "--format") == 0) {
-      const char* v = need_value("--format");
-      if (v == nullptr) return false;
-      args->format = v;
-      if (args->format != "text" && args->format != "json") {
-        std::fprintf(stderr,
-                     "InvalidArgument: --format must be text or json, "
-                     "got '%s'\n",
-                     v);
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--maintenance-interval") == 0) {
-      const char* v = need_value("--maintenance-interval");
-      if (v == nullptr) return false;
-      if (!ParseDoubleFlag("--maintenance-interval", v, 0.0, true,
-                           &args->maintenance_interval_days)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--grace-days") == 0) {
-      const char* v = need_value("--grace-days");
-      if (v == nullptr) return false;
-      if (!ParseDoubleFlag("--grace-days", v, 0.0, true,
-                           &args->grace_days)) {
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--split") == 0) {
-      const char* v = need_value("--split");
-      if (v == nullptr) return false;
-      args->split = v;
-      if (args->split != "exact" && args->split != "histogram") {
-        std::fprintf(stderr, "--split must be exact or histogram\n");
-        return false;
-      }
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", argv[i]);
-      return false;
-    }
-  }
-  return true;
+// Prints `status`, after `context` if any, and returns exit code 1.
+int Fail(const Status& status, const std::string& context = "") {
+  std::fprintf(stderr, "%s%s%s\n", context.c_str(),
+               context.empty() ? "" : ": ", status.ToString().c_str());
+  return 1;
 }
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -445,11 +123,13 @@ Status WriteFile(const std::string& path, const std::string& content) {
   return out ? Status::OK() : Status::IOError("write failed: " + path);
 }
 
-// Args::traversal is validated at parse time, so this cannot fail.
-ml::simd::TraversalKind TraversalKindFromArgs(const Args& args) {
-  ml::simd::TraversalKind kind = ml::simd::TraversalKind::kAuto;
-  ml::simd::ParseKind(args.traversal, &kind);
-  return kind;
+// --block-rows and --traversal as batch options. --traversal is
+// validated at parse time, so ParseKind cannot fail here.
+ml::FlatForest::BatchOptions BatchOptionsFromFlags(const Flags& flags) {
+  ml::FlatForest::BatchOptions batch;
+  batch.block_rows = static_cast<size_t>(flags.Int("--block-rows"));
+  ml::simd::ParseKind(flags.Text("--traversal"), &batch.traversal);
+  return batch;
 }
 
 // One --model flag, two formats: sniff the file magic and route to the
@@ -466,56 +146,40 @@ Result<core::LongevityService> LoadServiceModel(const std::string& path) {
   return core::LongevityService::Load(text);
 }
 
-// Loads telemetry from CSV, using the region preset's calendar metadata.
-Result<telemetry::TelemetryStore> LoadTelemetry(const Args& args) {
+// Loads --telemetry from CSV, using the --region preset's calendar
+// metadata (which does not depend on the simulation seed).
+Result<telemetry::TelemetryStore> LoadTelemetry(const Flags& flags) {
   CLOUDSURV_ASSIGN_OR_RETURN(std::string csv,
-                             ReadFile(args.telemetry_path));
+                             ReadFile(flags.Text("--telemetry")));
   CLOUDSURV_ASSIGN_OR_RETURN(
       simulator::RegionConfig config,
-      simulator::MakeRegionPreset(args.region, 1, args.seed));
+      simulator::MakeRegionPreset(static_cast<int>(flags.Int("--region")),
+                                  1, 0));
   return telemetry::TelemetryStore::ImportCsv(
       csv, config.name, config.utc_offset_minutes, config.holidays,
       config.window_start, config.window_end);
 }
 
-int CmdSimulate(const Args& args) {
-  if (args.out_path.empty()) {
-    std::fprintf(stderr, "simulate requires --out\n");
-    return 2;
-  }
-  auto config =
-      simulator::MakeRegionPreset(args.region, args.subs, args.seed);
-  if (!config.ok()) {
-    std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-    return 1;
-  }
+int CmdSimulate(const Flags& flags) {
+  const std::string& out_path = flags.Text("--out");
+  auto config = simulator::MakeRegionPreset(
+      static_cast<int>(flags.Int("--region")),
+      static_cast<size_t>(flags.Int("--subs")), flags.Uint64("--seed"));
+  if (!config.ok()) return Fail(config.status());
   simulator::SimulationSummary summary;
   auto store = simulator::SimulateRegion(*config, &summary);
-  if (!store.ok()) {
-    std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
-    return 1;
-  }
-  Status written = WriteFile(args.out_path, store->ExportCsv());
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.ToString().c_str());
-    return 1;
-  }
+  if (!store.ok()) return Fail(store.status());
+  Status written = WriteFile(out_path, store->ExportCsv());
+  if (!written.ok()) return Fail(written);
   std::printf("wrote %zu events (%zu databases, %zu subscriptions) to %s\n",
               summary.num_events, summary.num_databases,
-              summary.num_subscriptions, args.out_path.c_str());
+              summary.num_subscriptions, out_path.c_str());
   return 0;
 }
 
-int CmdAnalyze(const Args& args) {
-  if (args.telemetry_path.empty()) {
-    std::fprintf(stderr, "analyze requires --telemetry\n");
-    return 2;
-  }
-  auto store = LoadTelemetry(args);
-  if (!store.ok()) {
-    std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
-    return 1;
-  }
+int CmdAnalyze(const Flags& flags) {
+  auto store = LoadTelemetry(flags);
+  if (!store.ok()) return Fail(store.status());
   std::printf("region %s: %zu databases, %zu events\n",
               store->region_name().c_str(), store->num_databases(),
               store->num_events());
@@ -529,15 +193,9 @@ int CmdAnalyze(const Args& args) {
               usage.ephemeral_database_fraction() * 100.0);
 
   auto data = core::CohortSurvivalData(*store, core::CohortFilter{});
-  if (!data.ok()) {
-    std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
-    return 1;
-  }
+  if (!data.ok()) return Fail(data.status());
   auto km = survival::KaplanMeierCurve::Fit(*data);
-  if (!km.ok()) {
-    std::fprintf(stderr, "%s\n", km.status().ToString().c_str());
-    return 1;
-  }
+  if (!km.ok()) return Fail(km.status());
   std::printf("\nKM survival (2-day-minimum cohort, n=%zu, %zu dropped):\n",
               data->size(), data->num_events());
   std::printf("%s\n", core::KmCurveAsciiPlot(*km, 140, 12, 60).c_str());
@@ -567,85 +225,56 @@ int CmdAnalyze(const Args& args) {
   return 0;
 }
 
-int CmdTrain(const Args& args) {
-  if (args.telemetry_path.empty() || args.out_path.empty()) {
-    std::fprintf(stderr, "train requires --telemetry and --out\n");
-    return 2;
-  }
-  auto store = LoadTelemetry(args);
-  if (!store.ok()) {
-    std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
-    return 1;
-  }
+int CmdTrain(const Flags& flags) {
+  auto store = LoadTelemetry(flags);
+  if (!store.ok()) return Fail(store.status());
   core::LongevityService::Options options;
-  options.seed = args.seed;
-  options.forest_params.num_threads = std::max(0, args.threads);
+  options.seed = flags.Uint64("--seed");
+  options.forest_params.num_threads = static_cast<int>(flags.Int("--threads"));
   options.forest_params.split_algorithm =
-      args.split == "exact" ? ml::SplitAlgorithm::kExact
-                            : ml::SplitAlgorithm::kHistogram;
+      flags.Text("--split") == "exact" ? ml::SplitAlgorithm::kExact
+                                       : ml::SplitAlgorithm::kHistogram;
   auto service = core::LongevityService::Train(*store, options);
   if (!service.ok()) {
-    std::fprintf(stderr, "training failed: %s\n",
-                 service.status().ToString().c_str());
-    return 1;
+    return Fail(service.status(), "training failed");
   }
-  Status written = WriteFile(args.out_path, service->Save());
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.ToString().c_str());
-    return 1;
-  }
+  Status written = WriteFile(flags.Text("--out"), service->Save());
+  if (!written.ok()) return Fail(written);
   std::printf("trained on %zu databases; model written to %s\n",
-              store->num_databases(), args.out_path.c_str());
+              store->num_databases(), flags.Text("--out").c_str());
   return 0;
 }
 
 // Compiles a model file (text or an existing artifact) into the CSRV
 // binary artifact and verifies the written file by re-opening it.
-int CmdPack(const Args& args) {
-  if (args.model_path.empty() || args.out_path.empty()) {
-    std::fprintf(stderr,
-                 "pack requires --model FILE and --out FILE.csrv\n");
-    return 2;
-  }
-  auto service = LoadServiceModel(args.model_path);
+int CmdPack(const Flags& flags) {
+  const std::string& model_path = flags.Text("--model");
+  const std::string& out_path = flags.Text("--out");
+  auto service = LoadServiceModel(model_path);
   if (!service.ok()) {
-    std::fprintf(stderr, "model load failed: %s\n",
-                 service.status().ToString().c_str());
-    return 1;
+    return Fail(service.status(), "model load failed");
   }
-  Status written = service->SaveArtifact(args.out_path);
-  if (!written.ok()) {
-    std::fprintf(stderr, "%s\n", written.ToString().c_str());
-    return 1;
-  }
+  Status written = service->SaveArtifact(out_path);
+  if (!written.ok()) return Fail(written);
   // Read the artifact back through the full validation chain so a pack
   // that "succeeded" but produced an unreadable file fails loudly here,
   // not at serve time.
-  auto reader = artifact::ArtifactReader::Open(args.out_path);
+  auto reader = artifact::ArtifactReader::Open(out_path);
   if (!reader.ok()) {
-    std::fprintf(stderr, "packed file failed verification: %s\n",
-                 reader.status().ToString().c_str());
-    return 1;
+    return Fail(reader.status(), "packed file failed verification");
   }
   std::printf("packed %s -> %s (%zu bytes, %zu sections, format v%u)\n",
-              args.model_path.c_str(), args.out_path.c_str(),
-              reader->file_size(), reader->sections().size(),
-              reader->format_version());
+              model_path.c_str(), out_path.c_str(), reader->file_size(),
+              reader->sections().size(), reader->format_version());
   return 0;
 }
 
 // Prints an artifact's header and section table — the on-disk truth an
 // operator checks before rolling back to a persisted model version.
-int CmdInspect(const Args& args) {
-  if (args.model_path.empty()) {
-    std::fprintf(stderr, "inspect requires --model FILE.csrv\n");
-    return 2;
-  }
-  auto reader = artifact::ArtifactReader::Open(args.model_path);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return 1;
-  }
+int CmdInspect(const Flags& flags) {
+  const std::string& model_path = flags.Text("--model");
+  auto reader = artifact::ArtifactReader::Open(model_path);
+  if (!reader.ok()) return Fail(reader.status());
   const char* payload_name =
       reader->payload() == artifact::PayloadKind::kService
           ? "service"
@@ -654,9 +283,8 @@ int CmdInspect(const Args& args) {
                 : "unknown";
   std::printf("%s: CSRV format v%u, payload %s, %zu bytes, %zu sections, "
               "%s\n",
-              args.model_path.c_str(), reader->format_version(),
-              payload_name, reader->file_size(),
-              reader->sections().size(),
+              model_path.c_str(), reader->format_version(), payload_name,
+              reader->file_size(), reader->sections().size(),
               reader->mapped() ? "mmap" : "buffered");
   std::printf("%-16s %5s %10s %10s %10s %5s %10s\n", "section", "slot",
               "offset", "bytes", "count", "elem", "crc32c");
@@ -697,61 +325,50 @@ int CmdInspect(const Args& args) {
   return 0;
 }
 
-int CmdAssess(const Args& args) {
-  if (args.telemetry_path.empty() || args.model_path.empty()) {
-    std::fprintf(stderr, "assess requires --telemetry and --model\n");
-    return 2;
-  }
-  auto store = LoadTelemetry(args);
-  if (!store.ok()) {
-    std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
-    return 1;
-  }
-  auto service = LoadServiceModel(args.model_path);
-  if (!service.ok()) {
-    std::fprintf(stderr, "model load failed: %s\n",
-                 service.status().ToString().c_str());
-    return 1;
-  }
+// A --telemetry store with one assessment per database, in store order.
+struct AssessedRegion {
+  telemetry::TelemetryStore store;
+  std::vector<std::optional<core::LongevityService::Assessment>> assessments;
+};
 
-  // One blocked batch over the whole store instead of a per-record
-  // Assess loop: the compiled forest streams every extractable row
-  // through the selected traversal kernel (bit-identical to per-record
-  // scoring; a text-format model without a compiled forest takes the
-  // legacy per-row path inside AssessMany).
+// The preamble `assess` and `plan` share: load --telemetry and --model,
+// then score the whole store in one blocked AssessMany batch through
+// the selected traversal kernel (bit-identical to per-record scoring; a
+// text-format model without a compiled forest takes the per-row path
+// inside AssessMany).
+Result<AssessedRegion> LoadAndAssess(const Flags& flags) {
+  CLOUDSURV_ASSIGN_OR_RETURN(telemetry::TelemetryStore store,
+                             LoadTelemetry(flags));
+  CLOUDSURV_ASSIGN_OR_RETURN(core::LongevityService service,
+                             LoadServiceModel(flags.Text("--model")));
   std::vector<telemetry::DatabaseId> ids;
-  ids.reserve(store->databases().size());
-  for (const auto& record : store->databases()) ids.push_back(record.id);
-  ml::FlatForest::BatchOptions batch;
-  batch.block_rows = static_cast<size_t>(args.block_rows);
-  batch.traversal = TraversalKindFromArgs(args);
-  auto assessments = service->AssessMany(*store, ids, batch);
-  if (!assessments.ok()) {
-    std::fprintf(stderr, "assessment failed: %s\n",
-                 assessments.status().ToString().c_str());
-    return 1;
-  }
+  ids.reserve(store.databases().size());
+  for (const auto& record : store.databases()) ids.push_back(record.id);
+  CLOUDSURV_ASSIGN_OR_RETURN(
+      auto assessments,
+      service.AssessMany(store, ids, BatchOptionsFromFlags(flags)));
+  return AssessedRegion{std::move(store), std::move(assessments)};
+}
+
+int CmdAssess(const Flags& flags) {
+  auto region = LoadAndAssess(flags);
+  if (!region.ok()) return Fail(region.status(), "assess");
+  const telemetry::TelemetryStore& store = region->store;
 
   std::printf("%-10s %-26s %-8s %7s %-9s %-8s\n", "database", "name",
               "edition", "p(long)", "decision", "pool");
-  int shown = 0;
+  const int64_t top = flags.Int("--top");
+  int64_t shown = 0;
   size_t churn = 0, stable = 0, general = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const auto& record = store->databases()[i];
-    const auto& assessment = (*assessments)[i];
+  for (size_t i = 0; i < region->assessments.size(); ++i) {
+    const auto& record = store.databases()[i];
+    const auto& assessment = region->assessments[i];
     if (!assessment.has_value()) continue;
-    switch (assessment->recommended_pool) {
-      case core::Pool::kChurn:
-        ++churn;
-        break;
-      case core::Pool::kStable:
-        ++stable;
-        break;
-      case core::Pool::kGeneral:
-        ++general;
-        break;
-    }
-    if (shown < args.top) {
+    const core::Pool pool = assessment->recommended_pool;
+    churn += pool == core::Pool::kChurn;
+    stable += pool == core::Pool::kStable;
+    general += pool == core::Pool::kGeneral;
+    if (shown < top) {
       std::printf("%-10llu %-26s %-8s %7.2f %-9s %-8s\n",
                   static_cast<unsigned long long>(record.id),
                   std::string(record.database_name).c_str(),
@@ -775,63 +392,32 @@ int CmdAssess(const Args& args) {
 // under each requested policy, and prices each plan with the
 // deployment replay (docs/provisioning.md has the cost model and a
 // worked example).
-int CmdPlan(const Args& args) {
-  if (args.telemetry_path.empty() || args.model_path.empty()) {
-    std::fprintf(stderr, "plan requires --telemetry and --model\n");
-    return 2;
-  }
-  auto store = LoadTelemetry(args);
-  if (!store.ok()) {
-    std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
-    return 1;
-  }
-  auto service = LoadServiceModel(args.model_path);
-  if (!service.ok()) {
-    std::fprintf(stderr, "model load failed: %s\n",
-                 service.status().ToString().c_str());
-    return 1;
-  }
-
+int CmdPlan(const Flags& flags) {
   core::ArchitectureCatalog catalog = core::ArchitectureCatalog::Default();
-  if (!args.catalog_path.empty()) {
-    auto spec_text = ReadFile(args.catalog_path);
-    if (!spec_text.ok()) {
-      std::fprintf(stderr, "%s\n", spec_text.status().ToString().c_str());
-      return 1;
-    }
+  const std::string& catalog_path = flags.Text("--catalog");
+  if (!catalog_path.empty()) {
+    auto spec_text = ReadFile(catalog_path);
+    if (!spec_text.ok()) return Fail(spec_text.status());
     auto parsed = core::ArchitectureCatalog::Parse(*spec_text);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s: %s\n", args.catalog_path.c_str(),
-                   parsed.status().ToString().c_str());
-      return 1;
-    }
+    if (!parsed.ok()) return Fail(parsed.status(), catalog_path);
     catalog = std::move(*parsed);
   }
 
   // Score every database once; the per-policy sweeps reuse the same
   // prediction outcomes (with true lifespans attached for the oracle).
-  std::vector<telemetry::DatabaseId> ids;
-  ids.reserve(store->databases().size());
-  for (const auto& record : store->databases()) ids.push_back(record.id);
-  ml::FlatForest::BatchOptions batch;
-  batch.block_rows = static_cast<size_t>(args.block_rows);
-  batch.traversal = TraversalKindFromArgs(args);
-  auto assessments = service->AssessMany(*store, ids, batch);
-  if (!assessments.ok()) {
-    std::fprintf(stderr, "assessment failed: %s\n",
-                 assessments.status().ToString().c_str());
-    return 1;
-  }
+  auto region = LoadAndAssess(flags);
+  if (!region.ok()) return Fail(region.status(), "plan");
+  const telemetry::TelemetryStore& store = region->store;
   std::vector<core::PredictionOutcome> outcomes;
-  outcomes.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const auto& assessment = (*assessments)[i];
+  outcomes.reserve(region->assessments.size());
+  for (size_t i = 0; i < region->assessments.size(); ++i) {
+    const auto& assessment = region->assessments[i];
     if (!assessment.has_value()) continue;
-    const auto record = store->databases()[i];
+    const auto record = store.databases()[i];
     const telemetry::Timestamp end =
         record.dropped_at.has_value()
-            ? std::min(*record.dropped_at, store->window_end())
-            : store->window_end();
+            ? std::min(*record.dropped_at, store.window_end())
+            : store.window_end();
     core::PredictionOutcome outcome;
     outcome.id = record.id;
     outcome.predicted_label = assessment->predicted_label;
@@ -840,43 +426,38 @@ int CmdPlan(const Args& args) {
     outcome.duration_days = static_cast<double>(end - record.created_at) /
                             static_cast<double>(telemetry::kSecondsPerDay);
     outcome.observed = record.dropped_at.has_value() &&
-                       *record.dropped_at <= store->window_end();
+                       *record.dropped_at <= store.window_end();
     outcome.true_label = outcome.duration_days > 30.0 ? 1 : 0;
     outcomes.push_back(outcome);
   }
 
   core::DeploymentConfig deploy;
-  deploy.maintenance_interval_days = args.maintenance_interval_days;
-  deploy.stale_grace_days = args.grace_days;
+  deploy.maintenance_interval_days = flags.Number("--maintenance-interval");
+  deploy.stale_grace_days = flags.Number("--grace-days");
 
   struct PolicyRun {
     std::string policy;
     core::DeploymentReport report;
   };
   std::vector<PolicyRun> runs;
-  for (const std::string& name : SplitString(args.policies, ',')) {
+  for (const std::string& name : SplitString(flags.Text("--policies"), ',')) {
     std::unique_ptr<core::PlacementPolicy> policy =
         core::MakePlacementPolicy(name);
     // Names were validated at flag-parse time.
-    auto plan = policy->Assign(*store, outcomes, catalog);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "policy %s failed: %s\n", name.c_str(),
-                   plan.status().ToString().c_str());
-      return 1;
-    }
-    auto report = core::SimulateDeployment(*store, *plan, catalog, deploy);
+    auto plan = policy->Assign(store, outcomes, catalog);
+    if (!plan.ok()) return Fail(plan.status(), "policy " + name + " failed");
+    auto report = core::SimulateDeployment(store, *plan, catalog, deploy);
     if (!report.ok()) {
-      std::fprintf(stderr, "deployment replay (%s) failed: %s\n",
-                   name.c_str(), report.status().ToString().c_str());
-      return 1;
+      return Fail(report.status(), "deployment replay (" + name + ") failed");
     }
     runs.push_back({name, std::move(*report)});
   }
 
+  const std::string& format = flags.Text("--format");
   std::string out;
-  if (args.format == "json") {
-    out = "{\"region\": \"" + store->region_name() + "\"";
-    out += ", \"num_databases\": " + std::to_string(store->num_databases());
+  if (format == "json") {
+    out = "{\"region\": \"" + store.region_name() + "\"";
+    out += ", \"num_databases\": " + std::to_string(store.num_databases());
     out += ", \"maintenance_interval_days\": " +
            FormatDouble(deploy.maintenance_interval_days, 2);
     out += ", \"grace_days\": " + FormatDouble(deploy.stale_grace_days, 2);
@@ -897,7 +478,7 @@ int CmdPlan(const Args& args) {
     std::snprintf(line, sizeof(line),
                   "plan: region %s, %zu databases, maintenance every %s "
                   "days, churn grace %s days\ncatalog:\n",
-                  store->region_name().c_str(), store->num_databases(),
+                  store.region_name().c_str(), store.num_databases(),
                   FormatDouble(deploy.maintenance_interval_days, 1).c_str(),
                   FormatDouble(deploy.stale_grace_days, 1).c_str());
     out += line;
@@ -950,217 +531,346 @@ int CmdPlan(const Args& args) {
     }
   }
 
-  if (!args.out_path.empty()) {
-    Status written = WriteFile(args.out_path, out);
-    if (!written.ok()) {
-      std::fprintf(stderr, "%s\n", written.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s report for %zu policies to %s\n",
-                args.format.c_str(), runs.size(), args.out_path.c_str());
+  const std::string& out_path = flags.Text("--out");
+  if (!out_path.empty()) {
+    Status written = WriteFile(out_path, out);
+    if (!written.ok()) return Fail(written);
+    std::printf("wrote %s report for %zu policies to %s\n", format.c_str(),
+                runs.size(), out_path.c_str());
   } else {
     std::fputs(out.c_str(), stdout);
   }
   return 0;
 }
 
-// Streaming serve-sim: one RegionEventStream + ScoringEngine per
-// region, partitions interleaved round-robin so every region is live
-// at once — the multi-region "serve the planet from one box" setting.
-// Events are generated in time order and never materialized as a full
-// history; each engine's per-shard columnar stores are the only copy
-// of the telemetry. Verification (optional) batch-simulates each
-// region afterwards and cross-checks streamed assessments.
-int CmdServeSimStream(const Args& args) {
-  if (!args.fault_plan_path.empty() || args.deadline_us > 0.0 ||
-      args.shed_high > 0) {
+// serve-sim's model: --model if given, else one trained on a compact
+// batch simulation of the first region (at most 600 subscriptions) —
+// the replay itself never materializes a trainable history.
+Result<core::LongevityService> ServeSimModel(const Flags& flags) {
+  if (flags.Given("--model")) {
+    CLOUDSURV_ASSIGN_OR_RETURN(core::LongevityService model,
+                               LoadServiceModel(flags.Text("--model")));
+    std::printf("serving model from %s%s\n", flags.Text("--model").c_str(),
+                model.inference_compiled() ? " (compiled artifact)" : "");
+    return model;
+  }
+  const size_t train_subs =
+      std::min<size_t>(static_cast<size_t>(flags.Int("--subs")), 600);
+  CLOUDSURV_ASSIGN_OR_RETURN(
+      simulator::RegionConfig config,
+      simulator::MakeRegionPreset(static_cast<int>(flags.Int("--region")),
+                                  train_subs, flags.Uint64("--seed")));
+  CLOUDSURV_ASSIGN_OR_RETURN(telemetry::TelemetryStore store,
+                             simulator::SimulateRegion(config));
+  core::LongevityService::Options options;
+  options.seed = flags.Uint64("--seed");
+  CLOUDSURV_ASSIGN_OR_RETURN(core::LongevityService model,
+                             core::LongevityService::Train(store, options));
+  std::printf("auto-trained on %zu databases (batch sim, %zu subscriptions)\n",
+              store.num_databases(), train_subs);
+  return model;
+}
+
+// serve-sim: streams --regions simulated regions through one online
+// ScoringEngine each, then cross-checks the streamed assessments
+// against the sequential batch path (LongevityService::Assess on a
+// batch-simulated store). Each region's events come from a
+// RegionEventStream in time order and are never materialized as a full
+// history; partition pulls are interleaved round-robin so every region
+// is live at once, and each engine's per-shard columnar stores are the
+// only copy of its telemetry. Within a partition every region runs the
+// same loop: a poll every --flush-interval simulated days, a metrics
+// dump every --metrics-interval, and (under a fault configuration)
+// counted ingest rejections. Exit code 1 on a strict divergence or an
+// accounting violation.
+int CmdServeSim(const Flags& flags) {
+  const int64_t regions = flags.Int("--regions");
+  if (regions > 1 &&
+      (flags.Given("--fault-plan") || flags.Given("--deadline-us") ||
+       flags.Given("--shed-high") || flags.Given("--shed-low"))) {
     std::fprintf(stderr,
-                 "InvalidArgument: --stream does not compose with "
-                 "--fault-plan/--deadline-us/--shed-high\n");
+                 "InvalidArgument: --fault-plan, --deadline-us, --shed-high "
+                 "and --shed-low require --regions 1\n");
     return 2;
   }
+  const int region = static_cast<int>(flags.Int("--region"));
+  const auto subs = static_cast<size_t>(flags.Int("--subs"));
+  const uint64_t seed = flags.Uint64("--seed");
+  const double deadline_us = flags.Number("--deadline-us");
+  const int64_t shed_high = flags.Int("--shed-high");
 
-  // Model: load from --model, else auto-train on a compact batch
-  // simulation — the streaming replay itself never materializes a
-  // trainable history.
-  std::shared_ptr<core::LongevityService> model;
-  if (!args.model_path.empty()) {
-    auto loaded = LoadServiceModel(args.model_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "model load failed: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
+  // Optional deterministic fault plan: parse it first so a bad spec
+  // fails fast, before any simulation or training work happens.
+  std::unique_ptr<fault::FaultInjector> injector;
+  fault::FaultPlan plan;
+  if (flags.Given("--fault-plan")) {
+    const std::string& plan_path = flags.Text("--fault-plan");
+    auto text = ReadFile(plan_path);
+    if (!text.ok()) return Fail(text.status());
+    std::string parse_error;
+    if (!fault::FaultPlan::Parse(*text, &plan, &parse_error)) {
+      std::fprintf(stderr, "InvalidArgument: %s\n", parse_error.c_str());
+      return 2;
     }
-    model = std::make_shared<core::LongevityService>(
-        std::move(loaded).value());
-    std::printf("serving model from %s%s\n", args.model_path.c_str(),
-                model->inference_compiled() ? " (compiled artifact)" : "");
-  } else {
-    const size_t train_subs = std::min<size_t>(args.subs, 600);
-    auto train_config =
-        simulator::MakeRegionPreset(1, train_subs, args.seed);
-    if (!train_config.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   train_config.status().ToString().c_str());
-      return 1;
-    }
-    auto train_store = simulator::SimulateRegion(*train_config);
-    if (!train_store.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   train_store.status().ToString().c_str());
-      return 1;
-    }
-    core::LongevityService::Options train_options;
-    train_options.seed = args.seed;
-    auto trained =
-        core::LongevityService::Train(*train_store, train_options);
-    if (!trained.ok()) {
-      std::fprintf(stderr, "training failed: %s\n",
-                   trained.status().ToString().c_str());
-      return 1;
-    }
-    model = std::make_shared<core::LongevityService>(
-        std::move(trained).value());
-    std::printf("auto-trained on %zu databases "
-                "(batch sim, %zu subscriptions)\n",
-                train_store->num_databases(), train_subs);
+    injector = std::make_unique<fault::FaultInjector>(plan);
+    std::printf("fault plan %s: %zu rules, seed %llu, %s\n",
+                plan_path.c_str(), plan.rules.size(),
+                static_cast<unsigned long long>(plan.seed),
+                plan.output_neutral() ? "output-neutral"
+                                      : "output-affecting");
   }
-  // Verification ground truth stays on the legacy per-row path (copy
-  // taken before publish compiles the flat layout).
-  const auto ground_truth =
-      std::make_shared<const core::LongevityService>(*model);
-
-  simulator::StreamOptions stream_options;
-  stream_options.partition_seconds = static_cast<int64_t>(
-      args.partition_days *
-      static_cast<double>(telemetry::kSecondsPerDay));
+  const bool faults_active =
+      injector != nullptr || shed_high > 0 || deadline_us > 0.0;
 
   struct RegionRun {
     simulator::RegionConfig config;
-    std::optional<simulator::RegionEventStream> stream;
-    std::unique_ptr<serving::ScoringEngine> engine;
-    std::vector<serving::ScoredDatabase> streamed;
-    uint64_t events = 0;
+    simulator::RegionEventStream stream;
+    std::unique_ptr<serving::ScoringEngine> engine = nullptr;
+    std::vector<serving::ScoredDatabase> streamed = {};
+    telemetry::Timestamp next_poll = 0;
+    telemetry::Timestamp next_metrics = 0;
+    uint64_t ingest_attempts = 0;
+    uint64_t ingest_rejected = 0;
   };
   std::vector<RegionRun> runs;
-  runs.reserve(static_cast<size_t>(args.regions));
-  for (int r = 1; r <= args.regions; ++r) {
-    // Presets cycle 1-2-3; past three regions each copy still gets a
-    // distinct seed (and a distinct name) so populations differ.
+  for (int64_t r = 1; r <= regions; ++r) {
+    // Presets cycle 1-2-3 on from --region (the first one is --region
+    // itself, so an out-of-range value is rejected); each region gets
+    // seed + r - 1, and past three regions a numbered name, so
+    // populations differ.
+    const int preset =
+        r == 1 ? region : static_cast<int>((region + r - 2) % 3 + 1);
     auto config = simulator::MakeRegionPreset(
-        ((r - 1) % 3) + 1, args.subs,
-        args.seed + static_cast<uint64_t>(r - 1));
-    if (!config.ok()) {
-      std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-      return 1;
-    }
-    if (args.regions > 3) config->name += "-" + std::to_string(r);
-    RegionRun run;
-    run.config = *config;
-    auto stream =
-        simulator::RegionEventStream::Open(run.config, stream_options);
-    if (!stream.ok()) {
-      std::fprintf(stderr, "%s\n", stream.status().ToString().c_str());
-      return 1;
-    }
-    run.stream.emplace(std::move(*stream));
-
-    serving::RegionContext ctx;
-    ctx.region_name = run.config.name;
-    ctx.utc_offset_minutes = run.config.utc_offset_minutes;
-    ctx.holidays = run.config.holidays;
-    ctx.window_start = run.config.window_start;
-    ctx.window_end = run.config.window_end;
-    serving::ScoringEngine::Options options;
-    options.num_threads = static_cast<size_t>(std::max(1, args.threads));
-    options.num_shards = static_cast<size_t>(std::max(1, args.shards));
-    options.observe_days = model->options().observe_days;
-    options.inference_block_rows = static_cast<size_t>(args.block_rows);
-    options.inference_traversal = TraversalKindFromArgs(args);
-    run.engine = std::make_unique<serving::ScoringEngine>(ctx, options);
-    auto version =
-        run.engine->registry().Publish("serve-sim-stream", model);
-    if (!version.ok()) {
-      std::fprintf(stderr, "%s\n", version.status().ToString().c_str());
-      return 1;
-    }
-    runs.push_back(std::move(run));
+        preset, subs, seed + static_cast<uint64_t>(r - 1));
+    if (!config.ok()) return Fail(config.status());
+    if (regions > 3) config->name.append("-").append(std::to_string(r));
+    auto stream = simulator::RegionEventStream::Open(*config);
+    if (!stream.ok()) return Fail(stream.status());
+    runs.push_back(
+        RegionRun{.config = std::move(*config), .stream = std::move(*stream)});
   }
 
-  std::printf("stream serve-sim: regions=%d subs/region=%zu "
-              "partition_days=%.1f threads=%d shards=%d\n",
-              args.regions, args.subs, args.partition_days, args.threads,
-              args.shards);
+  auto loaded = ServeSimModel(flags);
+  if (!loaded.ok()) return Fail(loaded.status(), "serve-sim model");
+  const auto model =
+      std::make_shared<core::LongevityService>(std::move(loaded).value());
+  // Ground truth stays on the legacy per-row path: a copy taken BEFORE
+  // the flat layout is compiled at publish time, so verification
+  // genuinely crosses flat-streamed assessments against legacy-batch
+  // ones.
+  const auto ground_truth =
+      std::make_shared<const core::LongevityService>(*model);
 
-  // Round-robin partition pulls: every engine ingests its next time
-  // slice, then polls at the slice boundary. Ordered ingest keeps each
-  // shard's live store readable, so scoring runs directly off the
-  // columnar state (no snapshot copies).
+  const ml::FlatForest::BatchOptions batch_options =
+      BatchOptionsFromFlags(flags);
+  serving::ScoringEngine::Options options;
+  options.num_threads = static_cast<size_t>(flags.Int("--threads"));
+  options.num_shards = static_cast<size_t>(flags.Int("--shards"));
+  options.observe_days = model->options().observe_days;
+  options.inference_block_rows = batch_options.block_rows;
+  options.inference_traversal = batch_options.traversal;
+  if (faults_active) {
+    options.fault_injector = injector.get();
+    options.batch_deadline_us = deadline_us;
+    // Charge a nominal virtual cost per assessment so a deadline binds
+    // even without injected scoring delays (see docs/operations.md).
+    if (deadline_us > 0.0) options.assess_virtual_cost_us = 100.0;
+    options.shed_high_watermark = static_cast<size_t>(shed_high);
+    options.shed_low_watermark =
+        static_cast<size_t>(flags.Int("--shed-low"));
+    // Degraded mode serves the paper's §4 weighted-random baseline at
+    // the served region's cohort positive rate (0.5 if the cohort is
+    // unavailable) instead of failing the poll.
+    auto served = simulator::SimulateRegion(runs[0].config);
+    if (!served.ok()) return Fail(served.status());
+    double positive_rate = 0.5;
+    auto cohort = core::BuildPredictionCohort(
+        *served, model->options().observe_days,
+        model->options().long_threshold_days);
+    if (cohort.ok() && !cohort->labels.empty()) {
+      const auto& labels = cohort->labels;
+      positive_rate =
+          static_cast<double>(std::count(labels.begin(), labels.end(), 1)) /
+          static_cast<double>(labels.size());
+    }
+    options.fallback_positive_rate = positive_rate;
+    options.fallback_seed = plan.seed;
+  }
+
+  const double flush_days = std::max(0.01, flags.Number("--flush-interval"));
+  const auto flush_interval = static_cast<telemetry::Timestamp>(
+      flush_days * static_cast<double>(telemetry::kSecondsPerDay));
+  // Periodic observability dumps: every --metrics-interval simulated
+  // days, the process-wide registry is written to stdout in Prometheus
+  // text exposition format, delimited so a scraper (or a test) can cut
+  // the stream into snapshots.
+  const double metrics_days = flags.Number("--metrics-interval");
+  const bool dump_metrics = metrics_days > 0.0;
+  const auto metrics_interval = static_cast<telemetry::Timestamp>(
+      std::max(0.01, metrics_days) *
+      static_cast<double>(telemetry::kSecondsPerDay));
+  auto dump_registry = [](telemetry::Timestamp at) {
+    std::printf("# --- metrics dump t=%lld ---\n%s# --- end dump ---\n",
+                static_cast<long long>(at),
+                obs::ExportPrometheusText(obs::Registry::Default())
+                    .c_str());
+  };
+
+  for (RegionRun& run : runs) {
+    const serving::RegionContext ctx{
+        run.config.name, run.config.utc_offset_minutes, run.config.holidays,
+        run.config.window_start, run.config.window_end};
+    run.engine = std::make_unique<serving::ScoringEngine>(ctx, options);
+    auto version = run.engine->registry().Publish("serve-sim-initial", model);
+    if (!version.ok()) return Fail(version.status());
+    run.next_poll = run.config.window_start + flush_interval;
+    run.next_metrics = run.config.window_start + metrics_interval;
+  }
+
+  char block_desc[32] = "auto";
+  if (batch_options.block_rows != 0) {
+    std::snprintf(block_desc, sizeof(block_desc), "%zu",
+                  batch_options.block_rows);
+  }
+  std::printf(
+      "serve-sim: regions=%lld subs/region=%zu threads=%zu shards=%zu "
+      "flush_interval_days=%.2f block_rows=%s traversal=%s\n",
+      static_cast<long long>(regions), subs, options.num_threads,
+      options.num_shards, flush_days, block_desc,
+      ml::simd::KindName(ml::simd::Resolve(batch_options.traversal)));
+
   const auto t0 = std::chrono::steady_clock::now();
-  uint64_t total_events = 0;
-  bool active = true;
-  while (active) {
+  for (bool active = true; active;) {
     active = false;
     for (RegionRun& run : runs) {
-      if (run.stream->Done()) continue;
+      if (run.stream.Done()) continue;
       active = true;
       simulator::RegionEventStream::Partition part =
-          run.stream->NextPartition();
-      run.events += part.events.size();
-      total_events += part.events.size();
+          run.stream.NextPartition();
       for (telemetry::Event& event : part.events) {
+        // Strict '>' so events stamped exactly at the boundary are
+        // ingested before the poll that may score databases maturing
+        // at it.
+        while (event.timestamp > run.next_poll) {
+          auto batch = run.engine->Poll(run.next_poll);
+          if (!batch.ok()) {
+            return Fail(batch.status(), "poll failed in " + run.config.name);
+          }
+          run.streamed.insert(run.streamed.end(),
+                              std::make_move_iterator(batch->begin()),
+                              std::make_move_iterator(batch->end()));
+          run.next_poll += flush_interval;
+        }
+        while (dump_metrics && event.timestamp > run.next_metrics) {
+          dump_registry(run.next_metrics);
+          run.next_metrics += metrics_interval;
+        }
+        ++run.ingest_attempts;
         Status ingested = run.engine->Ingest(std::move(event));
         if (!ingested.ok()) {
-          std::fprintf(stderr, "ingest failed (%s): %s\n",
-                       run.config.name.c_str(),
-                       ingested.ToString().c_str());
-          return 1;
+          if (!faults_active) {
+            return Fail(ingested, "ingest failed in " + run.config.name);
+          }
+          // Under a fault configuration, rejections are part of the
+          // experiment: the engine already counted the reason; keep
+          // replaying.
+          ++run.ingest_rejected;
         }
       }
-      auto batch = run.engine->Poll(part.end);
-      if (!batch.ok()) {
-        std::fprintf(stderr, "poll failed (%s): %s\n",
-                     run.config.name.c_str(),
-                     batch.status().ToString().c_str());
-        return 1;
-      }
-      run.streamed.insert(run.streamed.end(),
-                          std::make_move_iterator(batch->begin()),
-                          std::make_move_iterator(batch->end()));
     }
   }
   for (RegionRun& run : runs) {
     auto rest = run.engine->Drain();
     if (!rest.ok()) {
-      std::fprintf(stderr, "drain failed (%s): %s\n",
-                   run.config.name.c_str(),
-                   rest.status().ToString().c_str());
-      return 1;
+      return Fail(rest.status(), "drain failed in " + run.config.name);
     }
     run.streamed.insert(run.streamed.end(),
                         std::make_move_iterator(rest->begin()),
                         std::make_move_iterator(rest->end()));
+    if (dump_metrics) dump_registry(run.config.window_end);
   }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
+  bool accounting_ok = true;
+  uint64_t total_events = 0;
   uint64_t total_dbs = 0;
   for (const RegionRun& run : runs) {
-    const serving::EngineMetrics m = run.engine->Metrics();
-    const simulator::RegionEventStream::Stats stats =
-        run.stream->stats();
-    total_dbs += m.databases_tracked;
+    const serving::EngineMetrics metrics = run.engine->Metrics();
+    const simulator::RegionEventStream::Stats& stats = run.stream.stats();
+    total_events += run.ingest_attempts;
+    total_dbs += metrics.databases_tracked;
     std::printf(
-        "  %-12s %9llu events %8llu scored  direct_reads=%llu "
-        "snapshots=%llu  peak_pending=%zu creation_index=%.1fMB\n",
+        "%s:\n"
+        "  events ingested   %llu\n"
+        "  polls             %llu\n"
+        "  snapshots built   %llu\n"
+        "  databases scored  %llu (%llu skipped, %llu cancelled early)\n"
+        "  confident         %.1f%%\n"
+        "  scoring latency   p50=%.0fus p99=%.0fus\n"
+        "  stream            direct_reads=%llu peak_pending=%zu "
+        "creation_index=%.1fMB\n",
         run.config.name.c_str(),
-        static_cast<unsigned long long>(run.events),
-        static_cast<unsigned long long>(m.databases_scored),
-        static_cast<unsigned long long>(m.direct_read_batches),
-        static_cast<unsigned long long>(m.snapshots_built),
+        static_cast<unsigned long long>(metrics.events_ingested),
+        static_cast<unsigned long long>(metrics.polls),
+        static_cast<unsigned long long>(metrics.snapshots_built),
+        static_cast<unsigned long long>(metrics.databases_scored),
+        static_cast<unsigned long long>(metrics.databases_skipped),
+        static_cast<unsigned long long>(metrics.databases_cancelled),
+        metrics.confident_fraction() * 100.0, metrics.scoring_p50_us,
+        metrics.scoring_p99_us,
+        static_cast<unsigned long long>(metrics.direct_read_batches),
         stats.peak_pending_events,
         static_cast<double>(stats.creation_index_bytes) / 1e6);
+
+    if (faults_active) {
+      std::printf(
+          "fault report:\n"
+          "  faults fired      %llu\n"
+          "  fallback scored   %llu\n"
+          "  deadline batches  %llu\n"
+          "  retries           %llu\n"
+          "  rejected          shed=%llu error=%llu invalid=%llu\n"
+          "  health            %s (%llu transitions)\n",
+          static_cast<unsigned long long>(
+              injector != nullptr ? injector->total_fired() : 0),
+          static_cast<unsigned long long>(metrics.databases_fallback),
+          static_cast<unsigned long long>(metrics.deadline_exceeded),
+          static_cast<unsigned long long>(metrics.retries),
+          static_cast<unsigned long long>(metrics.rejected_shed),
+          static_cast<unsigned long long>(metrics.rejected_error),
+          static_cast<unsigned long long>(metrics.rejected_invalid),
+          serving::HealthStateToString(run.engine->health()),
+          static_cast<unsigned long long>(metrics.health_transitions));
+      if (injector != nullptr && injector->total_fired() > 0 &&
+          injector->total_fired() <= 40) {
+        std::printf("%s", injector->LogToString().c_str());
+      }
+    }
+
+    // "Zero dropped-without-reason": every ingest attempt is either
+    // ingested or rejected with a counted reason, and every tracked
+    // database is scored, fallback-scored, skipped or cancelled (the
+    // drain leaves nothing pending).
+    const uint64_t rejected = metrics.rejected_shed +
+                              metrics.rejected_error +
+                              metrics.rejected_invalid;
+    const uint64_t accounted =
+        metrics.databases_scored + metrics.databases_fallback +
+        metrics.databases_skipped + metrics.databases_cancelled;
+    const bool region_ok =
+        metrics.events_ingested + rejected == run.ingest_attempts &&
+        accounted == metrics.databases_tracked;
+    std::printf("accounting (%llu attempts, %llu tracked): %s\n",
+                static_cast<unsigned long long>(run.ingest_attempts),
+                static_cast<unsigned long long>(metrics.databases_tracked),
+                region_ok ? "OK" : "VIOLATION");
+    if (run.ingest_rejected > 0) {
+      std::printf("  (%llu ingest attempts rejected during replay)\n",
+                  static_cast<unsigned long long>(run.ingest_rejected));
+    }
+    accounting_ok = accounting_ok && region_ok;
   }
   const double resident_bytes =
       telemetry::columnar::GlobalMetrics().resident_bytes->Value();
@@ -1175,440 +885,379 @@ int CmdServeSimStream(const Args& args) {
                   ? 0.0
                   : resident_bytes / static_cast<double>(total_dbs));
 
-  if (!args.metrics_out_path.empty()) {
-    Status written = WriteFile(args.metrics_out_path,
-                               obs::ExportJson(obs::Registry::Default()));
-    if (!written.ok()) {
-      std::fprintf(stderr, "%s\n", written.ToString().c_str());
-      return 1;
-    }
+  // Final registry state as a JSON snapshot (the bench-artifact
+  // format).
+  const std::string& metrics_out = flags.Text("--metrics-out");
+  if (!metrics_out.empty()) {
+    Status written =
+        WriteFile(metrics_out, obs::ExportJson(obs::Registry::Default()));
+    if (!written.ok()) return Fail(written);
   }
-  if (args.verify == "off") return 0;
+  const std::string& verify = flags.Text("--verify");
+  if (verify == "off") return accounting_ok ? 0 : 1;
 
-  // Verification: batch-simulate each region (bit-identical stream by
-  // construction) and cross-check streamed assessments against the
-  // sequential legacy path. One region's batch store is alive at a
-  // time.
-  size_t total_mismatches = 0;
-  for (RegionRun& run : runs) {
+  // Verification: batch-simulate each region (the stream is
+  // byte-identical to it by construction), one batch store alive at a
+  // time, and re-score with the uncompiled ground-truth copy. Strict
+  // bit-identity is only claimable when nothing in the run can change
+  // outputs: no faults at all, or a plan whose every rule is
+  // output-neutral with shedding and deadlines off.
+  const bool strict =
+      !faults_active || (injector != nullptr && plan.output_neutral() &&
+                         shed_high == 0 && deadline_us == 0.0);
+  const bool full = verify == "full";
+  const auto verify_sample = static_cast<size_t>(flags.Int("--verify-sample"));
+  size_t strict_mismatches = 0;
+  for (const RegionRun& run : runs) {
     auto batch_store = simulator::SimulateRegion(run.config);
-    if (!batch_store.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   batch_store.status().ToString().c_str());
-      return 1;
+    if (!batch_store.ok()) return Fail(batch_store.status());
+    // "full" checks every streamed assessment and the coverage;
+    // "sample" a deterministic stride of --verify-sample of them.
+    const size_t stride = full ? 1
+                               : std::max<size_t>(1, run.streamed.size() /
+                                                         verify_sample);
+    std::unordered_map<telemetry::DatabaseId,
+                       core::LongevityService::Assessment>
+        truth;
+    auto add_truth = [&](telemetry::DatabaseId id) {
+      auto assessment = ground_truth->Assess(*batch_store, id);
+      if (assessment.ok()) truth.emplace(id, *assessment);
+    };
+    if (full) {
+      for (const auto& record : batch_store->databases()) add_truth(record.id);
     }
-    size_t mismatches = 0;
+    for (size_t i = 0; !full && i < run.streamed.size(); i += stride) {
+      add_truth(run.streamed[i].database_id);
+    }
     size_t checked = 0;
-    if (args.verify == "full") {
-      std::unordered_map<telemetry::DatabaseId,
-                         core::LongevityService::Assessment>
-          batch;
-      for (const auto& record : batch_store->databases()) {
-        auto assessment = ground_truth->Assess(*batch_store, record.id);
-        if (assessment.ok()) batch.emplace(record.id, *assessment);
+    size_t fallback = 0;
+    size_t mismatches = 0;
+    for (size_t i = 0; i < run.streamed.size(); i += stride) {
+      const serving::ScoredDatabase& s = run.streamed[i];
+      ++checked;
+      if (s.fallback) {
+        // Fallback assessments intentionally diverge from the forest;
+        // they are accounted, not compared.
+        ++fallback;
+        continue;
       }
-      if (run.streamed.size() != batch.size()) {
-        std::fprintf(stderr,
-                     "coverage mismatch (%s): streamed %zu vs batch "
-                     "%zu\n",
-                     run.config.name.c_str(), run.streamed.size(),
-                     batch.size());
+      auto it = truth.find(s.database_id);
+      if (it == truth.end() ||
+          it->second.predicted_label != s.assessment.predicted_label ||
+          it->second.positive_probability !=
+              s.assessment.positive_probability ||
+          it->second.confident != s.assessment.confident) {
         ++mismatches;
       }
-      for (const serving::ScoredDatabase& s : run.streamed) {
-        ++checked;
-        auto it = batch.find(s.database_id);
-        if (it == batch.end() ||
-            it->second.predicted_label !=
-                s.assessment.predicted_label ||
-            it->second.positive_probability !=
-                s.assessment.positive_probability ||
-            it->second.confident != s.assessment.confident) {
-          ++mismatches;
-        }
-      }
-    } else {
-      // Deterministic stride sample of the streamed assessments.
-      const size_t want = static_cast<size_t>(args.verify_sample);
-      const size_t stride =
-          std::max<size_t>(1, run.streamed.size() / want);
-      for (size_t i = 0; i < run.streamed.size(); i += stride) {
-        const serving::ScoredDatabase& s = run.streamed[i];
-        ++checked;
-        auto assessment =
-            ground_truth->Assess(*batch_store, s.database_id);
-        if (!assessment.ok() ||
-            assessment->predicted_label !=
-                s.assessment.predicted_label ||
-            assessment->positive_probability !=
-                s.assessment.positive_probability ||
-            assessment->confident != s.assessment.confident) {
-          ++mismatches;
-        }
-      }
     }
-    std::printf("verify %-12s checked %zu of %zu streamed -> %s\n",
-                run.config.name.c_str(), checked, run.streamed.size(),
-                mismatches == 0 ? "IDENTICAL" : "DIVERGED");
-    total_mismatches += mismatches;
-  }
-  return total_mismatches == 0 ? 0 : 1;
-}
-
-// Replays a simulated region's event stream through the online
-// ScoringEngine, then cross-checks every streamed assessment against
-// the sequential batch path (LongevityService::Assess on the final
-// store). Exit code 1 on any divergence.
-int CmdServeSim(const Args& args) {
-  if (args.stream) return CmdServeSimStream(args);
-  // Optional deterministic fault plan: parse it first so a bad spec
-  // fails fast, before any simulation or training work happens.
-  std::unique_ptr<fault::FaultInjector> injector;
-  fault::FaultPlan plan;
-  if (!args.fault_plan_path.empty()) {
-    auto text = ReadFile(args.fault_plan_path);
-    if (!text.ok()) {
-      std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-      return 1;
-    }
-    std::string parse_error;
-    if (!fault::FaultPlan::Parse(*text, &plan, &parse_error)) {
-      std::fprintf(stderr, "InvalidArgument: %s\n", parse_error.c_str());
-      return 2;
-    }
-    injector = std::make_unique<fault::FaultInjector>(plan);
-    std::printf("fault plan %s: %zu rules, seed %llu, %s\n",
-                args.fault_plan_path.c_str(), plan.rules.size(),
-                static_cast<unsigned long long>(plan.seed),
-                plan.output_neutral() ? "output-neutral"
-                                      : "output-affecting");
-  }
-
-  auto config =
-      simulator::MakeRegionPreset(args.region, args.subs, args.seed);
-  if (!config.ok()) {
-    std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-    return 1;
-  }
-  auto store = simulator::SimulateRegion(*config);
-  if (!store.ok()) {
-    std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("simulated %s: %zu databases, %zu events\n",
-              store->region_name().c_str(), store->num_databases(),
-              store->num_events());
-
-  std::shared_ptr<core::LongevityService> model;
-  if (!args.model_path.empty()) {
-    // Serve a pre-trained model (text or .csrv) instead of training
-    // in-process — the pack half of the train -> pack -> serve split.
-    auto loaded = LoadServiceModel(args.model_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "model load failed: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    model = std::make_shared<core::LongevityService>(
-        std::move(loaded).value());
-    std::printf("serving model from %s%s\n", args.model_path.c_str(),
-                model->inference_compiled() ? " (compiled artifact)" : "");
-  } else {
-    core::LongevityService::Options train_options;
-    train_options.seed = args.seed;
-    auto trained = core::LongevityService::Train(*store, train_options);
-    if (!trained.ok()) {
-      std::fprintf(stderr, "training failed: %s\n",
-                   trained.status().ToString().c_str());
-      return 1;
-    }
-    model = std::make_shared<core::LongevityService>(
-        std::move(trained).value());
-  }
-  // Ground truth stays on the legacy per-row path: a copy taken BEFORE
-  // the flat layout is compiled at publish time, so the strict
-  // comparison below genuinely crosses flat-streamed assessments
-  // against legacy-batch ones.
-  const auto ground_truth =
-      std::make_shared<const core::LongevityService>(*model);
-
-  const bool faults_active = injector != nullptr || args.shed_high > 0 ||
-                             args.deadline_us > 0.0;
-
-  serving::ScoringEngine::Options options;
-  options.num_threads = static_cast<size_t>(std::max(1, args.threads));
-  options.num_shards = static_cast<size_t>(std::max(1, args.shards));
-  options.observe_days = model->options().observe_days;
-  options.inference_block_rows = static_cast<size_t>(args.block_rows);
-  options.inference_traversal = TraversalKindFromArgs(args);
-  if (faults_active) {
-    options.fault_injector = injector.get();
-    options.batch_deadline_us = args.deadline_us;
-    // Charge a nominal virtual cost per assessment so a deadline binds
-    // even without injected scoring delays (see docs/operations.md).
-    if (args.deadline_us > 0.0) options.assess_virtual_cost_us = 100.0;
-    options.shed_high_watermark = static_cast<size_t>(args.shed_high);
-    options.shed_low_watermark = static_cast<size_t>(args.shed_low);
-    // Degraded mode serves the paper's §4 weighted-random baseline at
-    // the training cohort's positive rate (0.5 if the cohort is
-    // unavailable) instead of failing the poll.
-    double positive_rate = 0.5;
-    auto cohort = core::BuildPredictionCohort(
-        *store, model->options().observe_days,
-        model->options().long_threshold_days);
-    if (cohort.ok() && !cohort->labels.empty()) {
-      size_t positives = 0;
-      for (int label : cohort->labels) positives += label == 1 ? 1 : 0;
-      positive_rate = static_cast<double>(positives) /
-                      static_cast<double>(cohort->labels.size());
-    }
-    options.fallback_positive_rate = positive_rate;
-    options.fallback_seed = plan.seed;
-  }
-  serving::ScoringEngine engine(
-      serving::RegionContext::FromStore(*store), options);
-  auto version =
-      engine.registry().Publish("serve-sim-initial", model);
-  if (!version.ok()) {
-    std::fprintf(stderr, "%s\n", version.status().ToString().c_str());
-    return 1;
-  }
-
-  const auto flush_interval = static_cast<telemetry::Timestamp>(
-      std::max(0.01, args.flush_interval_days) *
-      static_cast<double>(telemetry::kSecondsPerDay));
-  telemetry::Timestamp next_poll = store->window_start() + flush_interval;
-
-  // Periodic observability dumps: every --metrics-interval simulated
-  // days, the process-wide registry is written to stdout in Prometheus
-  // text exposition format, delimited so a scraper (or a test) can cut
-  // the stream into snapshots.
-  const bool dump_metrics = args.metrics_interval_days > 0.0;
-  const auto metrics_interval = static_cast<telemetry::Timestamp>(
-      std::max(0.01, args.metrics_interval_days) *
-      static_cast<double>(telemetry::kSecondsPerDay));
-  telemetry::Timestamp next_metrics =
-      store->window_start() + metrics_interval;
-  auto dump_registry = [](telemetry::Timestamp at) {
-    std::printf("# --- metrics dump t=%lld ---\n%s# --- end dump ---\n",
-                static_cast<long long>(at),
-                obs::ExportPrometheusText(obs::Registry::Default())
-                    .c_str());
-  };
-
-  std::vector<serving::ScoredDatabase> streamed;
-  uint64_t ingest_attempts = 0;
-  uint64_t ingest_rejected = 0;
-  for (const telemetry::Event& event : store->events()) {
-    // Strict '>' so events stamped exactly at the boundary are ingested
-    // before the poll that may score databases maturing at it.
-    while (event.timestamp > next_poll) {
-      auto batch = engine.Poll(next_poll);
-      if (!batch.ok()) {
-        std::fprintf(stderr, "poll failed: %s\n",
-                     batch.status().ToString().c_str());
-        return 1;
-      }
-      streamed.insert(streamed.end(), batch->begin(), batch->end());
-      next_poll += flush_interval;
-    }
-    while (dump_metrics && event.timestamp > next_metrics) {
-      dump_registry(next_metrics);
-      next_metrics += metrics_interval;
-    }
-    ++ingest_attempts;
-    Status ingested = engine.Ingest(event);
-    if (!ingested.ok()) {
-      if (!faults_active) {
-        std::fprintf(stderr, "ingest failed: %s\n",
-                     ingested.ToString().c_str());
-        return 1;
-      }
-      // Under a fault plan, rejections are part of the experiment: the
-      // engine already counted the reason; keep replaying.
-      ++ingest_rejected;
-    }
-  }
-  auto rest = engine.Drain();
-  if (!rest.ok()) {
-    std::fprintf(stderr, "drain failed: %s\n",
-                 rest.status().ToString().c_str());
-    return 1;
-  }
-  streamed.insert(streamed.end(), rest->begin(), rest->end());
-
-  // Final registry state: one Prometheus dump at end-of-stream, and a
-  // JSON snapshot to --metrics-out (the bench-artifact format).
-  if (dump_metrics) dump_registry(store->window_end());
-  if (!args.metrics_out_path.empty()) {
-    Status written =
-        WriteFile(args.metrics_out_path,
-                  obs::ExportJson(obs::Registry::Default()));
-    if (!written.ok()) {
-      std::fprintf(stderr, "%s\n", written.ToString().c_str());
-      return 1;
-    }
-  }
-
-  // Sequential ground truth over the complete store.
-  std::unordered_map<telemetry::DatabaseId,
-                     core::LongevityService::Assessment>
-      batch;
-  for (const auto& record : store->databases()) {
-    auto assessment = ground_truth->Assess(*store, record.id);
-    if (assessment.ok()) batch.emplace(record.id, *assessment);
-  }
-
-  // Strict bit-identity vs the batch path is only claimable when
-  // nothing in the run can change outputs: no faults at all, or a plan
-  // whose every rule is output-neutral with shedding and deadlines off.
-  const bool strict =
-      !faults_active ||
-      (injector != nullptr && plan.output_neutral() &&
-       args.shed_high == 0 && args.deadline_us == 0.0);
-  size_t mismatches = 0;
-  size_t fallback_served = 0;
-  for (const serving::ScoredDatabase& s : streamed) {
-    if (s.fallback) {
-      // Fallback assessments intentionally diverge from the forest;
-      // they are accounted, not compared.
-      ++fallback_served;
-      continue;
-    }
-    auto it = batch.find(s.database_id);
-    if (it == batch.end() ||
-        it->second.predicted_label != s.assessment.predicted_label ||
-        it->second.positive_probability !=
-            s.assessment.positive_probability ||
-        it->second.confident != s.assessment.confident) {
+    if (full && strict && run.streamed.size() != truth.size()) {
+      std::fprintf(stderr,
+                   "coverage mismatch (%s): streamed %zu vs batch %zu\n",
+                   run.config.name.c_str(), run.streamed.size(), truth.size());
       ++mismatches;
     }
+    std::printf("verify %-12s checked %zu of %zu streamed (%zu fallback), "
+                "%zu mismatches -> %s%s\n",
+                run.config.name.c_str(), checked, run.streamed.size(),
+                fallback, mismatches,
+                mismatches == 0 ? "IDENTICAL" : "DIVERGED",
+                strict ? "" : " (advisory: configuration may affect outputs)");
+    if (strict) strict_mismatches += mismatches;
   }
-  if (strict && streamed.size() != batch.size()) {
-    std::fprintf(stderr,
-                 "coverage mismatch: streamed %zu vs batch %zu\n",
-                 streamed.size(), batch.size());
-    ++mismatches;
-  }
-
-  const serving::EngineMetrics metrics = engine.Metrics();
-  char block_desc[32];
-  if (args.block_rows == 0) {
-    std::snprintf(block_desc, sizeof(block_desc), "auto");
-  } else {
-    std::snprintf(block_desc, sizeof(block_desc), "%lld",
-                  static_cast<long long>(args.block_rows));
-  }
-  std::printf(
-      "serve-sim: threads=%zu shards=%zu flush_interval_days=%.2f "
-      "block_rows=%s traversal=%s\n",
-      options.num_threads, options.num_shards,
-      std::max(0.01, args.flush_interval_days), block_desc,
-      ml::simd::KindName(ml::simd::Resolve(TraversalKindFromArgs(args))));
-  std::printf(
-      "  events ingested   %llu\n"
-      "  polls             %llu\n"
-      "  snapshots built   %llu\n"
-      "  databases scored  %llu (%llu skipped, %llu cancelled early)\n"
-      "  confident         %.1f%%\n"
-      "  scoring latency   p50=%.0fus p99=%.0fus\n",
-      static_cast<unsigned long long>(metrics.events_ingested),
-      static_cast<unsigned long long>(metrics.polls),
-      static_cast<unsigned long long>(metrics.snapshots_built),
-      static_cast<unsigned long long>(metrics.databases_scored),
-      static_cast<unsigned long long>(metrics.databases_skipped),
-      static_cast<unsigned long long>(metrics.databases_cancelled),
-      metrics.confident_fraction() * 100.0, metrics.scoring_p50_us,
-      metrics.scoring_p99_us);
-
-  bool accounting_ok = true;
-  if (faults_active) {
-    std::printf(
-        "fault report:\n"
-        "  faults fired      %llu\n"
-        "  fallback scored   %llu\n"
-        "  deadline batches  %llu\n"
-        "  retries           %llu\n"
-        "  rejected          shed=%llu error=%llu invalid=%llu\n"
-        "  health            %s (%llu transitions)\n",
-        static_cast<unsigned long long>(
-            injector != nullptr ? injector->total_fired() : 0),
-        static_cast<unsigned long long>(metrics.databases_fallback),
-        static_cast<unsigned long long>(metrics.deadline_exceeded),
-        static_cast<unsigned long long>(metrics.retries),
-        static_cast<unsigned long long>(metrics.rejected_shed),
-        static_cast<unsigned long long>(metrics.rejected_error),
-        static_cast<unsigned long long>(metrics.rejected_invalid),
-        serving::HealthStateToString(engine.health()),
-        static_cast<unsigned long long>(metrics.health_transitions));
-    if (injector != nullptr && injector->total_fired() > 0 &&
-        injector->total_fired() <= 40) {
-      std::printf("%s", injector->LogToString().c_str());
-    }
-
-    // "Zero dropped-without-reason": every ingest attempt is either
-    // ingested or rejected with a counted reason, and every tracked
-    // database is scored, fallback-scored, skipped or cancelled (the
-    // drain leaves nothing pending).
-    const uint64_t rejected_total = metrics.rejected_shed +
-                                    metrics.rejected_error +
-                                    metrics.rejected_invalid;
-    if (metrics.events_ingested + rejected_total != ingest_attempts) {
-      std::fprintf(stderr,
-                   "accounting violation: %llu attempts != %llu ingested "
-                   "+ %llu rejected\n",
-                   static_cast<unsigned long long>(ingest_attempts),
-                   static_cast<unsigned long long>(metrics.events_ingested),
-                   static_cast<unsigned long long>(rejected_total));
-      accounting_ok = false;
-    }
-    const uint64_t accounted =
-        metrics.databases_scored + metrics.databases_fallback +
-        metrics.databases_skipped + metrics.databases_cancelled;
-    if (accounted != metrics.databases_tracked) {
-      std::fprintf(stderr,
-                   "accounting violation: %llu tracked != %llu scored + "
-                   "fallback + skipped + cancelled\n",
-                   static_cast<unsigned long long>(
-                       metrics.databases_tracked),
-                   static_cast<unsigned long long>(accounted));
-      accounting_ok = false;
-    }
-    std::printf("accounting (%llu attempts, %llu tracked): %s\n",
-                static_cast<unsigned long long>(ingest_attempts),
-                static_cast<unsigned long long>(metrics.databases_tracked),
-                accounting_ok ? "OK" : "VIOLATION");
-    if (ingest_rejected > 0) {
-      std::printf("  (%llu ingest attempts rejected during replay)\n",
-                  static_cast<unsigned long long>(ingest_rejected));
-    }
-  }
-
-  std::printf("verification vs sequential Assess: %zu streamed "
-              "(%zu fallback), %zu mismatches -> %s%s\n",
-              streamed.size(), fallback_served, mismatches,
-              mismatches == 0 ? "IDENTICAL" : "DIVERGED",
-              strict ? "" : " (advisory: configuration may affect outputs)");
   if (!accounting_ok) return 1;
-  if (strict && mismatches != 0) return 1;
-  return 0;
+  return strict_mismatches == 0 ? 0 : 1;
+}
+
+enum class Kind {
+  kInt,     // integer >= min
+  kUint64,  // non-negative 64-bit integer
+  kDouble,  // finite number >= min, or > min when `exclusive`
+  kString,
+  kEnum,    // one of the '|'-separated choices in `arg`
+  kList,    // comma-separated subset of the ','-separated choices in `arg`
+};
+
+struct FlagSpec {
+  const char* name;
+  const char* verbs;     // verbs that read the flag, space-separated
+  const char* required;  // verbs that fail without it
+  Kind kind;
+  const char* arg;  // usage placeholder; the choices for kEnum/kList
+  const char* def;  // default value text; nullptr = none
+  const char* help;
+  double min = 0;          // kInt/kDouble lower bound
+  bool exclusive = false;  // kDouble: the bound itself is rejected
+};
+
+struct VerbSpec {
+  const char* name;
+  int (*run)(const Flags&);
+  const char* summary;
+};
+
+// cli-flag-table-begin
+constexpr VerbSpec kVerbs[] = {
+    {"simulate", CmdSimulate, "simulate a region, write its telemetry CSV"},
+    {"analyze", CmdAnalyze, "survival study of a telemetry CSV"},
+    {"train", CmdTrain, "train a longevity model (text format)"},
+    {"pack", CmdPack, "compile a model into a CSRV artifact"},
+    {"inspect", CmdInspect, "print a CSRV artifact's section table"},
+    {"assess", CmdAssess, "score every database, recommend pools"},
+    {"plan", CmdPlan, "price placement policies on an architecture catalog"},
+    {"serve-sim", CmdServeSim,
+     "stream regions through the online scoring engine and verify"},
+};
+
+constexpr FlagSpec kFlags[] = {
+    {"--region", "simulate analyze train assess plan serve-sim", "",
+     Kind::kInt, "N", "1", "region preset, 1-3", 1},
+    {"--regions", "serve-sim", "", Kind::kInt, "N", "1",
+     "regions served at once; presets cycle on from --region", 1},
+    {"--subs", "simulate serve-sim", "", Kind::kInt, "N", "1500",
+     "subscriptions per simulated region", 1},
+    {"--seed", "simulate train serve-sim", "", Kind::kUint64, "S", "7",
+     "simulation and training seed"},
+    {"--telemetry", "analyze train assess plan", "analyze train assess plan",
+     Kind::kString, "FILE", nullptr, "telemetry CSV written by simulate"},
+    {"--model", "pack inspect assess plan serve-sim",
+     "pack inspect assess plan", Kind::kString, "FILE", nullptr,
+     "train's text output or a packed .csrv"},
+    {"--out", "simulate train pack plan", "simulate train pack",
+     Kind::kString, "FILE", nullptr, "output file"},
+    {"--top", "assess", "", Kind::kInt, "N", "20", "assessments to print"},
+    {"--threads", "train serve-sim", "", Kind::kInt, "N", "8",
+     "worker threads", 1},
+    {"--split", "train", "", Kind::kEnum, "exact|histogram", "histogram",
+     "tree split search"},
+    {"--catalog", "plan", "", Kind::kString, "FILE", nullptr,
+     "architecture catalog spec (built-in four-tier catalog if omitted)"},
+    {"--policies", "plan", "", Kind::kList, "naive,longevity,oracle",
+     "naive,longevity,oracle", "placement policies to replay"},
+    {"--format", "plan", "", Kind::kEnum, "text|json", "text",
+     "report format"},
+    {"--maintenance-interval", "plan", "", Kind::kDouble, "DAYS", "14",
+     "rollout cadence in days", 0, true},
+    {"--grace-days", "plan", "", Kind::kDouble, "DAYS", "45",
+     "churn-tier grace period in days", 0, true},
+    {"--block-rows", "assess plan serve-sim", "", Kind::kInt, "N", nullptr,
+     "rows per traversal block (autotuned if omitted)", 1},
+    {"--traversal", "assess plan serve-sim", "", Kind::kEnum,
+     "auto|scalar|avx2", "auto", "forest traversal kernel"},
+    {"--shards", "serve-sim", "", Kind::kInt, "N", "16",
+     "ingest shards per engine", 1},
+    {"--flush-interval", "serve-sim", "", Kind::kDouble, "DAYS", "1",
+     "simulated days between polls", 0, true},
+    {"--metrics-interval", "serve-sim", "", Kind::kDouble, "DAYS", "0",
+     "days between Prometheus dumps to stdout; 0 = off"},
+    {"--metrics-out", "serve-sim", "", Kind::kString, "FILE", nullptr,
+     "write the final metrics registry as JSON"},
+    {"--fault-plan", "serve-sim", "", Kind::kString, "FILE", nullptr,
+     "deterministic fault plan (needs --regions 1)"},
+    {"--deadline-us", "serve-sim", "", Kind::kDouble, "US", "0",
+     "virtual-time batch deadline; 0 = off (needs --regions 1)"},
+    {"--shed-high", "serve-sim", "", Kind::kInt, "N", "0",
+     "load-shedding high watermark; 0 = off (needs --regions 1)"},
+    {"--shed-low", "serve-sim", "", Kind::kInt, "N", "0",
+     "load-shedding low watermark (needs --regions 1)"},
+    {"--verify", "serve-sim", "", Kind::kEnum, "full|sample|off", "full",
+     "check streamed assessments against batch Assess"},
+    {"--verify-sample", "serve-sim", "", Kind::kInt, "K", "2000",
+     "databases checked per region under --verify sample", 1},
+};
+// cli-flag-table-end
+
+// True iff `item` is one of the `sep`-separated entries of `list`.
+bool InList(std::string_view list, char sep, std::string_view item) {
+  for (const std::string& entry : SplitString(list, sep)) {
+    if (entry == item) return true;
+  }
+  return false;
+}
+
+// The table row for `name`, or nullptr for an unknown flag.
+const FlagSpec* FindFlag(std::string_view name) {
+  for (const FlagSpec& spec : kFlags) {
+    if (name == spec.name) return &spec;
+  }
+  return nullptr;
+}
+
+// Prints "InvalidArgument: <message>" and returns false.
+__attribute__((format(printf, 1, 2))) bool Invalid(const char* format, ...) {
+  std::fputs("InvalidArgument: ", stderr);
+  va_list args;
+  va_start(args, format);
+  std::vfprintf(stderr, format, args);
+  va_end(args);
+  std::fputc('\n', stderr);
+  return false;
+}
+
+// Strict value parsing: the whole token must parse and satisfy the
+// row's bound or choices, otherwise the diagnostic is printed. No
+// atoi() silently turning garbage into 0.
+bool ParseValue(const FlagSpec& spec, const char* text, Value* out) {
+  const char* flag = spec.name;
+  errno = 0;
+  char* end = nullptr;
+  switch (spec.kind) {
+    case Kind::kInt: {
+      const long long value = std::strtoll(text, &end, 10);
+      if (end == text || *end != '\0' || errno == ERANGE) {
+        return Invalid("%s expects an integer, got '%s'", flag, text);
+      }
+      if (value < spec.min) {
+        return Invalid("%s must be >= %lld, got '%s'", flag,
+                       static_cast<long long>(spec.min), text);
+      }
+      *out = static_cast<int64_t>(value);
+      return true;
+    }
+    case Kind::kUint64: {
+      if (text[0] == '-') {
+        return Invalid("%s must be non-negative, got '%s'", flag, text);
+      }
+      const unsigned long long value = std::strtoull(text, &end, 10);
+      if (end == text || *end != '\0' || errno == ERANGE) {
+        return Invalid("%s expects an integer, got '%s'", flag, text);
+      }
+      *out = static_cast<uint64_t>(value);
+      return true;
+    }
+    case Kind::kDouble: {
+      const double value = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !std::isfinite(value)) {
+        return Invalid("%s expects a number, got '%s'", flag, text);
+      }
+      if (spec.exclusive ? value <= spec.min : value < spec.min) {
+        return Invalid("%s must be %s %g, got '%s'", flag,
+                       spec.exclusive ? ">" : ">=", spec.min, text);
+      }
+      *out = value;
+      return true;
+    }
+    case Kind::kString:
+      break;
+    case Kind::kEnum:
+      if (!InList(spec.arg, '|', text)) {
+        // "a|b|c" reads "a, b or c".
+        const std::vector<std::string> choices = SplitString(spec.arg, '|');
+        std::string prose;
+        for (size_t i = 0; i < choices.size(); ++i) {
+          if (i > 0) prose += i + 1 == choices.size() ? " or " : ", ";
+          prose += choices[i];
+        }
+        return Invalid("%s must be %s, got '%s'", flag, prose.c_str(), text);
+      }
+      break;
+    case Kind::kList:
+      for (const std::string& item : SplitString(text, ',')) {
+        if (!InList(spec.arg, ',', item)) {
+          return Invalid("%s must be a comma-separated subset of %s, got '%s'",
+                         flag, spec.arg, item.c_str());
+        }
+      }
+      break;
+  }
+  *out = std::string(text);
+  return true;
+}
+
+bool Flags::Parse(const std::string& verb, int argc, char** argv) {
+  verb_ = verb;
+  given_.assign(std::size(kFlags), false);
+  values_.clear();
+  for (const FlagSpec& spec : kFlags) {
+    Value value = spec.kind == Kind::kInt      ? Value(int64_t{0})
+                  : spec.kind == Kind::kUint64 ? Value(uint64_t{0})
+                  : spec.kind == Kind::kDouble ? Value(0.0)
+                                               : Value(std::string());
+    // Defaults go through the same parser, so a bad one fails at once.
+    if (spec.def != nullptr && !ParseValue(spec, spec.def, &value)) {
+      std::abort();
+    }
+    values_.push_back(std::move(value));
+  }
+  for (int i = 2; i < argc; ++i) {
+    const FlagSpec* spec = FindFlag(argv[i]);
+    if (spec == nullptr) return Invalid("unknown flag %s", argv[i]);
+    if (!InList(spec->verbs, ' ', verb)) {
+      return Invalid("%s is not accepted by %s", argv[i], verb.c_str());
+    }
+    if (i + 1 >= argc) return Invalid("missing value for %s", argv[i]);
+    const size_t row = static_cast<size_t>(spec - kFlags);
+    if (!ParseValue(*spec, argv[++i], &values_[row])) return false;
+    given_[row] = true;
+  }
+  for (size_t row = 0; row < std::size(kFlags); ++row) {
+    if (InList(kFlags[row].required, ' ', verb) && !given_[row]) {
+      return Invalid("%s requires %s", verb.c_str(), kFlags[row].name);
+    }
+  }
+  return true;
+}
+
+size_t Flags::Index(const char* name) const {
+  const FlagSpec* spec = FindFlag(name);
+  if (spec != nullptr && InList(spec->verbs, ' ', verb_)) {
+    return static_cast<size_t>(spec - kFlags);
+  }
+  std::fprintf(stderr, "cloudsurv: %s reads %s, which its flag table does "
+               "not accept\n", verb_.c_str(), name);
+  std::abort();
+}
+
+// Renders usage from the tables: every verb, or only `verb`, with the
+// flags it accepts, marked required or with their defaults.
+int Usage(const char* verb) {
+  std::string out = "usage: cloudsurv <";
+  for (const VerbSpec& v : kVerbs) {
+    if (&v != kVerbs) out += "|";
+    out += v.name;
+  }
+  out += "> [--flag value ...]\n";
+  for (const VerbSpec& v : kVerbs) {
+    if (verb != nullptr && verb != std::string_view(v.name)) continue;
+    out.append("\n").append(v.name).append(": ").append(v.summary).append("\n");
+    for (const FlagSpec& f : kFlags) {
+      if (!InList(f.verbs, ' ', v.name)) continue;
+      std::string help = f.help;
+      if (InList(f.required, ' ', v.name)) {
+        help += " (required)";
+      } else if (f.def != nullptr) {
+        help.append(" (default ").append(f.def).append(")");
+      }
+      char line[256];
+      std::snprintf(line, sizeof(line), "  %-34s %s\n",
+                    (std::string(f.name) + " " + f.arg).c_str(), help.c_str());
+      out += line;
+    }
+  }
+  std::fputs(out.c_str(), stderr);
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) return Usage();
-  const std::string command = argv[1];
-  if (command == "simulate") return CmdSimulate(args);
-  if (command == "analyze") return CmdAnalyze(args);
-  if (command == "train") return CmdTrain(args);
-  if (command == "pack") return CmdPack(args);
-  if (command == "inspect") return CmdInspect(args);
-  if (command == "assess") return CmdAssess(args);
-  if (command == "plan") return CmdPlan(args);
-  if (command == "serve-sim") return CmdServeSim(args);
-  std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-  return Usage();
+  if (argc < 2) return Usage(nullptr);
+  const std::string verb = argv[1];
+  for (const VerbSpec& spec : kVerbs) {
+    if (verb != spec.name) continue;
+    Flags flags;
+    if (!flags.Parse(verb, argc, argv)) return Usage(spec.name);
+    // The one host-dependent check: fail an explicit AVX2 request up
+    // front — scoring would reject it batch by batch anyway, and a flag
+    // typo on a non-AVX2 host should not masquerade as a slow run.
+    if (InList(FindFlag("--traversal")->verbs, ' ', verb) &&
+        flags.Text("--traversal") == "avx2" && !ml::simd::Avx2Supported()) {
+      std::fprintf(stderr,
+                   "InvalidArgument: --traversal avx2 requested but this "
+                   "build/CPU has no AVX2 kernel\n");
+      return 2;
+    }
+    return spec.run(flags);
+  }
+  std::fprintf(stderr, "unknown command '%s'\n", verb.c_str());
+  return Usage(nullptr);
 }
