@@ -1,10 +1,12 @@
 // Example: deploying the pipeline as a service — train on one region's
-// history, persist the models, reload them, and score fresh databases
-// from another region the way a provisioning controller would.
+// history, persist the models as a CSRV artifact, reload it, and score
+// fresh databases from another region the way a provisioning controller
+// would.
 //
 //   ./build/examples/longevity_service
 
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 
 #include "core/service.h"
@@ -37,14 +39,23 @@ int main() {
                   ? "yes"
                   : "no");
 
-  // 2. Persist and reload, as a controller restart would.
-  const std::string blob = service->Save();
-  auto reloaded = core::LongevityService::Load(blob);
+  // 2. Persist as a CSRV artifact and reload it, as a controller
+  //    restart would (the reload maps the compiled forests in place).
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "longevity_service.csrv")
+          .string();
+  const Status saved = service->SaveArtifact(path);
+  if (!saved.ok()) {
+    std::cerr << "save failed: " << saved << "\n";
+    return 1;
+  }
+  auto reloaded = core::LongevityService::LoadArtifact(path);
   if (!reloaded.ok()) {
     std::cerr << "reload failed: " << reloaded.status() << "\n";
     return 1;
   }
-  std::printf("persisted service: %zu bytes; reload OK\n\n", blob.size());
+  std::printf("persisted service: %ju bytes; reload OK\n\n",
+              static_cast<uintmax_t>(std::filesystem::file_size(path)));
 
   // 3. Score live databases from a different region.
   auto live_config = simulator::MakeRegionPreset(2, 300, 66);
@@ -101,5 +112,6 @@ int main() {
     std::printf("placement plan: %zu -> churn pool, %zu -> stable pool\n",
                 churn, stable);
   }
+  std::filesystem::remove(path);
   return 0;
 }

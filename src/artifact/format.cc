@@ -1,7 +1,6 @@
 #include "artifact/format.h"
 
 #include <array>
-#include <cstring>
 
 namespace cloudsurv::artifact {
 
@@ -55,11 +54,6 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
     crc = (crc >> 8) ^ tb.t[0][(crc ^ *p++) & 0xffu];
   }
   return ~crc;
-}
-
-bool HasArtifactMagic(const void* data, size_t size) {
-  return size >= sizeof(kMagic) &&
-         std::memcmp(data, kMagic, sizeof(kMagic)) == 0;
 }
 
 const char* SectionIdName(SectionId id) {

@@ -8,13 +8,13 @@ namespace cloudsurv::artifact {
 
 /// The CSRV binary model-artifact container.
 ///
-/// A `.csrv` file is the persisted, production form of a trained model:
-/// the `cloudsurv train -> pack -> serve` split stores compiled
-/// `ml::FlatForest` SoA arrays (plus the trainable text blobs and the
-/// service thresholds) in a layout a reader can `mmap` and serve from
-/// directly — every array section is 64-byte aligned relative to the
-/// file start, so after validation the arrays are used in place with
-/// zero per-array copies.
+/// A `.csrv` file is the one persisted form of a trained model: the
+/// `cloudsurv train -> serve` split stores compiled `ml::FlatForest`
+/// SoA arrays (plus the service thresholds and feature configuration)
+/// in a layout a reader can `mmap` and serve from directly — every
+/// array section is 64-byte aligned relative to the file start, so
+/// after validation the arrays are used in place with zero per-array
+/// copies.
 ///
 /// File layout (all integers little-endian):
 ///
@@ -74,7 +74,9 @@ enum class SectionId : uint32_t {
   // --- LongevityService snapshot ------------------------------------
   kServiceMeta = 32,    ///< One ServiceMeta struct (index 0).
   kModelEntry = 33,     ///< One ModelEntry per slot (index = slot).
-  kForestBlob = 34,     ///< Trainable text form per slot (index = slot).
+  // Reserved: the trainable text form per slot. Older files carry it;
+  // readers ignore it and writers never emit it.
+  kForestBlob = 34,
 };
 
 /// Stable display name ("node_feature", "service_meta", ...) for
@@ -127,11 +129,22 @@ inline constexpr uint32_t kForestQuantized = 1u << 0;
 inline constexpr uint32_t kForestNarrowCodes = 1u << 1;
 
 /// Fixed-size metadata for a service snapshot (SectionId::kServiceMeta).
+///
+/// The features::FeatureConfig the forests were trained on is stored as
+/// its difference from the default config, so the all-zero bytes of
+/// files written before it was stored decode to the default:
+/// `feature_flags` bit i flips the i-th `include_*` switch in
+/// declaration order (creation_time, names, size, slo,
+/// subscription_type, subscription_history, name_ngrams; higher bits
+/// are rejected), and `ngram_buckets_delta` is added to the default
+/// `name_ngram_buckets`.
 struct ServiceMeta {
   double observe_days;
   double long_threshold_days;
   uint32_t num_models;   ///< Count of kModelEntry sections.
-  uint8_t reserved[44];  ///< Zero.
+  uint32_t feature_flags;
+  int32_t ngram_buckets_delta;
+  uint8_t reserved[36];  ///< Zero.
 };
 static_assert(sizeof(ServiceMeta) == 64, "service meta must stay 64 bytes");
 
@@ -163,11 +176,6 @@ struct ArraySpan {
 /// can be chained. Software table implementation — artifact files are
 /// model-sized (kilobytes to a few hundred MB), not a hot path.
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
-
-/// True iff `data` (>= 4 bytes) starts with the CSRV magic — the
-/// format-sniffing hook the CLI uses to accept `.csrv` and text models
-/// through one flag.
-bool HasArtifactMagic(const void* data, size_t size);
 
 }  // namespace cloudsurv::artifact
 

@@ -155,9 +155,7 @@ Result<ArtifactReader> ArtifactReader::Validate(
   std::memcpy(&reader.header_, base, sizeof(FileHeader));
   const FileHeader& header = reader.header_;
   if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(
-        "bad magic: not a CSRV artifact (text model? use the text "
-        "loader)");
+    return Status::InvalidArgument("bad magic: not a CSRV artifact");
   }
   if (header.format_version != kFormatVersion) {
     return Status::InvalidArgument(
@@ -229,19 +227,6 @@ const SectionEntry* ArtifactReader::Find(SectionId id,
     }
   }
   return nullptr;
-}
-
-Result<bool> FileHasArtifactMagic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open " + path);
-  }
-  char head[sizeof(kMagic)] = {};
-  in.read(head, sizeof(head));
-  if (in.gcount() < static_cast<std::streamsize>(sizeof(head))) {
-    return false;  // Shorter than the magic: certainly not an artifact.
-  }
-  return HasArtifactMagic(head, sizeof(head));
 }
 
 }  // namespace cloudsurv::artifact

@@ -154,10 +154,6 @@ class ArtifactReader {
   std::shared_ptr<ArtifactBuffer> buffer_;
 };
 
-/// Reads just enough of `path` to classify it: true iff it starts with
-/// the CSRV magic. IOError when the file cannot be read at all.
-Result<bool> FileHasArtifactMagic(const std::string& path);
-
 }  // namespace cloudsurv::artifact
 
 #endif  // CLOUDSURV_ARTIFACT_READER_H_

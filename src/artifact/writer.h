@@ -43,11 +43,6 @@ class ArtifactWriter {
     AddSection(id, index, &value, 1, static_cast<uint32_t>(sizeof(T)));
   }
 
-  /// Appends raw bytes (elem_size 1) — the trainable text blobs.
-  void AddBytes(SectionId id, uint32_t index, const std::string& bytes) {
-    AddSection(id, index, bytes.data(), bytes.size(), 1);
-  }
-
   size_t num_sections() const { return sections_.size(); }
 
   /// Serializes the complete container image. Fails on a big-endian

@@ -1,13 +1,10 @@
 #include "core/service.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
-#include <sstream>
 
 #include "artifact/format.h"
 #include "artifact/writer.h"
-#include "common/string_util.h"
 #include "core/cohort.h"
 #include "features/feature_plan.h"
 
@@ -18,7 +15,9 @@ namespace {
 using telemetry::Edition;
 using telemetry::TelemetryStore;
 
-Result<std::pair<ml::RandomForestClassifier, double>> TrainOne(
+/// Fits one slot's forest and returns its compiled form with the slot's
+/// confidence threshold; the trainable forest is dropped here.
+Result<std::pair<ml::FlatForest, double>> TrainOne(
     const TelemetryStore& history, std::optional<Edition> edition,
     const LongevityService::Options& options) {
   CLOUDSURV_ASSIGN_OR_RETURN(
@@ -41,7 +40,9 @@ Result<std::pair<ml::RandomForestClassifier, double>> TrainOne(
   ml::RandomForestClassifier forest;
   CLOUDSURV_RETURN_NOT_OK(
       forest.Fit(dataset, options.forest_params, options.seed));
-  return std::make_pair(std::move(forest), std::max(q, 1.0 - q));
+  CLOUDSURV_ASSIGN_OR_RETURN(ml::FlatForest flat,
+                             ml::FlatForest::Compile(forest));
+  return std::make_pair(std::move(flat), std::max(q, 1.0 - q));
 }
 
 }  // namespace
@@ -61,7 +62,7 @@ Result<LongevityService> LongevityService::Train(
         "cannot train pooled model: " + pooled.status().message());
   }
   service.pooled_model_.present = true;
-  service.pooled_model_.forest = std::move(pooled->first);
+  service.pooled_model_.flat = std::move(pooled->first);
   service.pooled_model_.threshold = pooled->second;
 
   for (int e = 0; e < telemetry::kNumEditions; ++e) {
@@ -69,7 +70,7 @@ Result<LongevityService> LongevityService::Train(
     if (!slot.ok()) continue;  // fall back to pooled for this edition
     auto& model = service.edition_models_[static_cast<size_t>(e)];
     model.present = true;
-    model.forest = std::move(slot->first);
+    model.flat = std::move(slot->first);
     model.threshold = slot->second;
   }
   return service;
@@ -105,11 +106,7 @@ Result<LongevityService::Assessment> LongevityService::Assess(
   assessment.model_name =
       &slot == &pooled_model_ ? "pooled"
                               : telemetry::EditionToString(edition);
-  // The flat path accumulates the same doubles in the same order as
-  // PredictProba(row)[1] — routing through it changes nothing but speed.
-  assessment.positive_probability =
-      slot.flat.compiled() ? slot.flat.PredictPositive(row)
-                           : slot.forest.PredictProba(row)[1];
+  assessment.positive_probability = slot.flat.PredictPositive(row);
   assessment.predicted_label =
       assessment.positive_probability > 0.5 ? 1 : 0;
   assessment.confidence_threshold = slot.threshold;
@@ -123,20 +120,6 @@ Result<LongevityService::Assessment> LongevityService::Assess(
     assessment.recommended_pool = Pool::kGeneral;
   }
   return assessment;
-}
-
-Status LongevityService::CompileForInference() {
-  if (!pooled_model_.present) {
-    return Status::FailedPrecondition("service is not trained");
-  }
-  CLOUDSURV_ASSIGN_OR_RETURN(pooled_model_.flat,
-                             ml::FlatForest::Compile(pooled_model_.forest));
-  for (auto& slot : edition_models_) {
-    if (!slot.present) continue;
-    CLOUDSURV_ASSIGN_OR_RETURN(slot.flat,
-                               ml::FlatForest::Compile(slot.forest));
-  }
-  return Status::OK();
 }
 
 Result<std::vector<std::optional<LongevityService::Assessment>>>
@@ -206,7 +189,6 @@ LongevityService::AssessMany(const TelemetryStore& store,
   std::vector<uint8_t> row_ok;
   std::vector<double> dense;
   std::vector<double> probs;
-  std::vector<double> row_copy;
   std::vector<size_t> scored_positions;
   for (auto& group : groups) {
     const size_t group_size = group.group_ids.size();
@@ -228,35 +210,23 @@ LongevityService::AssessMany(const TelemetryStore& store,
       ++num_rows;
     }
     if (num_rows == 0) continue;
-    probs.clear();
-    if (group.slot->flat.compiled()) {
-      const ml::FlatForest& flat = group.slot->flat;
-      if (flat.num_classes() != 0 && flat.num_classes() != 2) {
-        return Status::FailedPrecondition(
-            "positive-class probabilities require a binary problem");
-      }
-      if (width != flat.num_features()) {
-        return Status::InvalidArgument("feature count mismatch");
-      }
-      dense.assign(num_rows * flat.out_dim(), 0.0);
-      CLOUDSURV_RETURN_NOT_OK(
-          flat.PredictProbaBatch(matrix.data(), num_rows, dense.data(),
-                                 batch));
-      probs.resize(num_rows);
-      if (flat.out_dim() == 1) {
-        std::copy(dense.begin(), dense.end(), probs.begin());
-      } else {
-        for (size_t k = 0; k < num_rows; ++k) {
-          probs[k] = dense[k * flat.out_dim() + 1];
-        }
-      }
+    const ml::FlatForest& flat = group.slot->flat;
+    if (flat.num_classes() != 0 && flat.num_classes() != 2) {
+      return Status::FailedPrecondition(
+          "positive-class probabilities require a binary problem");
+    }
+    if (width != flat.num_features()) {
+      return Status::InvalidArgument("feature count mismatch");
+    }
+    dense.assign(num_rows * flat.out_dim(), 0.0);
+    CLOUDSURV_RETURN_NOT_OK(
+        flat.PredictProbaBatch(matrix.data(), num_rows, dense.data(), batch));
+    probs.resize(num_rows);
+    if (flat.out_dim() == 1) {
+      std::copy(dense.begin(), dense.end(), probs.begin());
     } else {
-      probs.reserve(num_rows);
       for (size_t k = 0; k < num_rows; ++k) {
-        row_copy.assign(matrix.begin() + static_cast<ptrdiff_t>(k * width),
-                        matrix.begin() +
-                            static_cast<ptrdiff_t>((k + 1) * width));
-        probs.push_back(group.slot->forest.PredictProba(row_copy)[1]);
+        probs[k] = dense[k * flat.out_dim() + 1];
       }
     }
     for (size_t k = 0; k < scored_positions.size(); ++k) {
@@ -301,141 +271,6 @@ Result<PoolAssignmentPlan> LongevityService::PlanPlacements(
   return plan;
 }
 
-std::string LongevityService::Save() const {
-  std::string out = "longevity_service v1\n";
-  out += "observe_days " + FormatDouble(options_.observe_days, 6) + "\n";
-  out += "long_threshold_days " +
-         FormatDouble(options_.long_threshold_days, 6) + "\n";
-  auto save_slot = [&out](const std::string& name, const ModelSlot& slot) {
-    if (!slot.present) return;
-    out += "model " + name + " " + FormatDouble(slot.threshold, 17) + "\n";
-    const std::string blob = slot.forest.Serialize();
-    out += "blob_bytes " + std::to_string(blob.size()) + "\n";
-    out += blob;
-  };
-  save_slot("pooled", pooled_model_);
-  for (int e = 0; e < telemetry::kNumEditions; ++e) {
-    save_slot(telemetry::EditionToString(static_cast<Edition>(e)),
-              edition_models_[static_cast<size_t>(e)]);
-  }
-  return out;
-}
-
-Result<LongevityService> LongevityService::Load(const std::string& text) {
-  LongevityService service;
-  size_t pos = 0;
-  auto next_line = [&]() -> std::optional<std::string> {
-    if (pos >= text.size()) return std::nullopt;
-    const size_t end = text.find('\n', pos);
-    std::string line = text.substr(
-        pos, end == std::string::npos ? std::string::npos : end - pos);
-    pos = end == std::string::npos ? text.size() : end + 1;
-    return line;
-  };
-
-  auto header = next_line();
-  if (!header || *header != "longevity_service v1") {
-    return Status::InvalidArgument("unrecognized service format");
-  }
-  // A key's value must parse cleanly AND consume the whole line;
-  // "observe_days 2.0 surprise" is rejected, not silently truncated.
-  auto parse_double_line = [](std::istringstream& is, const std::string& line,
-                              double* out) -> Status {
-    std::string extra;
-    if (!(is >> *out) || (is >> extra)) {
-      return Status::InvalidArgument("malformed service line: '" + line +
-                                     "'");
-    }
-    return Status::OK();
-  };
-  while (auto line = next_line()) {
-    std::istringstream is(*line);
-    std::string key;
-    is >> key;
-    if (key == "observe_days") {
-      CLOUDSURV_RETURN_NOT_OK(
-          parse_double_line(is, *line, &service.options_.observe_days));
-    } else if (key == "long_threshold_days") {
-      CLOUDSURV_RETURN_NOT_OK(parse_double_line(
-          is, *line, &service.options_.long_threshold_days));
-    } else if (key == "model") {
-      std::string name;
-      double threshold = 0.5;
-      std::string extra;
-      if (!(is >> name >> threshold) || (is >> extra)) {
-        return Status::InvalidArgument("malformed model line: '" + *line +
-                                       "'");
-      }
-      if (!(threshold >= 0.0 && threshold <= 1.0)) {
-        return Status::InvalidArgument(
-            "model " + name + " has confidence threshold " +
-            FormatDouble(threshold, 6) + " outside [0, 1]");
-      }
-      auto size_line = next_line();
-      if (!size_line) {
-        return Status::InvalidArgument("missing blob size for model " +
-                                       name);
-      }
-      // Strict "blob_bytes <decimal>" — std::from_chars on an unsigned
-      // target rejects a leading '-', reports overflow, and lets us
-      // require that the digits span the rest of the line.
-      constexpr const char kSizePrefix[] = "blob_bytes ";
-      constexpr size_t kSizePrefixLen = sizeof(kSizePrefix) - 1;
-      if (size_line->rfind(kSizePrefix, 0) != 0) {
-        return Status::InvalidArgument("malformed blob size line: '" +
-                                       *size_line + "'");
-      }
-      const char* digits = size_line->data() + kSizePrefixLen;
-      const char* digits_end = size_line->data() + size_line->size();
-      size_t blob_size = 0;
-      const auto parsed = std::from_chars(digits, digits_end, blob_size);
-      if (digits == digits_end || parsed.ec != std::errc() ||
-          parsed.ptr != digits_end) {
-        return Status::InvalidArgument(
-            "bad blob size '" + size_line->substr(kSizePrefixLen) +
-            "' for model " + name +
-            " (expected a non-negative byte count)");
-      }
-      if (blob_size > text.size() - pos) {
-        return Status::InvalidArgument(
-            "truncated model blob: " + name + " declares " +
-            std::to_string(blob_size) + " bytes, only " +
-            std::to_string(text.size() - pos) + " remain");
-      }
-      const std::string blob = text.substr(pos, blob_size);
-      pos += blob_size;
-      CLOUDSURV_ASSIGN_OR_RETURN(
-          ml::RandomForestClassifier forest,
-          ml::RandomForestClassifier::Deserialize(blob));
-      ModelSlot* slot = nullptr;
-      if (name == "pooled") {
-        slot = &service.pooled_model_;
-      } else {
-        Edition edition;
-        if (!telemetry::EditionFromString(name, &edition)) {
-          return Status::InvalidArgument("unknown model name: " + name);
-        }
-        slot = &service.edition_models_[static_cast<size_t>(edition)];
-      }
-      if (slot->present) {
-        return Status::InvalidArgument("duplicate model '" + name +
-                                       "' in saved service");
-      }
-      slot->present = true;
-      slot->forest = std::move(forest);
-      slot->threshold = threshold;
-    } else if (key.empty()) {
-      continue;
-    } else {
-      return Status::InvalidArgument("unknown service key: " + key);
-    }
-  }
-  if (!service.pooled_model_.present) {
-    return Status::InvalidArgument("saved service lacks a pooled model");
-  }
-  return service;
-}
-
 namespace {
 
 /// Slot layout inside a service artifact: 0 is the pooled fallback,
@@ -444,6 +279,54 @@ std::string SlotName(uint32_t slot) {
   return slot == 0 ? "pooled"
                    : telemetry::EditionToString(
                          static_cast<Edition>(slot - 1));
+}
+
+/// The FeatureConfig switches in ServiceMeta::feature_flags bit order.
+constexpr bool features::FeatureConfig::*kFeatureSwitches[] = {
+    &features::FeatureConfig::include_creation_time,
+    &features::FeatureConfig::include_names,
+    &features::FeatureConfig::include_size,
+    &features::FeatureConfig::include_slo,
+    &features::FeatureConfig::include_subscription_type,
+    &features::FeatureConfig::include_subscription_history,
+    &features::FeatureConfig::include_name_ngrams,
+};
+
+/// Stores `config` as its difference from the default FeatureConfig, so
+/// the all-zero bytes of files written before it was stored decode to
+/// the default (see artifact::ServiceMeta).
+void EncodeFeatureConfig(const features::FeatureConfig& config,
+                         artifact::ServiceMeta* meta) {
+  const features::FeatureConfig defaults;
+  meta->feature_flags = 0;
+  for (size_t i = 0; i < std::size(kFeatureSwitches); ++i) {
+    if (config.*kFeatureSwitches[i] != defaults.*kFeatureSwitches[i]) {
+      meta->feature_flags |= 1u << i;
+    }
+  }
+  // Modular, so every bucket count round-trips exactly.
+  meta->ngram_buckets_delta = static_cast<int32_t>(
+      static_cast<uint32_t>(config.name_ngram_buckets) -
+      static_cast<uint32_t>(defaults.name_ngram_buckets));
+}
+
+Result<features::FeatureConfig> DecodeFeatureConfig(
+    const artifact::ServiceMeta& meta) {
+  features::FeatureConfig config;
+  if ((meta.feature_flags >> std::size(kFeatureSwitches)) != 0) {
+    return Status::InvalidArgument(
+        "service meta sets unknown feature flag bits " +
+        std::to_string(meta.feature_flags));
+  }
+  for (size_t i = 0; i < std::size(kFeatureSwitches); ++i) {
+    if ((meta.feature_flags >> i) & 1u) {
+      config.*kFeatureSwitches[i] = !(config.*kFeatureSwitches[i]);
+    }
+  }
+  config.name_ngram_buckets =
+      static_cast<int>(static_cast<uint32_t>(config.name_ngram_buckets) +
+                       static_cast<uint32_t>(meta.ngram_buckets_delta));
+  return config;
 }
 
 }  // namespace
@@ -457,6 +340,7 @@ Status LongevityService::SaveArtifact(const std::string& path) const {
   artifact::ServiceMeta meta{};
   meta.observe_days = options_.observe_days;
   meta.long_threshold_days = options_.long_threshold_days;
+  EncodeFeatureConfig(options_.feature_config, &meta);
   meta.num_models = 1;
   for (const auto& slot : edition_models_) {
     if (slot.present) ++meta.num_models;
@@ -475,17 +359,8 @@ Status LongevityService::SaveArtifact(const std::string& path) const {
     entry.threshold = slot.threshold;
     std::memcpy(entry.name, name.data(), name.size());
     writer.AddStruct(artifact::SectionId::kModelEntry, slot_index, entry);
-    // Trainable form (exact %.17g text blob) so a loaded artifact can
-    // still be re-saved as text or re-compiled by a future build.
-    writer.AddBytes(artifact::SectionId::kForestBlob, slot_index,
-                    slot.forest.Serialize());
-    // Compiled form: the SoA arrays a reader binds zero-copy.
-    if (slot.flat.compiled()) {
-      return slot.flat.WriteTo(writer, slot_index);
-    }
-    CLOUDSURV_ASSIGN_OR_RETURN(ml::FlatForest flat,
-                               ml::FlatForest::Compile(slot.forest));
-    return flat.WriteTo(writer, slot_index);
+    // The SoA arrays a reader binds zero-copy.
+    return slot.flat.WriteTo(writer, slot_index);
   };
   CLOUDSURV_RETURN_NOT_OK(add_slot(0, pooled_model_));
   for (int e = 0; e < telemetry::kNumEditions; ++e) {
@@ -507,7 +382,7 @@ Result<LongevityService> LongevityService::LoadArtifact(
     return Status::InvalidArgument(
         path + ": artifact holds payload kind " +
         std::to_string(static_cast<uint32_t>(reader.payload())) +
-        ", not a service snapshot (pack one with 'cloudsurv pack')");
+        ", not a service snapshot (write one with 'cloudsurv train')");
   }
   CLOUDSURV_ASSIGN_OR_RETURN(
       artifact::ServiceMeta meta,
@@ -517,6 +392,10 @@ Result<LongevityService> LongevityService::LoadArtifact(
   LongevityService service;
   service.options_.observe_days = meta.observe_days;
   service.options_.long_threshold_days = meta.long_threshold_days;
+  CLOUDSURV_ASSIGN_OR_RETURN(service.options_.feature_config,
+                             DecodeFeatureConfig(meta));
+  const size_t feature_width =
+      features::FeatureWidth(service.options_.feature_config);
 
   uint32_t loaded = 0;
   for (const artifact::SectionEntry& section : reader.sections()) {
@@ -555,21 +434,18 @@ Result<LongevityService> LongevityService::LoadArtifact(
                                      std::to_string(entry.slot));
     }
 
-    const artifact::SectionEntry* blob =
-        reader.Find(artifact::SectionId::kForestBlob, entry.slot);
-    if (blob == nullptr) {
-      return Status::InvalidArgument(path + ": model '" + name +
-                                     "' lacks a forest blob section");
-    }
-    const std::string blob_text(
-        reinterpret_cast<const char*>(reader.SectionBytes(*blob)),
-        static_cast<size_t>(blob->size));
-    CLOUDSURV_ASSIGN_OR_RETURN(
-        slot->forest, ml::RandomForestClassifier::Deserialize(blob_text));
     // Bind the compiled form straight to the artifact bytes; the slot's
-    // FlatForest pins the mapping via its backing reference.
+    // FlatForest pins the mapping via its backing reference. Sections of
+    // reserved ids (forest_blob, the quantized tables) are never read.
     CLOUDSURV_ASSIGN_OR_RETURN(slot->flat,
                                ml::FlatForest::FromView(reader, entry.slot));
+    if (slot->flat.num_features() != feature_width) {
+      return Status::InvalidArgument(
+          path + ": model '" + name + "' reads " +
+          std::to_string(slot->flat.num_features()) +
+          " features, but its feature configuration extracts " +
+          std::to_string(feature_width));
+    }
     slot->threshold = entry.threshold;
     slot->present = true;
     ++loaded;

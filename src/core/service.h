@@ -17,10 +17,11 @@ namespace cloudsurv::core {
 
 /// End-to-end lifespan service — the deployable form of the paper's
 /// pipeline. Train() learns one random forest per creation edition from
-/// historical telemetry (plus a pooled fallback model); Assess() then
-/// scores any database that has completed its observation window and
-/// recommends a resource pool, acting only on confident predictions
-/// (sections 4, 5.3, 3.1).
+/// historical telemetry (plus a pooled fallback model) and keeps only
+/// its compiled `ml::FlatForest` form; Assess() then scores any
+/// database that has completed its observation window and recommends a
+/// resource pool, acting only on confident predictions (sections 4,
+/// 5.3, 3.1).
 class LongevityService {
  public:
   struct Options {
@@ -64,12 +65,10 @@ class LongevityService {
 
   /// Scores many databases of `store` in one pass: feature rows are
   /// grouped per resolved model slot and pushed through the compiled
-  /// `ml::FlatForest` with `batch` (block size, traversal kernel;
-  /// legacy per-row scoring when CompileForInference has not run).
-  /// `out[i]` is nullopt exactly
-  /// when per-id Assess(ids[i]) would fail (unknown id, too little
-  /// telemetry); every produced Assessment is bit-identical to the
-  /// per-id call.
+  /// `ml::FlatForest` with `batch` (block size, traversal kernel).
+  /// `out[i]` is nullopt exactly when per-id Assess(ids[i]) would fail
+  /// (unknown id, too little telemetry); every produced Assessment is
+  /// bit-identical to the per-id call.
   Result<std::vector<std::optional<Assessment>>> AssessMany(
       const telemetry::TelemetryStore& store,
       const std::vector<telemetry::DatabaseId>& ids,
@@ -82,16 +81,10 @@ class LongevityService {
       const std::vector<telemetry::DatabaseId>& ids,
       size_t block_rows) const;
 
-  /// Compiles every trained forest into its flat inference form
-  /// (ml::FlatForest). Call once after Train()/Load(); Assess and
-  /// AssessMany then route through the flat representation.
-  /// `ModelRegistry::Publish` does this at publish time.
-  Status CompileForInference();
-
-  /// True iff CompileForInference has run.
-  bool inference_compiled() const {
-    return pooled_model_.present && pooled_model_.flat.compiled();
-  }
+  /// Does nothing: Train() and LoadArtifact() already hold every model
+  /// in its compiled form. Kept only because the pipeline benchmark's
+  /// harness still calls it; delete with that call.
+  Status CompileForInference() { return Status::OK(); }
 
   /// Scores every eligible database of `store` and returns a placement
   /// plan over the confident ones.
@@ -104,25 +97,17 @@ class LongevityService {
 
   const Options& options() const { return options_; }
 
-  /// Persists all trained models and thresholds to text; exact
-  /// round trip via Load().
-  std::string Save() const;
-
-  /// Restores a service from Save() output.
-  static Result<LongevityService> Load(const std::string& text);
-
-  /// Persists the full service — options, per-slot thresholds, the
-  /// trainable forests, and their compiled `ml::FlatForest` form — as
-  /// one CSRV binary artifact at `path` (atomic tmp-file + rename).
-  /// Slots that are not yet compiled are compiled on the fly; the
-  /// service itself is not mutated.
+  /// Persists the full service — observation settings, feature
+  /// configuration, per-slot thresholds and the compiled
+  /// `ml::FlatForest` arrays — as one CSRV binary artifact at `path`
+  /// (atomic tmp-file + rename).
   Status SaveArtifact(const std::string& path) const;
 
   /// Restores a service from a SaveArtifact() file. The compiled
   /// forests are bound directly to the (typically mmap'ed) file bytes —
-  /// zero per-array copies — so the returned service is immediately
-  /// inference_compiled(). Corrupt, truncated, or version-mismatched
-  /// files are rejected with a precise error.
+  /// zero per-array copies. Corrupt, truncated or version-mismatched
+  /// files, and forests whose width disagrees with the stored feature
+  /// configuration, are rejected with a precise error.
   static Result<LongevityService> LoadArtifact(
       const std::string& path,
       const artifact::ArtifactReader::Options& reader_options);
@@ -135,8 +120,6 @@ class LongevityService {
 
   struct ModelSlot {
     bool present = false;
-    ml::RandomForestClassifier forest;
-    /// Compiled inference form; empty until CompileForInference().
     ml::FlatForest flat;
     double threshold = 0.5;  ///< max(q, 1-q) from the training cohort.
   };

@@ -640,7 +640,12 @@ std::vector<double> FlatForest::PredictProba(
   return out;
 }
 
-double FlatForest::PredictPositive(const std::vector<double>& row) const {
+// Starts on a cache line so the per-row tree walk below keeps its
+// alignment when unrelated code moves: the per-id Assess latency of
+// plan-offline rose by a quarter when this function merely shifted 16
+// bytes within its line.
+__attribute__((aligned(64))) double FlatForest::PredictPositive(
+    const std::vector<double>& row) const {
   // Accumulating only the positive component reproduces the legacy
   // doubles: acc[1]'s summation sequence is independent of acc[0].
   const size_t trees = num_trees();

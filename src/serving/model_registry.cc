@@ -26,26 +26,11 @@ Result<uint64_t> ModelRegistry::Publish(std::string name, ModelPtr model) {
   return entries_.back().version;
 }
 
-Result<uint64_t> ModelRegistry::Publish(
-    std::string name, std::shared_ptr<core::LongevityService> model) {
-  if (model == nullptr) {
-    return Status::InvalidArgument("cannot publish a null model");
-  }
-  if (!model->inference_compiled()) {
-    // Compile outside the registry lock, before the snapshot becomes
-    // visible: readers pin either the previous version or this one
-    // fully compiled — never a half-built layout.
-    CLOUDSURV_RETURN_NOT_OK(model->CompileForInference());
-  }
-  return Publish(std::move(name), ModelPtr(std::move(model)));
-}
-
 Result<uint64_t> ModelRegistry::PublishFromFile(
     std::string name, const std::string& path,
     const artifact::ArtifactReader::Options& reader_options) {
   // Load and validate entirely outside the lock; a bad file never
-  // perturbs the registry. The loaded service arrives already compiled
-  // (views into the artifact), so publish without recompiling.
+  // perturbs the registry.
   CLOUDSURV_ASSIGN_OR_RETURN(
       core::LongevityService service,
       core::LongevityService::LoadArtifact(path, reader_options));

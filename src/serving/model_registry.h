@@ -50,32 +50,16 @@ class ModelRegistry {
       : fault_injector_(fault_injector) {}
 
   /// Publishes a snapshot and makes it active. Returns the new version.
-  /// Rejects null models.
+  /// Rejects null models. Every service holds only compiled forests,
+  /// so publishing never compiles anything.
   Result<uint64_t> Publish(std::string name, ModelPtr model);
-
-  /// Publishes a freshly trained (still mutable) service, compiling its
-  /// flat inference representation first unless it is already compiled
-  /// (e.g. loaded from an artifact, whose zero-copy views are kept).
-  /// Compilation happens before the snapshot becomes visible, so
-  /// scoring threads only ever observe fully compiled versions — the
-  /// hot-swap guarantees above are unchanged. The caller must hand over
-  /// ownership (no other mutating references).
-  Result<uint64_t> Publish(std::string name,
-                           std::shared_ptr<core::LongevityService> model);
-
-  /// A literal nullptr matches both pointer overloads equally well;
-  /// resolve it to the same rejection either would produce.
-  Result<uint64_t> Publish(std::string name, std::nullptr_t) {
-    return Publish(std::move(name), ModelPtr());
-  }
 
   /// Loads a CSRV artifact from `path` and publishes it as `name`.
   /// The artifact is fully checksum-verified before the snapshot
   /// becomes visible, and its compiled forests bind straight to the
-  /// (typically mmap'ed) file bytes — no recompilation, so
-  /// publish-from-file is the fast rollback path. Corrupt, truncated,
-  /// or version-mismatched files are rejected and the active model is
-  /// left untouched.
+  /// (typically mmap'ed) file bytes, so publish-from-file is the fast
+  /// rollback path. Corrupt, truncated, or version-mismatched files are
+  /// rejected and the active model is left untouched.
   Result<uint64_t> PublishFromFile(
       std::string name, const std::string& path,
       const artifact::ArtifactReader::Options& reader_options);

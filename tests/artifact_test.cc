@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -293,10 +294,6 @@ TEST_F(ArtifactCorruptionTest, WrongMagicRejected) {
   auto reader = ArtifactReader::FromBuffer(std::move(corrupt));
   ASSERT_FALSE(reader.ok());
   EXPECT_NE(reader.status().message().find("magic"), std::string::npos);
-
-  // A text model must sniff as non-artifact, not crash the reader.
-  EXPECT_FALSE(
-      artifact::HasArtifactMagic("longevity_service v1\n", 21));
 }
 
 TEST_F(ArtifactCorruptionTest, UnsupportedVersionRejected) {
@@ -367,12 +364,13 @@ core::LongevityService TrainSmallService() {
   return *service;
 }
 
-void ExpectServicesAssessIdentically(const core::LongevityService& want,
-                                     const core::LongevityService& got) {
+void ExpectServicesAssessIdentically(
+    const core::LongevityService& want, const core::LongevityService& got,
+    const telemetry::TelemetryStore& store = SimStore()) {
   size_t assessed = 0;
-  for (const auto& record : SimStore().databases()) {
-    auto w = want.Assess(SimStore(), record.id);
-    auto g = got.Assess(SimStore(), record.id);
+  for (const auto& record : store.databases()) {
+    auto w = want.Assess(store, record.id);
+    auto g = got.Assess(store, record.id);
     ASSERT_EQ(w.ok(), g.ok()) << "db " << record.id;
     if (!w.ok()) continue;
     ++assessed;
@@ -387,24 +385,106 @@ void ExpectServicesAssessIdentically(const core::LongevityService& want,
   EXPECT_GT(assessed, 0u);
 }
 
-TEST(ServiceArtifactTest, SaveLoadBitIdenticalToOriginalAndText) {
+void ExpectServicesAssessManyIdentically(
+    const core::LongevityService& want, const core::LongevityService& got,
+    const telemetry::TelemetryStore& store = SimStore()) {
+  std::vector<telemetry::DatabaseId> ids;
+  for (const auto& record : store.databases()) ids.push_back(record.id);
+  ASSERT_OK_AND_ASSIGN(const auto w, want.AssessMany(store, ids));
+  ASSERT_OK_AND_ASSIGN(const auto g, got.AssessMany(store, ids));
+  ASSERT_EQ(g.size(), w.size());
+  size_t assessed = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_EQ(g[i].has_value(), w[i].has_value()) << "db " << ids[i];
+    if (!w[i].has_value()) continue;
+    ++assessed;
+    EXPECT_EQ(g[i]->positive_probability, w[i]->positive_probability)
+        << "db " << ids[i];
+    EXPECT_EQ(g[i]->predicted_label, w[i]->predicted_label);
+    EXPECT_EQ(g[i]->confident, w[i]->confident);
+    EXPECT_EQ(g[i]->model_name, w[i]->model_name);
+  }
+  EXPECT_GT(assessed, 0u);
+}
+
+TEST(ServiceArtifactTest, SaveLoadBitIdenticalToOriginal) {
   const core::LongevityService trained = TrainSmallService();
   const std::string path = TempPath("service.csrv");
   ASSERT_OK(trained.SaveArtifact(path));
 
   ASSERT_OK_AND_ASSIGN(const core::LongevityService from_artifact,
                        core::LongevityService::LoadArtifact(path));
-  EXPECT_TRUE(from_artifact.inference_compiled());
   EXPECT_EQ(from_artifact.options().observe_days,
             trained.options().observe_days);
   EXPECT_EQ(from_artifact.options().long_threshold_days,
             trained.options().long_threshold_days);
   ExpectServicesAssessIdentically(trained, from_artifact);
+  std::remove(path.c_str());
+}
 
-  // Text and binary round trips must land on the same assessments.
-  ASSERT_OK_AND_ASSIGN(const core::LongevityService from_text,
-                       core::LongevityService::Load(trained.Save()));
-  ExpectServicesAssessIdentically(from_text, from_artifact);
+// A non-default feature configuration (the paper's name n-grams) is part
+// of the artifact: the reloaded service extracts the rows its forests
+// were trained on, per id and in batch.
+TEST(ServiceArtifactTest, FeatureConfigRoundTrips) {
+  auto config = simulator::MakeRegionPreset(1, /*num_subscriptions=*/600,
+                                            /*seed=*/7);
+  ASSERT_OK(config.status());
+  ASSERT_OK_AND_ASSIGN(const telemetry::TelemetryStore store,
+                       simulator::SimulateRegion(*config));
+  core::LongevityService::Options options;
+  options.forest_params.num_trees = 10;
+  options.feature_config.include_name_ngrams = true;
+  options.feature_config.name_ngram_buckets = 8;
+  ASSERT_OK_AND_ASSIGN(const core::LongevityService trained,
+                       core::LongevityService::Train(store, options));
+  const std::string path = TempPath("service_ngrams.csrv");
+  ASSERT_OK(trained.SaveArtifact(path));
+
+  ASSERT_OK_AND_ASSIGN(const core::LongevityService loaded,
+                       core::LongevityService::LoadArtifact(path));
+  EXPECT_TRUE(loaded.options().feature_config.include_name_ngrams);
+  EXPECT_EQ(loaded.options().feature_config.name_ngram_buckets, 8);
+  ExpectServicesAssessIdentically(trained, loaded, store);
+  ExpectServicesAssessManyIdentically(trained, loaded, store);
+  std::remove(path.c_str());
+}
+
+// A forest whose width disagrees with the stored feature configuration
+// is rejected at load, before any row could be walked out of bounds.
+TEST(ServiceArtifactTest, ForestWidthMismatchRejected) {
+  const auto forest = FitForest(ContinuousData(120, 31),
+                                ml::SplitAlgorithm::kHistogram);
+  ASSERT_OK_AND_ASSIGN(const ml::FlatForest flat,
+                       ml::FlatForest::Compile(forest));
+  auto write_service = [&](const std::string& path, uint32_t feature_flags) {
+    ArtifactWriter writer(PayloadKind::kService);
+    artifact::ServiceMeta meta{};
+    meta.observe_days = 2.0;
+    meta.long_threshold_days = 30.0;
+    meta.num_models = 1;
+    meta.feature_flags = feature_flags;
+    writer.AddStruct(SectionId::kServiceMeta, 0, meta);
+    artifact::ModelEntry entry{};
+    entry.name_len = 6;
+    entry.threshold = 0.6;
+    std::memcpy(entry.name, "pooled", 6);
+    writer.AddStruct(SectionId::kModelEntry, 0, entry);
+    EXPECT_OK(flat.WriteTo(writer, 0));
+    EXPECT_OK(writer.WriteFile(path));
+  };
+  const std::string path = TempPath("service_width.csrv");
+  write_service(path, 0);
+  auto loaded = core::LongevityService::LoadArtifact(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("3 features"), std::string::npos)
+      << loaded.status().ToString();
+
+  // Feature flag bits this build does not know are rejected too.
+  write_service(path, 1u << 7);
+  loaded = core::LongevityService::LoadArtifact(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
@@ -462,10 +542,11 @@ TEST(ServiceArtifactTest, CorruptServiceArtifactRejected) {
 
 // --- Reserved sections of older artifacts ------------------------------
 
-bool IsLegacyQuantizedSection(uint32_t id) {
+bool IsReservedSection(uint32_t id) {
   return id == static_cast<uint32_t>(SectionId::kQuantThreshold) ||
          id == static_cast<uint32_t>(SectionId::kCutOffsets) ||
-         id == static_cast<uint32_t>(SectionId::kCutValues);
+         id == static_cast<uint32_t>(SectionId::kCutValues) ||
+         id == static_cast<uint32_t>(SectionId::kForestBlob);
 }
 
 /// The quantized traversal tables older writers emitted per forest
@@ -512,14 +593,15 @@ LegacyQuantizedTables BuildLegacyTables(const ArtifactReader& reader,
   return tables;
 }
 
-/// Rewrites the artifact at `from` into `to` the way a writer from
-/// before the quantized traversal's removal laid it out: every section
-/// copied, each ForestMeta flagged quantized, and each slot's quantized
-/// tables appended after its tree offsets.
-void WriteWithLegacyQuantizedSections(const std::string& from,
-                                      const std::string& to) {
+/// Rewrites the artifact at `from` into `to` the way older writers laid
+/// it out: every section copied, a forest_blob section after each model
+/// entry, each ForestMeta flagged quantized, and each slot's quantized
+/// tables appended after its tree offsets. The blob bytes are not a
+/// valid forest, so a load that parsed them would fail.
+void WriteWithLegacySections(const std::string& from, const std::string& to) {
   ASSERT_OK_AND_ASSIGN(const ArtifactReader reader, ArtifactReader::Open(from));
   ArtifactWriter writer(reader.payload());
+  const std::string garbage_blob = "random_forest v0\nnot a forest\n";
   std::map<uint32_t, LegacyQuantizedTables> tables;
   for (const SectionEntry& entry : reader.sections()) {
     const auto id = static_cast<SectionId>(entry.id);
@@ -546,23 +628,26 @@ void WriteWithLegacyQuantizedSections(const std::string& from,
       writer.AddArray(SectionId::kCutValues, entry.index,
                       slot.cut_values.data(), slot.cut_values.size());
     }
+    if (id == SectionId::kModelEntry) {
+      writer.AddArray(SectionId::kForestBlob, entry.index,
+                      garbage_blob.data(), garbage_blob.size());
+    }
   }
   ASSERT_OK(writer.WriteFile(to));
 }
 
-TEST(ServiceArtifactTest, LegacyQuantizedSectionsAreIgnored) {
+TEST(ServiceArtifactTest, LegacyReservedSectionsAreIgnored) {
   const core::LongevityService trained = TrainSmallService();
   const std::string path = TempPath("service_current.csrv");
   const std::string legacy_path = TempPath("service_legacy.csrv");
   ASSERT_OK(trained.SaveArtifact(path));
 
-  // A freshly packed artifact carries none of the reserved sections or
-  // flag bits.
+  // A fresh artifact carries none of the reserved sections or flag bits.
   {
     ASSERT_OK_AND_ASSIGN(const ArtifactReader fresh,
                          ArtifactReader::Open(path));
     for (const SectionEntry& entry : fresh.sections()) {
-      EXPECT_FALSE(IsLegacyQuantizedSection(entry.id))
+      EXPECT_FALSE(IsReservedSection(entry.id))
           << SectionIdName(static_cast<SectionId>(entry.id)) << "["
           << entry.index << "]";
       if (entry.id != static_cast<uint32_t>(SectionId::kForestMeta)) continue;
@@ -575,39 +660,28 @@ TEST(ServiceArtifactTest, LegacyQuantizedSectionsAreIgnored) {
 
   // The same service laid out with them, as older writers did, loads,
   // passes SelfCheck and scores bit-identically.
-  ASSERT_NO_FATAL_FAILURE(WriteWithLegacyQuantizedSections(path, legacy_path));
+  ASSERT_NO_FATAL_FAILURE(WriteWithLegacySections(path, legacy_path));
   ASSERT_OK_AND_ASSIGN(const ArtifactReader reader,
                        ArtifactReader::Open(legacy_path));
   size_t legacy_sections = 0;
   for (const SectionEntry& entry : reader.sections()) {
-    if (IsLegacyQuantizedSection(entry.id)) ++legacy_sections;
+    if (IsReservedSection(entry.id)) ++legacy_sections;
     if (entry.id != static_cast<uint32_t>(SectionId::kForestMeta)) continue;
     ASSERT_OK_AND_ASSIGN(const ml::FlatForest flat,
                          ml::FlatForest::FromView(reader, entry.index));
     EXPECT_OK(flat.SelfCheck());
   }
   EXPECT_GT(legacy_sections, 0u);
+  EXPECT_NE(reader.Find(SectionId::kForestBlob, 0), nullptr);
+  // `cloudsurv inspect` still names the reserved ids.
+  EXPECT_STREQ(SectionIdName(SectionId::kForestBlob), "forest_blob");
 
   ASSERT_OK_AND_ASSIGN(const core::LongevityService current,
                        core::LongevityService::LoadArtifact(path));
   ASSERT_OK_AND_ASSIGN(const core::LongevityService legacy,
                        core::LongevityService::LoadArtifact(legacy_path));
-  EXPECT_TRUE(legacy.inference_compiled());
   ExpectServicesAssessIdentically(current, legacy);
-
-  std::vector<telemetry::DatabaseId> ids;
-  for (const auto& record : SimStore().databases()) ids.push_back(record.id);
-  ASSERT_OK_AND_ASSIGN(const auto want, current.AssessMany(SimStore(), ids));
-  ASSERT_OK_AND_ASSIGN(const auto got, legacy.AssessMany(SimStore(), ids));
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ASSERT_EQ(got[i].has_value(), want[i].has_value()) << "db " << ids[i];
-    if (!want[i].has_value()) continue;
-    EXPECT_EQ(got[i]->positive_probability, want[i]->positive_probability)
-        << "db " << ids[i];
-    EXPECT_EQ(got[i]->predicted_label, want[i]->predicted_label);
-    EXPECT_EQ(got[i]->confident, want[i]->confident);
-  }
+  ExpectServicesAssessManyIdentically(current, legacy);
   std::remove(path.c_str());
   std::remove(legacy_path.c_str());
 }
@@ -629,7 +703,6 @@ TEST(RegistryArtifactTest, PersistActiveAndPublishFromFile) {
   EXPECT_EQ(version, 2u);
   const auto model = registry.Current();
   ASSERT_NE(model, nullptr);
-  EXPECT_TRUE(model->inference_compiled());
   ExpectServicesAssessIdentically(trained, *model);
 
   // A bad file must leave the active version untouched.
@@ -657,11 +730,10 @@ TEST(RegistryArtifactTest, MutablePublishKeepsCompiledArtifact) {
   ASSERT_OK_AND_ASSIGN(core::LongevityService loaded,
                        core::LongevityService::LoadArtifact(path));
   auto model = std::make_shared<core::LongevityService>(std::move(loaded));
-  ASSERT_TRUE(model->inference_compiled());
 
-  // Publishing an already compiled service through the mutable overload
-  // — into two registries, as a multi-region serve-sim does — must not
-  // recompile it over its artifact views.
+  // Publishing an artifact-loaded service — into two registries, as a
+  // multi-region serve-sim does — must not recompile it over its
+  // artifact views.
   const uint64_t compiles_before =
       DefaultHistogramCount("cloudsurv_inference_compile_ms");
   serving::ModelRegistry first;
@@ -671,14 +743,6 @@ TEST(RegistryArtifactTest, MutablePublishKeepsCompiledArtifact) {
   EXPECT_EQ(DefaultHistogramCount("cloudsurv_inference_compile_ms"),
             compiles_before);
   ExpectServicesAssessIdentically(trained, *second.Current());
-
-  // An uncompiled service is still compiled on publish.
-  auto fresh = std::make_shared<core::LongevityService>(trained);
-  ASSERT_FALSE(fresh->inference_compiled());
-  ASSERT_TRUE(first.Publish("fresh", fresh).ok());
-  EXPECT_TRUE(first.Current()->inference_compiled());
-  EXPECT_GT(DefaultHistogramCount("cloudsurv_inference_compile_ms"),
-            compiles_before);
   std::remove(path.c_str());
 }
 
@@ -724,23 +788,6 @@ TEST(RegistryArtifactTest, HotSwapFromFileWhileScoring) {
   for (auto& reader : readers) reader.join();
   EXPECT_EQ(registry.num_versions(), 9u);
   std::remove(path.c_str());
-}
-
-TEST(ArtifactSniffTest, ClassifiesTextAndBinaryModels) {
-  const std::string text_path = TempPath("model.txt");
-  std::ofstream(text_path) << "longevity_service v1\n";
-  ASSERT_OK_AND_ASSIGN(bool is_artifact,
-                       artifact::FileHasArtifactMagic(text_path));
-  EXPECT_FALSE(is_artifact);
-
-  const core::LongevityService trained = TrainSmallService();
-  const std::string bin_path = TempPath("model.csrv");
-  ASSERT_OK(trained.SaveArtifact(bin_path));
-  ASSERT_OK_AND_ASSIGN(is_artifact,
-                       artifact::FileHasArtifactMagic(bin_path));
-  EXPECT_TRUE(is_artifact);
-  std::remove(text_path.c_str());
-  std::remove(bin_path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end smoke test of the cloudsurv CLI: simulate -> analyze ->
-# train -> assess must all succeed and produce coherent artifacts.
+# train -> inspect -> assess/plan/serve-sim must all succeed on train's
+# CSRV artifact.
 set -e
 CLI="$1"
 WORK=$(mktemp -d)
@@ -13,18 +14,25 @@ test -s "$WORK/region.csv"
 grep -q "KM survival" "$WORK/analyze.txt"
 grep -q "Weibull fit" "$WORK/analyze.txt"
 
-"$CLI" train --telemetry "$WORK/region.csv" --region 2 --out "$WORK/svc.model"
-test -s "$WORK/svc.model"
+"$CLI" train --telemetry "$WORK/region.csv" --region 2 --out "$WORK/svc.csrv" \
+  | tee "$WORK/train.txt"
+grep -q "model written to .*format v1" "$WORK/train.txt"
+test -s "$WORK/svc.csrv"
+"$CLI" inspect --model "$WORK/svc.csrv" | tee "$WORK/inspect.txt"
+grep -q "CSRV format v1" "$WORK/inspect.txt"
+grep -q "service_meta" "$WORK/inspect.txt"
+grep -q "node_threshold" "$WORK/inspect.txt"
+grep -q "slot 0: pooled" "$WORK/inspect.txt"
 
 "$CLI" assess --telemetry "$WORK/region.csv" --region 2 \
-  --model "$WORK/svc.model" --top 3 | tee "$WORK/assess.txt"
+  --model "$WORK/svc.csrv" --top 3 | tee "$WORK/assess.txt"
 grep -q "assessed" "$WORK/assess.txt"
 
 # plan: the cost/architecture what-if sweep. Text output must show the
 # catalog and the policy tradeoff table; JSON output must be valid and
 # carry one report per requested policy.
 "$CLI" plan --telemetry "$WORK/region.csv" --region 2 \
-  --model "$WORK/svc.model" | tee "$WORK/plan.txt"
+  --model "$WORK/svc.csrv" | tee "$WORK/plan.txt"
 grep -q "catalog:" "$WORK/plan.txt"
 grep -q "churn-dense" "$WORK/plan.txt"
 grep -q "total_cost" "$WORK/plan.txt"
@@ -33,7 +41,7 @@ grep -q "^longevity " "$WORK/plan.txt"
 grep -q "^oracle " "$WORK/plan.txt"
 grep -q "per-architecture (policy=longevity)" "$WORK/plan.txt"
 "$CLI" plan --telemetry "$WORK/region.csv" --region 2 \
-  --model "$WORK/svc.model" --policies naive,longevity --format json \
+  --model "$WORK/svc.csrv" --policies naive,longevity --format json \
   --out "$WORK/plan.json"
 python3 - "$WORK/plan.json" <<'EOF'
 import json, sys
@@ -52,7 +60,7 @@ resource storage_gb 0.01
 architecture lone kind=standard vcpus=8 memory_gb=64 storage_gb=2000 capacity_dtus=4000
 EOF
 "$CLI" plan --telemetry "$WORK/region.csv" --region 2 \
-  --model "$WORK/svc.model" --catalog "$WORK/catalog.txt" \
+  --model "$WORK/svc.csrv" --catalog "$WORK/catalog.txt" \
   --policies naive | tee "$WORK/plan_custom.txt"
 grep -q "lone" "$WORK/plan_custom.txt"
 cat > "$WORK/catalog_bad.txt" <<'EOF'
@@ -62,7 +70,7 @@ resource storage_gb 0.01
 architecture broken kind=standard vcpuz=8 capacity_dtus=100
 EOF
 if "$CLI" plan --telemetry "$WORK/region.csv" --region 2 \
-    --model "$WORK/svc.model" --catalog "$WORK/catalog_bad.txt" \
+    --model "$WORK/svc.csrv" --catalog "$WORK/catalog_bad.txt" \
     > "$WORK/plan_bad.txt" 2>&1; then
   echo "expected rejection of malformed catalog" >&2
   exit 1
@@ -74,7 +82,7 @@ for bad in "--policies banana" "--policies naive,banana" \
            "--format banana" "--maintenance-interval 0" \
            "--grace-days bad"; do
   if "$CLI" plan --telemetry "$WORK/region.csv" --region 2 \
-      --model "$WORK/svc.model" $bad > "$WORK/plan_flag.txt" 2>&1; then
+      --model "$WORK/svc.csrv" $bad > "$WORK/plan_flag.txt" 2>&1; then
     echo "expected rejection of '$bad'" >&2
     exit 1
   fi
@@ -84,39 +92,37 @@ for bad in "--policies banana" "--policies naive,banana" \
   }
 done
 
-# Binary artifact round trip: train -> pack -> inspect -> assess from
-# the .csrv must produce byte-identical output to the text-model assess.
-"$CLI" pack --model "$WORK/svc.model" --out "$WORK/svc.csrv" \
-  | tee "$WORK/pack.txt"
-grep -q "packed" "$WORK/pack.txt"
-test -s "$WORK/svc.csrv"
-"$CLI" inspect --model "$WORK/svc.csrv" | tee "$WORK/inspect.txt"
-grep -q "CSRV format v1" "$WORK/inspect.txt"
-grep -q "service_meta" "$WORK/inspect.txt"
-grep -q "node_threshold" "$WORK/inspect.txt"
-grep -q "slot 0: pooled" "$WORK/inspect.txt"
-"$CLI" assess --telemetry "$WORK/region.csv" --region 2 \
-  --model "$WORK/svc.csrv" --top 3 > "$WORK/assess_csrv.txt"
-cmp "$WORK/assess.txt" "$WORK/assess_csrv.txt" || {
-  echo "assess output differs between text model and .csrv artifact" >&2
-  exit 1
-}
-
 # Kernel cross-check: assess through the forced-scalar traversal must
 # be byte-identical to the auto-dispatched (possibly AVX2) run above.
 "$CLI" assess --telemetry "$WORK/region.csv" --region 2 \
   --model "$WORK/svc.csrv" --top 3 --traversal scalar \
   > "$WORK/assess_scalar.txt"
-cmp "$WORK/assess_csrv.txt" "$WORK/assess_scalar.txt" || {
+cmp "$WORK/assess.txt" "$WORK/assess_scalar.txt" || {
   echo "assess output differs between traversal kernels" >&2
   exit 1
 }
 
-# serve-sim accepts a packed model and still verifies bit-identical.
+# serve-sim serves train's artifact and still verifies bit-identical.
 "$CLI" serve-sim --region 2 --subs 200 --seed 5 \
-  --model "$WORK/svc.csrv" | tee "$WORK/serve_packed.txt"
-grep -q "serving model from" "$WORK/serve_packed.txt"
-grep -q "IDENTICAL" "$WORK/serve_packed.txt"
+  --model "$WORK/svc.csrv" | tee "$WORK/serve_model.txt"
+grep -q "serving model from" "$WORK/serve_model.txt"
+grep -q "IDENTICAL" "$WORK/serve_model.txt"
+
+# CSRV is the only model format: a text file given as --model and the
+# removed pack verb are rejected with InvalidArgument.
+printf 'longevity_service v1\nobserve_days 2\n' > "$WORK/text.model"
+if "$CLI" assess --telemetry "$WORK/region.csv" --region 2 \
+    --model "$WORK/text.model" > "$WORK/text_model.txt" 2>&1; then
+  echo "expected rejection of a text model" >&2
+  exit 1
+fi
+grep -q "InvalidArgument" "$WORK/text_model.txt"
+if "$CLI" pack --model "$WORK/svc.csrv" --out "$WORK/x.csrv" \
+    > "$WORK/pack.txt" 2>&1; then
+  echo "expected rejection of the pack verb" >&2
+  exit 1
+fi
+grep -q "InvalidArgument" "$WORK/pack.txt"
 
 # Corruption is rejected with a checksum diagnostic, not served.
 cp "$WORK/svc.csrv" "$WORK/corrupt.csrv"
@@ -218,7 +224,7 @@ done
 for bad in "simulate --out $WORK/x.csv --catalog x" \
            "inspect --model $WORK/svc.csrv --threads 4" \
            "analyze --telemetry $WORK/region.csv --top 3" \
-           "pack --model $WORK/svc.model --out $WORK/x.csrv --format json" \
+           "assess --telemetry $WORK/region.csv --model $WORK/svc.csrv --out $WORK/x" \
            "train --telemetry $WORK/region.csv --out $WORK/x --split banana"; do
   if "$CLI" $bad > "$WORK/verb_flag.txt" 2>&1; then
     echo "expected rejection of '$bad'" >&2

@@ -130,89 +130,6 @@ TEST(LongevityServiceTest, PlanPlacementsCoversConfidentDatabases) {
   }
 }
 
-TEST(LongevityServiceTest, SaveLoadRoundTrip) {
-  const auto& service = TrainedService();
-  const std::string blob = service.Save();
-  auto restored = LongevityService::Load(blob);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  const auto& store = HistoryStore();
-  size_t checked = 0;
-  for (const auto& record : store.databases()) {
-    if (record.ObservedLifespanDays(store.window_end()) < 2.0) continue;
-    auto a = service.Assess(store, record.id);
-    auto b = restored->Assess(store, record.id);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_DOUBLE_EQ(a->positive_probability, b->positive_probability);
-    EXPECT_EQ(a->recommended_pool, b->recommended_pool);
-    if (++checked >= 200) break;
-  }
-  EXPECT_EQ(restored->Save(), blob);
-}
-
-TEST(LongevityServiceTest, LoadRejectsGarbage) {
-  EXPECT_FALSE(LongevityService::Load("").ok());
-  EXPECT_FALSE(LongevityService::Load("nonsense").ok());
-  EXPECT_FALSE(
-      LongevityService::Load("longevity_service v1\nobserve_days 2\n")
-          .ok());  // no pooled model
-}
-
-TEST(LongevityServiceTest, LoadRejectsMalformedInput) {
-  const std::string header = "longevity_service v1\n";
-
-  // Truncated blob: declares more bytes than the text holds.
-  EXPECT_FALSE(LongevityService::Load(header +
-                                      "model pooled 0.8\n"
-                                      "blob_bytes 100\nshort")
-                   .ok());
-
-  // Negative, overflowing, and non-numeric blob sizes.
-  for (const char* size :
-       {"-1", "-9999999999", "18446744073709551616", "12abc", "", "1e3"}) {
-    const std::string text = header + "model pooled 0.8\nblob_bytes " +
-                             size + "\n";
-    EXPECT_FALSE(LongevityService::Load(text).ok()) << "size: " << size;
-  }
-
-  // Missing blob-size line entirely.
-  EXPECT_FALSE(
-      LongevityService::Load(header + "model pooled 0.8\n").ok());
-
-  // Threshold outside [0, 1] or a model line with trailing tokens.
-  EXPECT_FALSE(
-      LongevityService::Load(header + "model pooled 1.5\nblob_bytes 0\n")
-          .ok());
-  EXPECT_FALSE(LongevityService::Load(
-                   header + "model pooled 0.8 extra\nblob_bytes 0\n")
-                   .ok());
-
-  // Malformed option lines must not be silently skipped.
-  EXPECT_FALSE(
-      LongevityService::Load(header + "observe_days banana\n").ok());
-  EXPECT_FALSE(
-      LongevityService::Load(header + "observe_days 2.0 trailing\n").ok());
-}
-
-TEST(LongevityServiceTest, LoadRejectsDuplicateModelsAndTrailingGarbage) {
-  // A real saved service, mutated: duplicating the pooled model block
-  // must be rejected rather than last-one-wins.
-  const std::string blob = TrainedService().Save();
-  const std::string needle = "model pooled ";
-  const size_t model_at = blob.find(needle);
-  ASSERT_NE(model_at, std::string::npos);
-  const std::string duplicated = blob + blob.substr(model_at);
-  auto dup = LongevityService::Load(duplicated);
-  ASSERT_FALSE(dup.ok());
-  EXPECT_NE(dup.status().message().find("duplicate"), std::string::npos)
-      << dup.status().ToString();
-
-  // Trailing garbage after the last blob is rejected, not ignored.
-  EXPECT_FALSE(LongevityService::Load(blob + "garbage after blobs\n").ok());
-
-  // A trailing newline alone stays acceptable (Save ends with one).
-  EXPECT_TRUE(LongevityService::Load(blob + "\n").ok());
-}
-
 TEST(LongevityServiceTest, GeneralizesToAnotherRegion) {
   // Train on Region-1, assess Region-2: the service should still beat
   // coin flipping by a wide margin (the behaviour patterns transfer).

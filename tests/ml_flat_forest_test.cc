@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -10,7 +11,9 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/cohort.h"
 #include "core/service.h"
+#include "features/features.h"
 #include "gtest/gtest.h"
 #include "ml/dataset.h"
 #include "ml/gbdt.h"
@@ -459,13 +462,18 @@ const telemetry::TelemetryStore& SimStore() {
   return *store;
 }
 
-core::LongevityService TrainSmallService() {
+core::LongevityService::Options SmallServiceOptions() {
   core::LongevityService::Options options;
   options.forest_params.num_trees = 10;
   options.forest_params.max_depth = 6;
   options.forest_params.num_threads = 1;
   options.min_cohort_size = 50;
-  auto service = core::LongevityService::Train(SimStore(), options);
+  return options;
+}
+
+core::LongevityService TrainSmallService() {
+  auto service =
+      core::LongevityService::Train(SimStore(), SmallServiceOptions());
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   return *service;
 }
@@ -479,31 +487,68 @@ std::vector<telemetry::DatabaseId> SomeIds(size_t limit) {
   return ids;
 }
 
-TEST(FlatForestServiceTest, CompiledAssessMatchesLegacyAssess) {
-  const core::LongevityService legacy = TrainSmallService();
-  core::LongevityService compiled = legacy;
-  ASSERT_OK(compiled.CompileForInference());
-  ASSERT_TRUE(compiled.inference_compiled());
+// Refits one model slot's trainable forest from Train()'s own inputs
+// (same cohort, dataset, parameters and seed) — the service itself keeps
+// only the compiled form.
+ml::RandomForestClassifier RefitSlot(
+    const core::LongevityService::Options& options,
+    std::optional<telemetry::Edition> edition) {
+  ml::RandomForestClassifier forest;
+  auto cohort = core::BuildPredictionCohort(
+      SimStore(), options.observe_days, options.long_threshold_days, edition);
+  EXPECT_OK(cohort.status());
+  if (!cohort.ok()) return forest;
+  features::FeatureConfig config = options.feature_config;
+  config.observation_days = options.observe_days;
+  auto dataset =
+      features::BuildDataset(SimStore(), cohort->ids, cohort->labels, config);
+  EXPECT_OK(dataset.status());
+  if (!dataset.ok()) return forest;
+  EXPECT_OK(forest.Fit(*dataset, options.forest_params, options.seed));
+  return forest;
+}
+
+// Independent oracle for the compiled service: scalar feature rows
+// through the per-row tree walk of a refitted RandomForestClassifier
+// must reproduce Assess bit for bit, slot by slot.
+TEST(FlatForestServiceTest, AssessMatchesRefitForestOracle) {
+  const core::LongevityService::Options options = SmallServiceOptions();
+  const core::LongevityService service = TrainSmallService();
+  const ml::RandomForestClassifier pooled = RefitSlot(options, std::nullopt);
+  std::vector<std::optional<ml::RandomForestClassifier>> editions(
+      telemetry::kNumEditions);
+  for (int e = 0; e < telemetry::kNumEditions; ++e) {
+    const auto edition = static_cast<telemetry::Edition>(e);
+    if (service.HasEditionModel(edition)) {
+      editions[static_cast<size_t>(e)] = RefitSlot(options, edition);
+    }
+  }
+  features::FeatureConfig config = options.feature_config;
+  config.observation_days = options.observe_days;
 
   size_t assessed = 0;
   for (const auto& record : SimStore().databases()) {
-    auto want = legacy.Assess(SimStore(), record.id);
-    auto got = compiled.Assess(SimStore(), record.id);
-    ASSERT_EQ(want.ok(), got.ok()) << "db " << record.id;
-    if (!want.ok()) continue;
+    auto row = features::ExtractFeatures(SimStore(), record, config);
+    auto got = service.Assess(SimStore(), record.id);
+    ASSERT_EQ(row.ok(), got.ok()) << "db " << record.id;
+    if (!row.ok()) continue;
     ++assessed;
-    EXPECT_EQ(got->positive_probability, want->positive_probability)
+    const auto& edition_forest =
+        editions[static_cast<size_t>(record.initial_edition())];
+    const ml::RandomForestClassifier& forest =
+        edition_forest.has_value() ? *edition_forest : pooled;
+    EXPECT_EQ(got->positive_probability, forest.PredictProba(*row)[1])
         << "db " << record.id;
-    EXPECT_EQ(got->predicted_label, want->predicted_label);
-    EXPECT_EQ(got->confident, want->confident);
-    EXPECT_EQ(got->model_name, want->model_name);
+    EXPECT_EQ(got->model_name,
+              edition_forest.has_value()
+                  ? telemetry::EditionToString(record.initial_edition())
+                  : "pooled");
   }
   EXPECT_GT(assessed, 0u);
 }
 
 TEST(FlatForestServiceTest, AssessManyMatchesPerIdAssess) {
-  core::LongevityService service = TrainSmallService();
-  ASSERT_OK(service.CompileForInference());
+  const core::LongevityService service = TrainSmallService();
 
   std::vector<telemetry::DatabaseId> ids = SomeIds(200);
   ids.push_back(telemetry::DatabaseId{9999999});  // Unknown -> nullopt.
@@ -526,7 +571,7 @@ TEST(FlatForestServiceTest, AssessManyMatchesPerIdAssess) {
 }
 
 // TSan-covered: readers batch-score through compiled snapshots while a
-// publisher hot-swaps freshly compiled versions into the registry.
+// publisher hot-swaps fresh copies of the service into the registry.
 TEST(FlatForestConcurrencyTest, BatchScoringDuringRegistryHotSwap) {
   const core::LongevityService trained = TrainSmallService();
   serving::ModelRegistry registry;
@@ -555,7 +600,6 @@ TEST(FlatForestConcurrencyTest, BatchScoringDuringRegistryHotSwap) {
         ++iterations;
         const auto model = registry.Current();
         ASSERT_NE(model, nullptr);
-        EXPECT_TRUE(model->inference_compiled());
         auto batch = model->AssessMany(SimStore(), ids, /*block_rows=*/16);
         EXPECT_TRUE(batch.ok());
         if (batch.ok()) {

@@ -1,7 +1,7 @@
 // cloudsurv — command-line front end for the library.
 //
 //   cloudsurv simulate  --region 1 --subs 1500 --seed 7 --out region.csv
-//   cloudsurv train     --telemetry region.csv --out service.model
+//   cloudsurv train     --telemetry region.csv --out service.csrv
 //   cloudsurv serve-sim --region 1 --regions 3 --subs 800 --seed 7
 //
 // Every flag is declared once, in the table between the cli-flag-table
@@ -12,15 +12,14 @@
 //
 // The CSV format is TelemetryStore::ExportCsv()'s; `analyze` prints the
 // survival study (Figure 1 / Observations 3.1-3.3 style), `train`
-// builds a LongevityService, `pack` compiles a model into the CSRV
-// binary artifact (mmap-able, checksummed — see docs/artifacts.md),
-// `inspect` prints an artifact's section table, `assess` scores
-// databases and recommends pool placements, `plan` prices placement
-// policies on an architecture catalog, and `serve-sim` streams one or
-// more simulated regions through online ScoringEngines and verifies the
-// streamed assessments against the sequential batch path. Every command
-// taking --model sniffs the file format: both the text form (train's
-// output) and a packed .csrv are accepted.
+// builds a LongevityService and writes it as a CSRV binary artifact
+// (mmap-able, checksummed — see docs/artifacts.md), `inspect` prints an
+// artifact's section table, `assess` scores databases and recommends
+// pool placements, `plan` prices placement policies on an architecture
+// catalog, and `serve-sim` streams one or more simulated regions through
+// online ScoringEngines and verifies the streamed assessments against
+// per-database Assess. Every command taking --model reads train's
+// artifact.
 
 #include <algorithm>
 #include <cerrno>
@@ -132,20 +131,6 @@ ml::FlatForest::BatchOptions BatchOptionsFromFlags(const Flags& flags) {
   return batch;
 }
 
-// One --model flag, two formats: sniff the file magic and route to the
-// CSRV artifact loader (zero-copy mmap) or the text loader. An
-// artifact-loaded service arrives already compiled for inference; a
-// text-loaded one is compiled by the caller (registry publish).
-Result<core::LongevityService> LoadServiceModel(const std::string& path) {
-  CLOUDSURV_ASSIGN_OR_RETURN(const bool is_artifact,
-                             artifact::FileHasArtifactMagic(path));
-  if (is_artifact) {
-    return core::LongevityService::LoadArtifact(path);
-  }
-  CLOUDSURV_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
-  return core::LongevityService::Load(text);
-}
-
 // Loads --telemetry from CSV, using the --region preset's calendar
 // metadata (which does not depend on the simulation seed).
 Result<telemetry::TelemetryStore> LoadTelemetry(const Flags& flags) {
@@ -238,33 +223,19 @@ int CmdTrain(const Flags& flags) {
   if (!service.ok()) {
     return Fail(service.status(), "training failed");
   }
-  Status written = WriteFile(flags.Text("--out"), service->Save());
-  if (!written.ok()) return Fail(written);
-  std::printf("trained on %zu databases; model written to %s\n",
-              store->num_databases(), flags.Text("--out").c_str());
-  return 0;
-}
-
-// Compiles a model file (text or an existing artifact) into the CSRV
-// binary artifact and verifies the written file by re-opening it.
-int CmdPack(const Flags& flags) {
-  const std::string& model_path = flags.Text("--model");
   const std::string& out_path = flags.Text("--out");
-  auto service = LoadServiceModel(model_path);
-  if (!service.ok()) {
-    return Fail(service.status(), "model load failed");
-  }
   Status written = service->SaveArtifact(out_path);
   if (!written.ok()) return Fail(written);
-  // Read the artifact back through the full validation chain so a pack
+  // Read the artifact back through the full validation chain so a write
   // that "succeeded" but produced an unreadable file fails loudly here,
   // not at serve time.
   auto reader = artifact::ArtifactReader::Open(out_path);
   if (!reader.ok()) {
-    return Fail(reader.status(), "packed file failed verification");
+    return Fail(reader.status(), "written model failed verification");
   }
-  std::printf("packed %s -> %s (%zu bytes, %zu sections, format v%u)\n",
-              model_path.c_str(), out_path.c_str(), reader->file_size(),
+  std::printf("trained on %zu databases; model written to %s (%zu bytes, "
+              "%zu sections, format v%u)\n",
+              store->num_databases(), out_path.c_str(), reader->file_size(),
               reader->sections().size(), reader->format_version());
   return 0;
 }
@@ -333,14 +304,13 @@ struct AssessedRegion {
 
 // The preamble `assess` and `plan` share: load --telemetry and --model,
 // then score the whole store in one blocked AssessMany batch through
-// the selected traversal kernel (bit-identical to per-record scoring; a
-// text-format model without a compiled forest takes the per-row path
-// inside AssessMany).
+// the selected traversal kernel (bit-identical to per-record scoring).
 Result<AssessedRegion> LoadAndAssess(const Flags& flags) {
   CLOUDSURV_ASSIGN_OR_RETURN(telemetry::TelemetryStore store,
                              LoadTelemetry(flags));
-  CLOUDSURV_ASSIGN_OR_RETURN(core::LongevityService service,
-                             LoadServiceModel(flags.Text("--model")));
+  CLOUDSURV_ASSIGN_OR_RETURN(
+      core::LongevityService service,
+      core::LongevityService::LoadArtifact(flags.Text("--model")));
   std::vector<telemetry::DatabaseId> ids;
   ids.reserve(store.databases().size());
   for (const auto& record : store.databases()) ids.push_back(record.id);
@@ -548,10 +518,10 @@ int CmdPlan(const Flags& flags) {
 // the replay itself never materializes a trainable history.
 Result<core::LongevityService> ServeSimModel(const Flags& flags) {
   if (flags.Given("--model")) {
-    CLOUDSURV_ASSIGN_OR_RETURN(core::LongevityService model,
-                               LoadServiceModel(flags.Text("--model")));
-    std::printf("serving model from %s%s\n", flags.Text("--model").c_str(),
-                model.inference_compiled() ? " (compiled artifact)" : "");
+    CLOUDSURV_ASSIGN_OR_RETURN(
+        core::LongevityService model,
+        core::LongevityService::LoadArtifact(flags.Text("--model")));
+    std::printf("serving model from %s\n", flags.Text("--model").c_str());
     return model;
   }
   const size_t train_subs =
@@ -652,14 +622,8 @@ int CmdServeSim(const Flags& flags) {
 
   auto loaded = ServeSimModel(flags);
   if (!loaded.ok()) return Fail(loaded.status(), "serve-sim model");
-  const auto model =
-      std::make_shared<core::LongevityService>(std::move(loaded).value());
-  // Ground truth stays on the legacy per-row path: a copy taken BEFORE
-  // the flat layout is compiled at publish time, so verification
-  // genuinely crosses flat-streamed assessments against legacy-batch
-  // ones.
-  const auto ground_truth =
-      std::make_shared<const core::LongevityService>(*model);
+  const auto model = std::make_shared<const core::LongevityService>(
+      std::move(loaded).value());
 
   const ml::FlatForest::BatchOptions batch_options =
       BatchOptionsFromFlags(flags);
@@ -898,7 +862,8 @@ int CmdServeSim(const Flags& flags) {
 
   // Verification: batch-simulate each region (the stream is
   // byte-identical to it by construction), one batch store alive at a
-  // time, and re-score with the uncompiled ground-truth copy. Strict
+  // time, and re-score every database with per-id Assess (scalar
+  // extraction, one tree walk per row). Strict
   // bit-identity is only claimable when nothing in the run can change
   // outputs: no faults at all, or a plan whose every rule is
   // output-neutral with shedding and deadlines off.
@@ -920,7 +885,7 @@ int CmdServeSim(const Flags& flags) {
                        core::LongevityService::Assessment>
         truth;
     auto add_truth = [&](telemetry::DatabaseId id) {
-      auto assessment = ground_truth->Assess(*batch_store, id);
+      auto assessment = model->Assess(*batch_store, id);
       if (assessment.ok()) truth.emplace(id, *assessment);
     };
     if (full) {
@@ -999,8 +964,7 @@ struct VerbSpec {
 constexpr VerbSpec kVerbs[] = {
     {"simulate", CmdSimulate, "simulate a region, write its telemetry CSV"},
     {"analyze", CmdAnalyze, "survival study of a telemetry CSV"},
-    {"train", CmdTrain, "train a longevity model (text format)"},
-    {"pack", CmdPack, "compile a model into a CSRV artifact"},
+    {"train", CmdTrain, "train a longevity model into a CSRV artifact"},
     {"inspect", CmdInspect, "print a CSRV artifact's section table"},
     {"assess", CmdAssess, "score every database, recommend pools"},
     {"plan", CmdPlan, "price placement policies on an architecture catalog"},
@@ -1019,10 +983,9 @@ constexpr FlagSpec kFlags[] = {
      "simulation and training seed"},
     {"--telemetry", "analyze train assess plan", "analyze train assess plan",
      Kind::kString, "FILE", nullptr, "telemetry CSV written by simulate"},
-    {"--model", "pack inspect assess plan serve-sim",
-     "pack inspect assess plan", Kind::kString, "FILE", nullptr,
-     "train's text output or a packed .csrv"},
-    {"--out", "simulate train pack plan", "simulate train pack",
+    {"--model", "inspect assess plan serve-sim", "inspect assess plan",
+     Kind::kString, "FILE", nullptr, "CSRV artifact written by train"},
+    {"--out", "simulate train plan", "simulate train",
      Kind::kString, "FILE", nullptr, "output file"},
     {"--top", "assess", "", Kind::kInt, "N", "20", "assessments to print"},
     {"--threads", "train serve-sim", "", Kind::kInt, "N", "8",
@@ -1258,6 +1221,7 @@ int main(int argc, char** argv) {
     }
     return spec.run(flags);
   }
-  std::fprintf(stderr, "unknown command '%s'\n", verb.c_str());
+  std::fprintf(stderr, "InvalidArgument: unknown command '%s'\n",
+               verb.c_str());
   return Usage(nullptr);
 }
