@@ -1,17 +1,21 @@
 // Section 3.1's fragmentation argument, quantified: "Creating databases
 // ... requires free resources to be found. Dropping databases also runs
 // counter to some load-balancing/fragmentation policies." This bench
-// replays a region's create/resize/drop stream against a first-fit
-// cluster and compares (a) no partitioning, (b) classifier-guided
-// churn-pool segregation, and (c) oracle segregation — measuring peak
-// servers, packing overhead and capacity fragmentation.
+// replays a region's create/resize/drop stream through the deployment
+// replay over a two-tier catalog — a standard tier and a dense churn
+// tier with the same node shape — so a policy changes only which fleet
+// each tenant is first-fit packed into: naive (one shared fleet),
+// longevity (classifier-guided churn segregation) and oracle (true
+// lifespans). It reports nodes opened, node-days, fleet fragmentation
+// and rejections at three node capacities.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/architecture.h"
 #include "core/placement.h"
-#include "core/provisioning.h"
 #include "core/service.h"
 
 using namespace cloudsurv;
@@ -22,115 +26,84 @@ int main() {
   auto stores = bench::SimulateStudyRegions();
   const auto& store = stores[0];
 
-  // Classifier plan from the deployable service (trained on Region-2 so
-  // the placement region is out-of-sample).
+  // Predictions from the deployable service, trained on Region-2 so the
+  // placement region is out-of-sample — the `cloudsurv plan` path.
   core::LongevityService::Options options;
   options.forest_params.num_trees = 60;
   options.forest_params.max_depth = 12;
   auto service = core::LongevityService::Train(stores[1], options);
-  core::PoolAssignmentPlan classified_plan;
-  if (service.ok()) {
-    auto plan = service->PlanPlacements(store);
-    if (plan.ok()) classified_plan = std::move(plan).value();
+  if (!service.ok()) {
+    std::fprintf(stderr, "service training failed: %s\n",
+                 service.status().ToString().c_str());
+    return 1;
   }
-
-  // Oracle plan.
-  core::PoolAssignmentPlan oracle_plan;
-  for (const auto& record : store.databases()) {
-    const double life = record.ObservedLifespanDays(store.window_end());
-    if (record.dropped_at.has_value() && life <= 30.0) {
-      oracle_plan.pools[record.id] = core::Pool::kChurn;
-    }
+  std::vector<telemetry::DatabaseId> ids;
+  ids.reserve(store.databases().size());
+  for (const auto& record : store.databases()) ids.push_back(record.id);
+  auto assessments = service->AssessMany(store, ids, {});
+  if (!assessments.ok()) {
+    std::fprintf(stderr, "assessment failed: %s\n",
+                 assessments.status().ToString().c_str());
+    return 1;
+  }
+  auto outcomes = core::OutcomesFromAssessments(store, *assessments);
+  if (!outcomes.ok()) {
+    std::fprintf(stderr, "outcomes failed: %s\n",
+                 outcomes.status().ToString().c_str());
+    return 1;
   }
 
   for (int capacity : {1000, 2000, 4000}) {
-    std::printf("---- server capacity %d DTUs ----\n", capacity);
-    core::ClusterConfig mixed;
-    mixed.server_capacity_dtus = capacity;
-    core::ClusterConfig segregated = mixed;
-    segregated.segregate_churn_pool = true;
-
-    struct Row {
-      const char* name;
-      const core::PoolAssignmentPlan* plan;
-      const core::ClusterConfig* config;
-    };
-    const Row rows[] = {
-        {"baseline (no pools)", &oracle_plan, &mixed},
-        {"classified churn pool", &classified_plan, &segregated},
-        {"oracle churn pool", &oracle_plan, &segregated},
-    };
-    std::printf("  %-22s %10s %10s %10s %10s\n", "policy", "peak-srv",
-                "overhead", "frag", "rejected");
-    for (const Row& row : rows) {
-      auto report = core::SimulatePlacement(store, *row.plan, *row.config);
-      if (!report.ok()) continue;
-      std::printf("  %-22s %10zu %10.3f %10.3f %10zu\n", row.name,
-                  report->peak_active_servers, report->packing_overhead,
-                  report->mean_fragmentation, report->rejected);
+    const std::string shape =
+        " vcpus=8 memory_gb=64 storage_gb=2000 capacity_dtus=" +
+        std::to_string(capacity) + "\n";
+    auto catalog = core::ArchitectureCatalog::Parse(
+        "resource vcpu 1.60\n"
+        "resource memory_gb 0.20\n"
+        "resource storage_gb 0.004\n"
+        "architecture standard kind=standard" + shape +
+        "architecture dense kind=dense" + shape);
+    if (!catalog.ok()) {
+      std::fprintf(stderr, "catalog: %s\n",
+                   catalog.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("---- node capacity %d DTUs ----\n", capacity);
+    std::printf("  %-10s %8s %10s %8s %9s\n", "policy", "nodes",
+                "node-days", "frag", "rejected");
+    for (const char* name : {"naive", "longevity", "oracle"}) {
+      auto plan =
+          core::MakePlacementPolicy(name)->Assign(store, *outcomes, *catalog);
+      if (!plan.ok()) {
+        std::fprintf(stderr, "policy %s failed: %s\n", name,
+                     plan.status().ToString().c_str());
+        return 1;
+      }
+      auto report = core::SimulateDeployment(store, *plan, *catalog, {});
+      if (!report.ok()) {
+        std::fprintf(stderr, "deployment replay (%s) failed: %s\n", name,
+                     report.status().ToString().c_str());
+        return 1;
+      }
+      size_t nodes = 0;
+      for (const auto& usage : report->per_architecture) {
+        nodes += usage.nodes_used;
+      }
+      std::printf("  %-10s %8zu %10.1f %8.3f %9zu\n", name, nodes,
+                  report->node_days, report->mean_fragmentation,
+                  report->rejected);
     }
     std::printf("\n");
   }
-  // Architecture-catalog deployment: the same region priced against
-  // the built-in four-tier catalog (docs/provisioning.md), comparing
-  // per-tier fragmentation under the naive and longevity policies.
-  // Splitting the fleet costs packing (see the finding below) but the
-  // dollar table in bench/provisioning_policy shows the interference
-  // savings outweigh it.
-  if (service.ok()) {
-    std::vector<telemetry::DatabaseId> ids;
-    for (const auto& record : store.databases()) ids.push_back(record.id);
-    auto assessments = service->AssessMany(store, ids, {});
-    if (assessments.ok()) {
-      std::vector<core::PredictionOutcome> outcomes;
-      for (size_t i = 0; i < ids.size(); ++i) {
-        const auto& assessment = (*assessments)[i];
-        if (!assessment.has_value()) continue;
-        const auto record = store.databases()[i];
-        core::PredictionOutcome outcome;
-        outcome.id = record.id;
-        outcome.predicted_label = assessment->predicted_label;
-        outcome.confident = assessment->confident;
-        outcome.duration_days =
-            record.ObservedLifespanDays(store.window_end());
-        outcome.observed = record.dropped_at.has_value() &&
-                           *record.dropped_at <= store.window_end();
-        outcomes.push_back(outcome);
-      }
-      const auto catalog = core::ArchitectureCatalog::Default();
-      std::printf("---- architecture catalog deployment (14-day "
-                  "rollouts) ----\n");
-      std::printf("  %-12s %10s %10s %10s %10s\n", "policy", "node-days",
-                  "frag", "sla-viol", "total-$");
-      for (const char* name : {"naive", "longevity"}) {
-        auto policy = core::MakePlacementPolicy(name);
-        auto plan = policy->Assign(store, outcomes, catalog);
-        if (!plan.ok()) continue;
-        auto report = core::SimulateDeployment(store, *plan, catalog, {});
-        if (!report.ok()) continue;
-        std::printf("  %-12s %10.1f %10.3f %10zu %10.2f\n", name,
-                    report->node_days, report->mean_fragmentation,
-                    report->sla_violations, report->total_cost);
-        for (const auto& usage : report->per_architecture) {
-          if (usage.placements == 0) continue;
-          std::printf("    %-12s placements=%-6zu node_days=%-8.1f "
-                      "frag=%.3f\n",
-                      usage.name.c_str(), usage.placements,
-                      usage.node_days, usage.mean_fragmentation);
-        }
-      }
-      std::printf("\n");
-    }
-  }
 
-  std::printf("(overhead = servers open at the peak-fleet instant / the "
-              "bin-packing lower bound for that occupancy; frag = mean "
-              "wasted capacity share on active servers.)\n");
+  std::printf("(nodes = distinct nodes ever opened across both tiers; "
+              "frag = time-weighted mean wasted capacity share on active "
+              "nodes.)\n");
   std::printf("finding: pure first-fit packing does NOT improve under "
               "churn segregation — splitting the fleet costs statistical "
               "multiplexing. The measured wins of longevity partitioning "
-              "are interference wins (disruptions, lifecycle/SLO "
-              "contention: see provisioning_policy), matching the "
+              "are interference wins (deferred rollouts, fewer SLA "
+              "violations: see provisioning_policy), matching the "
               "paper's motivation of noisy neighbours and update "
               "scheduling rather than raw packing.\n");
   return 0;

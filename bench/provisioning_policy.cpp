@@ -1,15 +1,10 @@
 // What-if replay of Section 3.1's longevity-guided resource
-// provisioning, in two parts:
-//
-//  1. the pool-level interference replay (disruptions, wasted moves,
-//     lifecycle/SLO contention) comparing no partitioning, the
-//     classified plan, and a true-lifespan oracle — human-readable,
-//     printed to stderr;
-//  2. the architecture-catalog deployment replay: the naive /
-//     longevity / oracle placement policies priced against the
-//     built-in four-tier catalog (docs/provisioning.md), emitted as
-//     JSON on stdout and gated in CI by tools/bench_check.py against
-//     bench/baselines/provisioning_policy.json.
+// provisioning: the naive / longevity / oracle placement policies
+// priced against the built-in four-tier catalog (docs/provisioning.md)
+// by the deployment replay. One summary line per policy goes to
+// stderr; the full reports are emitted as JSON on stdout and gated in
+// CI by tools/bench_check.py against
+// bench/baselines/provisioning_policy.json.
 //
 // The replay is deterministic in CLOUDSURV_SUBS, so the JSON document
 // (costs included) is reproducible run to run.
@@ -20,7 +15,6 @@
 
 #include "bench/bench_util.h"
 #include "core/placement.h"
-#include "core/provisioning.h"
 #include "core/service.h"
 
 using namespace cloudsurv;
@@ -53,63 +47,13 @@ int main() {
                  assessments.status().ToString().c_str());
     return 1;
   }
-  std::vector<core::PredictionOutcome> outcomes;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const auto& assessment = (*assessments)[i];
-    if (!assessment.has_value()) continue;
-    const auto record = store.databases()[i];
-    const double life = record.ObservedLifespanDays(store.window_end());
-    core::PredictionOutcome outcome;
-    outcome.id = record.id;
-    outcome.predicted_label = assessment->predicted_label;
-    outcome.positive_probability = assessment->positive_probability;
-    outcome.confident = assessment->confident;
-    outcome.duration_days = life;
-    outcome.observed = record.dropped_at.has_value() &&
-                       *record.dropped_at <= store.window_end();
-    outcome.true_label = life > 30.0 ? 1 : 0;
-    outcomes.push_back(outcome);
-  }
-
-  // Part 1: the pool-level interference replay (stderr).
-  const core::PoolAssignmentPlan classified_plan =
-      core::PlanFromPredictions(outcomes);
-  core::PoolAssignmentPlan oracle_pool_plan;
-  for (const auto& record : store.databases()) {
-    const double life = record.ObservedLifespanDays(store.window_end());
-    if (record.dropped_at.has_value() && life <= 30.0) {
-      oracle_pool_plan.pools[record.id] = core::Pool::kChurn;
-    } else if (life > 30.0) {
-      oracle_pool_plan.pools[record.id] = core::Pool::kStable;
-    }
-  }
-  core::ProvisioningPolicyConfig pool_policy;
-  auto baseline = core::SimulateProvisioning(store, {}, pool_policy);
-  auto classified =
-      core::SimulateProvisioning(store, classified_plan, pool_policy);
-  auto oracle = core::SimulateProvisioning(store, oracle_pool_plan,
-                                           pool_policy);
-  if (!baseline.ok() || !classified.ok() || !oracle.ok()) {
-    std::fprintf(stderr, "pool replay failed\n");
+  auto outcomes = core::OutcomesFromAssessments(store, *assessments);
+  if (!outcomes.ok()) {
+    std::fprintf(stderr, "outcomes failed: %s\n",
+                 outcomes.status().ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr, "%-22s %12s %12s %12s\n", "metric", "baseline",
-               "classified", "oracle");
-  auto row = [&](const char* name, auto get) {
-    std::fprintf(stderr, "%-22s %12.0f %12.0f %12.0f\n", name,
-                 static_cast<double>(get(*baseline)),
-                 static_cast<double>(get(*classified)),
-                 static_cast<double>(get(*oracle)));
-  };
-  row("disruptions", [](const auto& r) { return r.disruptions; });
-  row("avoided disruptions",
-      [](const auto& r) { return r.avoided_disruptions; });
-  row("forced updates", [](const auto& r) { return r.forced_updates; });
-  row("lb moves", [](const auto& r) { return r.moves; });
-  row("wasted lb moves", [](const auto& r) { return r.wasted_moves; });
-  row("contention score", [](const auto& r) { return r.contention_score; });
 
-  // Part 2: the architecture-catalog deployment replay (JSON, stdout).
   const core::ArchitectureCatalog catalog =
       core::ArchitectureCatalog::Default();
   const core::DeploymentConfig deploy;  // 14-day rollouts, 45-day grace.
@@ -120,7 +64,7 @@ int main() {
   std::vector<PolicyRun> runs;
   for (const char* name : {"naive", "longevity", "oracle"}) {
     auto policy = core::MakePlacementPolicy(name);
-    auto plan = policy->Assign(store, outcomes, catalog);
+    auto plan = policy->Assign(store, *outcomes, catalog);
     if (!plan.ok()) {
       std::fprintf(stderr, "policy %s failed: %s\n", name,
                    plan.status().ToString().c_str());

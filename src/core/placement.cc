@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <map>
-#include <unordered_map>
 
 #include "common/string_util.h"
 #include "telemetry/types.h"
@@ -23,20 +24,13 @@ struct ReplayEvent {
   ReplayEventKind kind;
   telemetry::DatabaseId db;
   int dtus = 0;       ///< For kPlace: initial DTUs. For kResize: new DTUs.
-  Pool pool = Pool::kGeneral;
   /// For kRelease: true when the tenant really dropped inside the
   /// window (vs the synthetic end-of-window release of a survivor).
   bool observed_drop = false;
 };
 
-struct Server {
-  int free_dtus = 0;
-  int tenants = 0;
-  bool churn_cluster = false;
-};
-
-/// Builds the chronologically sorted create/resize/release stream both
-/// replays share. Ordering at equal timestamps: one database's own
+/// Builds the chronologically sorted create/resize/release stream the
+/// replay walks. Ordering at equal timestamps: one database's own
 /// lifecycle stays causal (place, resize, release — zero-lifetime
 /// databases drop in the second they are created); across databases,
 /// capacity is freed before new placements consume it.
@@ -83,181 +77,25 @@ std::vector<ReplayEvent> BuildReplayEvents(
   return events;
 }
 
+/// Converts a `DeploymentConfig` period to whole seconds. The product is
+/// checked in double before the cast: a value that is not finite, under
+/// one second (the rollout grid could never advance) or past int64
+/// range is rejected.
+Result<int64_t> PeriodSeconds(double days, const char* name) {
+  constexpr double kInt64Limit = 9223372036854775808.0;  // 2^63
+  const double seconds = days * static_cast<double>(kSecondsPerDay);
+  if (!std::isfinite(seconds) || seconds < 1.0 || seconds >= kInt64Limit) {
+    char message[160];
+    std::snprintf(message, sizeof(message),
+                  "%s must be at least one second and under 2^63 "
+                  "seconds, got %g days",
+                  name, days);
+    return Status::InvalidArgument(message);
+  }
+  return static_cast<int64_t>(seconds);
+}
+
 }  // namespace
-
-std::string PlacementReport::ToString() const {
-  return "placements=" + std::to_string(placements) +
-         " rejected=" + std::to_string(rejected) +
-         " servers_used=" + std::to_string(servers_used) +
-         " peak_active=" + std::to_string(peak_active_servers) +
-         " peak_dtus=" + std::to_string(peak_occupied_dtus) +
-         " packing_overhead=" + FormatDouble(packing_overhead, 3) +
-         " mean_fragmentation=" + FormatDouble(mean_fragmentation, 3);
-}
-
-Result<PlacementReport> SimulatePlacement(
-    const telemetry::TelemetryStore& store, const PoolAssignmentPlan& plan,
-    const ClusterConfig& config) {
-  if (!store.finalized()) {
-    return Status::FailedPrecondition("store is not finalized");
-  }
-  if (config.server_capacity_dtus <= 0) {
-    return Status::InvalidArgument("server capacity must be positive");
-  }
-
-  std::vector<ReplayEvent> events = BuildReplayEvents(store);
-  for (ReplayEvent& event : events) {
-    if (event.kind == ReplayEventKind::kPlace) {
-      event.pool = plan.PoolOf(event.db);
-    }
-  }
-
-  std::vector<Server> servers;
-  // db -> (server index, occupied dtus); flat map keyed by database id.
-  std::unordered_map<telemetry::DatabaseId, std::pair<size_t, int>> placed;
-
-  PlacementReport report;
-  int64_t occupied = 0;
-  size_t active_servers = 0;
-  double frag_weighted_sum = 0.0;
-  int64_t frag_time = 0;
-  Timestamp prev_ts = store.window_start();
-
-  auto ideal_servers = [&](int64_t dtus) {
-    return static_cast<size_t>(
-        (dtus + config.server_capacity_dtus - 1) /
-        config.server_capacity_dtus);
-  };
-
-  for (const ReplayEvent& event : events) {
-    // Accumulate time-weighted fragmentation over [prev_ts, event.ts).
-    if (event.ts > prev_ts && active_servers > 0) {
-      const double capacity_total =
-          static_cast<double>(active_servers) *
-          static_cast<double>(config.server_capacity_dtus);
-      const double frag =
-          (capacity_total - static_cast<double>(occupied)) / capacity_total;
-      frag_weighted_sum += frag * static_cast<double>(event.ts - prev_ts);
-      frag_time += event.ts - prev_ts;
-    }
-    prev_ts = std::max(prev_ts, event.ts);
-
-    switch (event.kind) {
-      case ReplayEventKind::kPlace: {
-        if (event.dtus > config.server_capacity_dtus) {
-          ++report.rejected;
-          break;
-        }
-        const bool want_churn_cluster =
-            config.segregate_churn_pool && event.pool == Pool::kChurn;
-        size_t chosen = servers.size();
-        for (size_t s = 0; s < servers.size(); ++s) {
-          if (servers[s].churn_cluster != want_churn_cluster) continue;
-          if (servers[s].free_dtus >= event.dtus) {
-            chosen = s;
-            break;
-          }
-        }
-        if (chosen == servers.size()) {
-          Server fresh;
-          fresh.free_dtus = config.server_capacity_dtus;
-          fresh.churn_cluster = want_churn_cluster;
-          servers.push_back(fresh);
-          ++report.servers_used;
-        }
-        Server& server = servers[chosen];
-        if (server.tenants == 0) ++active_servers;
-        server.free_dtus -= event.dtus;
-        server.tenants += 1;
-        occupied += event.dtus;
-        placed[event.db] = {chosen, event.dtus};
-        ++report.placements;
-        break;
-      }
-      case ReplayEventKind::kResize: {
-        auto it = placed.find(event.db);
-        if (it == placed.end()) break;
-        auto& [server_index, dtus] = it->second;
-        Server& server = servers[server_index];
-        const int delta = event.dtus - dtus;
-        // A grow that no longer fits forces a move to another server.
-        if (delta > 0 && server.free_dtus < delta) {
-          server.free_dtus += dtus;
-          server.tenants -= 1;
-          if (server.tenants == 0) --active_servers;
-          occupied -= dtus;
-          placed.erase(it);
-          if (event.dtus > config.server_capacity_dtus) {
-            // The tenant outgrew any server; it can no longer be
-            // hosted on this cluster tier.
-            ++report.rejected;
-            break;
-          }
-          ReplayEvent replace = event;
-          replace.kind = ReplayEventKind::kPlace;
-          replace.pool = plan.PoolOf(event.db);
-          // Re-run the placement logic inline.
-          const bool want_churn_cluster =
-              config.segregate_churn_pool && replace.pool == Pool::kChurn;
-          size_t chosen = servers.size();
-          for (size_t s = 0; s < servers.size(); ++s) {
-            if (servers[s].churn_cluster != want_churn_cluster) continue;
-            if (servers[s].free_dtus >= replace.dtus) {
-              chosen = s;
-              break;
-            }
-          }
-          if (chosen == servers.size()) {
-            Server fresh;
-            fresh.free_dtus = config.server_capacity_dtus;
-            fresh.churn_cluster = want_churn_cluster;
-            servers.push_back(fresh);
-            ++report.servers_used;
-          }
-          Server& target = servers[chosen];
-          if (target.tenants == 0) ++active_servers;
-          target.free_dtus -= replace.dtus;
-          target.tenants += 1;
-          occupied += replace.dtus;
-          placed[event.db] = {chosen, replace.dtus};
-        } else {
-          server.free_dtus -= delta;
-          occupied += delta;
-          dtus = event.dtus;
-        }
-        break;
-      }
-      case ReplayEventKind::kRelease: {
-        auto it = placed.find(event.db);
-        if (it == placed.end()) break;
-        Server& server = servers[it->second.first];
-        server.free_dtus += it->second.second;
-        server.tenants -= 1;
-        if (server.tenants == 0) --active_servers;
-        occupied -= it->second.second;
-        placed.erase(it);
-        break;
-      }
-    }
-
-    if (active_servers > report.peak_active_servers) {
-      report.peak_active_servers = active_servers;
-      // Packing quality at the moment the fleet is largest: how many
-      // servers are open vs the bin-packing lower bound for the same
-      // occupancy.
-      report.packing_overhead =
-          occupied > 0 ? static_cast<double>(active_servers) /
-                             static_cast<double>(ideal_servers(occupied))
-                       : 1.0;
-    }
-    report.peak_occupied_dtus =
-        std::max(report.peak_occupied_dtus, occupied);
-  }
-  report.mean_fragmentation =
-      frag_time > 0 ? frag_weighted_sum / static_cast<double>(frag_time)
-                    : 0.0;
-  return report;
-}
 
 std::string DeploymentReport::ToString() const {
   std::string out =
@@ -345,10 +183,13 @@ Result<DeploymentReport> SimulateDeployment(
   if (!store.finalized()) {
     return Status::FailedPrecondition("store is not finalized");
   }
-  if (config.maintenance_interval_days <= 0.0 ||
-      config.stale_grace_days <= 0.0) {
-    return Status::InvalidArgument("intervals must be positive");
-  }
+  CLOUDSURV_ASSIGN_OR_RETURN(
+      const int64_t interval_s,
+      PeriodSeconds(config.maintenance_interval_days,
+                    "maintenance_interval_days"));
+  CLOUDSURV_ASSIGN_OR_RETURN(
+      const int64_t grace_s,
+      PeriodSeconds(config.stale_grace_days, "stale_grace_days"));
   if (catalog.size() == 0) {
     return Status::InvalidArgument("catalog is empty");
   }
@@ -373,15 +214,14 @@ Result<DeploymentReport> SimulateDeployment(
 
   const Timestamp window_start = store.window_start();
   const Timestamp window_end = store.window_end();
+  // Rollouts at window_start + k * interval_s inside the window. The
+  // comparison against the remaining window keeps a huge interval from
+  // overflowing the timestamp.
   std::vector<Timestamp> rollouts;
-  const int64_t interval_s = static_cast<int64_t>(
-      config.maintenance_interval_days * static_cast<double>(kSecondsPerDay));
-  for (Timestamp t = window_start + interval_s; t < window_end;
-       t += interval_s) {
+  for (Timestamp t = window_start; interval_s < window_end - t;) {
+    t += interval_s;
     rollouts.push_back(t);
   }
-  const int64_t grace_s = static_cast<int64_t>(
-      config.stale_grace_days * static_cast<double>(kSecondsPerDay));
 
   std::vector<ArchFleet> fleets(catalog.size());
   // Ordered map so rollout sweeps (and their floating-point cost sums)
@@ -484,7 +324,9 @@ Result<DeploymentReport> SimulateDeployment(
     for (const auto& [db, tenant] : tenants) {
       const Architecture& arch = catalog.at(tenant.arch);
       if (arch.defers_maintenance()) {
-        if (ts < tenant.created + grace_s) {
+        // An alive tenant was created at or before `ts`, so the age
+        // cannot overflow where `created + grace_s` could.
+        if (ts - tenant.created < grace_s) {
           ++report.avoided_disruptions;
           continue;
         }

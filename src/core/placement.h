@@ -1,66 +1,21 @@
 #ifndef CLOUDSURV_CORE_PLACEMENT_H_
 #define CLOUDSURV_CORE_PLACEMENT_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "core/architecture.h"
 #include "core/provisioning.h"
 #include "telemetry/store.h"
 
 namespace cloudsurv::core {
 
-/// Cluster model for tenant placement: identical servers with a fixed
-/// DTU capacity each. Databases occupy their SLO's DTUs from creation
-/// to drop. Section 3.1's fragmentation argument: churn interleaved
-/// with long-lived tenants leaves servers pocked with holes, so
-/// creations need more servers than the load justifies.
-struct ClusterConfig {
-  int server_capacity_dtus = 2000;
-  /// Longevity-aware policies place churn-pool tenants on a dedicated
-  /// sub-cluster; tenants in the general/stable pools share the rest.
-  bool segregate_churn_pool = false;
-};
-
-/// Outcome of replaying a region's create/drop stream against a
-/// placement policy.
-struct PlacementReport {
-  size_t placements = 0;          ///< Databases placed.
-  size_t rejected = 0;            ///< Never placeable (SLO > capacity).
-  size_t servers_used = 0;        ///< Distinct servers ever opened.
-  /// Peak number of simultaneously non-empty servers.
-  size_t peak_active_servers = 0;
-  /// Peak total occupied DTUs (lower bound on needed servers =
-  /// ceil(peak_dtus / capacity)).
-  int64_t peak_occupied_dtus = 0;
-  /// Packing overhead measured at the peak-fleet instant:
-  /// peak_active_servers / bin-packing lower bound for the occupancy at
-  /// that moment (1.0 = perfect packing; grows with fragmentation).
-  double packing_overhead = 0.0;
-  /// Time-weighted mean fraction of capacity wasted on active
-  /// (non-empty) servers: the waste fraction is integrated between
-  /// consecutive replay events and divided by the total time any
-  /// server was active (0.0 if none ever was).
-  double mean_fragmentation = 0.0;
-
-  std::string ToString() const;
-};
-
-/// Replays every database of `store` chronologically: on creation,
-/// place it on the first server (of its pool's sub-cluster, when
-/// segregation is on) with enough free DTUs, opening a new server if
-/// none fits; on drop (or SLO change), release/adjust the occupancy.
-/// First-fit with this arrival/departure pattern is the classic
-/// fragmentation victim; segregating churn tenants (per `plan`)
-/// consolidates the holes.
-Result<PlacementReport> SimulatePlacement(
-    const telemetry::TelemetryStore& store, const PoolAssignmentPlan& plan,
-    const ClusterConfig& config);
-
-/// Maintenance knobs for the cost-accounting deployment replay (the
-/// architecture-catalog generalization of `ProvisioningPolicyConfig`;
-/// see docs/provisioning.md for the cost-model equations).
+/// Maintenance knobs for the cost-accounting deployment replay (see
+/// docs/provisioning.md for the cost-model equations). Both periods,
+/// in seconds, must be finite, at least one and within int64 range (the
+/// replay truncates them to whole seconds); an interval longer than the
+/// window means no rollouts.
 struct DeploymentConfig {
   /// Non-critical service rollouts happen this often; each one hits
   /// every alive tenant, with the consequence decided by the tenant's
@@ -84,7 +39,9 @@ struct ArchitectureUsage {
   double infra_cost = 0.0;  ///< node_days * node_price_per_day.
   double ops_cost = 0.0;    ///< Attach + detach + disruption dollars here.
   /// Time-weighted mean wasted-capacity fraction on this tier's active
-  /// nodes (same definition as PlacementReport::mean_fragmentation).
+  /// nodes: the waste fraction is integrated between consecutive replay
+  /// events and divided by the time any node of the tier was active
+  /// (0.0 if none ever was).
   double mean_fragmentation = 0.0;
 };
 
@@ -114,7 +71,8 @@ struct DeploymentReport {
   double infra_cost = 0.0;
   double ops_cost = 0.0;
   double total_cost = 0.0;
-  /// Fleet-wide time-weighted mean wasted-capacity fraction.
+  /// Fleet-wide time-weighted mean wasted-capacity fraction (all tiers'
+  /// active nodes pooled; same definition as the per-tier one).
   double mean_fragmentation = 0.0;
   /// One entry per catalog architecture, in catalog order.
   std::vector<ArchitectureUsage> per_architecture;
@@ -125,13 +83,16 @@ struct DeploymentReport {
 };
 
 /// Replays the region chronologically against `plan` over `catalog`:
-/// first-fit packing onto per-architecture node fleets (a tenant whose
-/// SLO exceeds its preferred tier's node spills preferred -> default ->
-/// first fitting tier -> rejected), resize overflows relocate the
-/// tenant (detach + attach + one SLA violation), and maintenance
-/// rollouts every `maintenance_interval_days` hit every alive tenant
-/// with its architecture's contract. Deterministic in
+/// first-fit packing onto per-architecture node fleets (the classic
+/// fragmentation victim under this arrival/departure pattern, section
+/// 3.1; a tenant whose SLO exceeds its preferred tier's node spills
+/// preferred -> default -> first fitting tier -> rejected), resize
+/// overflows relocate the tenant (detach + attach + one SLA violation),
+/// and maintenance rollouts every `maintenance_interval_days` hit every
+/// alive tenant with its architecture's contract. Deterministic in
 /// (store, plan, catalog, config) — the replay draws no randomness.
+/// Returns InvalidArgument for a plan index outside the catalog or a
+/// config period that is not a valid step (see `DeploymentConfig`).
 Result<DeploymentReport> SimulateDeployment(
     const telemetry::TelemetryStore& store,
     const ArchitectureAssignmentPlan& plan,

@@ -1,41 +1,9 @@
 #include "core/provisioning.h"
 
-#include <algorithm>
-#include <array>
-#include <cmath>
 #include <memory>
-
-#include "common/rng.h"
-#include "common/string_util.h"
-#include "telemetry/civil_time.h"
+#include <string>
 
 namespace cloudsurv::core {
-
-using telemetry::DatabaseRecord;
-using telemetry::kSecondsPerDay;
-using telemetry::Timestamp;
-
-const char* PoolToString(Pool pool) {
-  switch (pool) {
-    case Pool::kGeneral:
-      return "general";
-    case Pool::kChurn:
-      return "churn";
-    case Pool::kStable:
-      return "stable";
-  }
-  return "unknown";
-}
-
-PoolAssignmentPlan PlanFromPredictions(
-    const std::vector<PredictionOutcome>& outcomes) {
-  PoolAssignmentPlan plan;
-  for (const PredictionOutcome& o : outcomes) {
-    if (!o.confident) continue;
-    plan.pools[o.id] = o.predicted_label == 1 ? Pool::kStable : Pool::kChurn;
-  }
-  return plan;
-}
 
 namespace {
 
@@ -140,133 +108,33 @@ std::unique_ptr<PlacementPolicy> MakePlacementPolicy(
   return nullptr;
 }
 
-std::string ProvisioningReport::ToString() const {
-  return "databases=" + std::to_string(num_databases) +
-         " disruptions=" + std::to_string(disruptions) +
-         " avoided=" + std::to_string(avoided_disruptions) +
-         " forced_updates=" + std::to_string(forced_updates) +
-         " moves=" + std::to_string(moves) +
-         " wasted_moves=" + std::to_string(wasted_moves) +
-         " contention=" + FormatDouble(contention_score, 0);
-}
-
-Result<ProvisioningReport> SimulateProvisioning(
-    const telemetry::TelemetryStore& store, const PoolAssignmentPlan& plan,
-    const ProvisioningPolicyConfig& config) {
-  if (!store.finalized()) {
-    return Status::FailedPrecondition("store is not finalized");
+Result<std::vector<PredictionOutcome>> OutcomesFromAssessments(
+    const telemetry::TelemetryStore& store,
+    const std::vector<std::optional<LongevityService::Assessment>>&
+        assessments) {
+  if (assessments.size() != store.num_databases()) {
+    return Status::InvalidArgument(
+        std::to_string(assessments.size()) + " assessments for " +
+        std::to_string(store.num_databases()) + " databases");
   }
-  if (config.maintenance_interval_days <= 0.0 ||
-      config.stale_grace_days <= 0.0) {
-    return Status::InvalidArgument("intervals must be positive");
+  std::vector<PredictionOutcome> outcomes;
+  outcomes.reserve(assessments.size());
+  for (size_t i = 0; i < assessments.size(); ++i) {
+    const auto& assessment = assessments[i];
+    if (!assessment.has_value()) continue;
+    const auto record = store.databases()[i];
+    PredictionOutcome outcome;
+    outcome.id = record.id;
+    outcome.predicted_label = assessment->predicted_label;
+    outcome.positive_probability = assessment->positive_probability;
+    outcome.confident = assessment->confident;
+    outcome.duration_days = record.ObservedLifespanDays(store.window_end());
+    outcome.observed = record.dropped_at.has_value() &&
+                       *record.dropped_at <= store.window_end();
+    outcome.true_label = outcome.duration_days > 30.0 ? 1 : 0;
+    outcomes.push_back(outcome);
   }
-  ProvisioningReport report;
-  report.num_databases = store.num_databases();
-
-  const Timestamp window_start = store.window_start();
-  const Timestamp window_end = store.window_end();
-  const int64_t window_days = (window_end - window_start) / kSecondsPerDay;
-
-  // Maintenance rollout instants.
-  std::vector<Timestamp> rollouts;
-  const int64_t interval_s = static_cast<int64_t>(
-      config.maintenance_interval_days * static_cast<double>(kSecondsPerDay));
-  for (Timestamp t = window_start + interval_s; t < window_end;
-       t += interval_s) {
-    rollouts.push_back(t);
-  }
-
-  // Daily lifecycle / SLO-change op counts per pool for contention.
-  std::vector<std::array<double, 2>> general_ops(
-      static_cast<size_t>(window_days) + 1, {0.0, 0.0});
-  auto churn_ops = general_ops;
-  auto stable_ops = general_ops;
-  auto ops_of = [&](Pool pool) -> std::vector<std::array<double, 2>>& {
-    switch (pool) {
-      case Pool::kChurn:
-        return churn_ops;
-      case Pool::kStable:
-        return stable_ops;
-      case Pool::kGeneral:
-      default:
-        return general_ops;
-    }
-  };
-  auto day_index = [&](Timestamp ts) {
-    return static_cast<size_t>(
-        std::clamp<int64_t>((ts - window_start) / kSecondsPerDay, 0,
-                            window_days));
-  };
-
-  Rng rng(config.seed);
-  for (const DatabaseRecord& record : store.databases()) {
-    const Pool pool = plan.PoolOf(record.id);
-    const Timestamp created = record.created_at;
-    const Timestamp end = record.dropped_at.has_value()
-                              ? std::min(*record.dropped_at, window_end)
-                              : window_end;
-    const bool dropped_in_window =
-        record.dropped_at.has_value() && *record.dropped_at <= window_end;
-
-    // Maintenance accounting.
-    if (pool == Pool::kChurn) {
-      const Timestamp grace_deadline =
-          created + static_cast<int64_t>(config.stale_grace_days *
-                                         static_cast<double>(kSecondsPerDay));
-      for (Timestamp rollout : rollouts) {
-        if (rollout <= created || rollout >= end) continue;
-        if (rollout < grace_deadline) {
-          ++report.avoided_disruptions;
-        } else {
-          // Past the grace period the rollout can no longer be
-          // deferred.
-          ++report.disruptions;
-        }
-      }
-      if (end > grace_deadline) ++report.forced_updates;
-    } else {
-      for (Timestamp rollout : rollouts) {
-        if (rollout > created && rollout < end) ++report.disruptions;
-      }
-    }
-
-    // Load-balancer moves (general and stable pools only).
-    if (pool != Pool::kChurn) {
-      const double life_days = static_cast<double>(end - created) /
-                               static_cast<double>(kSecondsPerDay);
-      const double expected_moves =
-          life_days / 30.0 * config.move_rate_per_30_days;
-      const int64_t num_moves = rng.Poisson(expected_moves);
-      for (int64_t m = 0; m < num_moves; ++m) {
-        const Timestamp move_ts =
-            created + static_cast<int64_t>(rng.Uniform() *
-                                           static_cast<double>(end - created));
-        ++report.moves;
-        if (dropped_in_window &&
-            static_cast<double>(end - move_ts) /
-                    static_cast<double>(kSecondsPerDay) <
-                config.waste_window_days) {
-          ++report.wasted_moves;
-        }
-      }
-    }
-
-    // Contention inputs.
-    auto& ops = ops_of(pool);
-    ops[day_index(created)][0] += 1.0;
-    if (dropped_in_window) ops[day_index(end)][0] += 1.0;
-    for (const telemetry::SloChange& c : record.slo_changes) {
-      if (c.timestamp >= window_end) continue;
-      ops[day_index(c.timestamp)][1] += 1.0;
-    }
-  }
-
-  for (const auto* ops : {&general_ops, &churn_ops, &stable_ops}) {
-    for (const auto& day : *ops) {
-      report.contention_score += day[0] * day[1];
-    }
-  }
-  return report;
+  return outcomes;
 }
 
 }  // namespace cloudsurv::core

@@ -2,7 +2,7 @@
 #define CLOUDSURV_CORE_PROVISIONING_H_
 
 #include <memory>
-#include <string>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -10,48 +10,16 @@
 #include "common/status.h"
 #include "core/architecture.h"
 #include "core/prediction.h"
+#include "core/service.h"
 #include "telemetry/store.h"
 
 namespace cloudsurv::core {
 
-/// Back-end resource pools for longevity-guided placement (paper
-/// section 3.1): a default pool, a churn pool for predicted-short-lived
-/// databases (non-critical updates deferred; the database simply picks
-/// up new software when its successor is created), and a stable pool
-/// for predicted-long-lived databases.
-enum class Pool {
-  kGeneral = 0,
-  kChurn = 1,
-  kStable = 2,
-};
-
-const char* PoolToString(Pool pool);
-
-/// Placement decisions per database; databases absent from the map stay
-/// in the general pool.
-struct PoolAssignmentPlan {
-  std::unordered_map<telemetry::DatabaseId, Pool> pools;
-
-  Pool PoolOf(telemetry::DatabaseId id) const {
-    auto it = pools.find(id);
-    return it == pools.end() ? Pool::kGeneral : it->second;
-  }
-};
-
-/// Derives a plan from classifier outcomes, following the paper's
-/// policy recommendation: act only on confident predictions
-/// (section 5.3) — confident-short goes to the churn pool,
-/// confident-long to the stable pool, uncertain stays in the general
-/// pool.
-PoolAssignmentPlan PlanFromPredictions(
-    const std::vector<PredictionOutcome>& outcomes);
-
 /// Placement decisions against an `ArchitectureCatalog`: each database
 /// maps to an index into the catalog; databases absent from the map go
 /// to `default_index` (normally the catalog's first standard tier).
-/// This generalizes `PoolAssignmentPlan` — pools named *roles*, the
-/// architecture plan names the *hardware* behind them — and is what
-/// `SimulateDeployment` (placement.h) prices out.
+/// Where an assessment's `Pool` names a *role*, the plan names the
+/// *hardware* behind it; `SimulateDeployment` (placement.h) prices it.
 struct ArchitectureAssignmentPlan {
   size_t default_index = 0;
   std::unordered_map<telemetry::DatabaseId, size_t> assignments;
@@ -92,51 +60,16 @@ class PlacementPolicy {
 std::unique_ptr<PlacementPolicy> MakePlacementPolicy(
     std::string_view name, double oracle_threshold_days = 30.0);
 
-/// Operational cost model for the what-if replay.
-struct ProvisioningPolicyConfig {
-  /// Non-critical service rollouts happen this often; each one disrupts
-  /// every alive database in the general and stable pools.
-  double maintenance_interval_days = 30.0;
-  /// Churn-pool databases skip rollouts; one that outlives this grace
-  /// period must be force-updated (one disruption + a forced update).
-  double stale_grace_days = 45.0;
-  /// Load-balancer move rate per database per 30 days (general and
-  /// stable pools; the churn pool is never rebalanced).
-  double move_rate_per_30_days = 0.2;
-  /// A move is wasted work when the database drops within this window
-  /// after it ("dropping a database after a load-balancer has moved it
-  /// lowers operational efficiency", section 3.1).
-  double waste_window_days = 7.0;
-  uint64_t seed = 7;
-};
-
-/// Operational outcome of replaying the window under one placement
-/// plan. Lower disruptions / wasted moves / contention are better.
-struct ProvisioningReport {
-  size_t num_databases = 0;
-  /// Maintenance hits on alive databases (incl. forced updates).
-  size_t disruptions = 0;
-  /// Rollout hits a churn-pool database would have taken but deferred.
-  size_t avoided_disruptions = 0;
-  /// Churn-pool databases that outlived the grace period.
-  size_t forced_updates = 0;
-  size_t moves = 0;
-  size_t wasted_moves = 0;
-  /// Same-pool interference between lifecycle churn (creates+drops) and
-  /// SLO-change traffic: sum over pools and days of
-  /// lifecycle_ops(day) * slo_ops(day). Partitioning churners away from
-  /// SLO-changing long-lived tenants lowers it (section 3.1's
-  /// allocation-contention argument).
-  double contention_score = 0.0;
-
-  std::string ToString() const;
-};
-
-/// Replays the observation window under `plan` and tallies operational
-/// costs. Deterministic in (store, plan, config).
-Result<ProvisioningReport> SimulateProvisioning(
-    const telemetry::TelemetryStore& store, const PoolAssignmentPlan& plan,
-    const ProvisioningPolicyConfig& config);
+/// Turns `assessments` — parallel to `store.databases()`, as
+/// `LongevityService::AssessMany` over every database returns them —
+/// into the outcomes a `PlacementPolicy` reads: each scored database's
+/// prediction and confidence, plus its observed lifespan and drop flag
+/// for the oracle (`true_label` marks lifespans over 30 days).
+/// Unscored databases (nullopt) are skipped. Fails if the sizes differ.
+Result<std::vector<PredictionOutcome>> OutcomesFromAssessments(
+    const telemetry::TelemetryStore& store,
+    const std::vector<std::optional<LongevityService::Assessment>>&
+        assessments);
 
 }  // namespace cloudsurv::core
 

@@ -10,6 +10,18 @@
 
 namespace cloudsurv::core {
 
+const char* PoolToString(Pool pool) {
+  switch (pool) {
+    case Pool::kGeneral:
+      return "general";
+    case Pool::kChurn:
+      return "churn";
+    case Pool::kStable:
+      return "stable";
+  }
+  return "unknown";
+}
+
 namespace {
 
 using telemetry::Edition;
@@ -249,26 +261,6 @@ LongevityService::AssessMany(const TelemetryStore& store,
     }
   }
   return out;
-}
-
-Result<PoolAssignmentPlan> LongevityService::PlanPlacements(
-    const TelemetryStore& store) const {
-  std::vector<telemetry::DatabaseId> eligible;
-  for (const telemetry::DatabaseRecord& record : store.databases()) {
-    const double observed =
-        record.ObservedLifespanDays(store.window_end());
-    if (observed < options_.observe_days) continue;
-    eligible.push_back(record.id);
-  }
-  CLOUDSURV_ASSIGN_OR_RETURN(auto assessments, AssessMany(store, eligible));
-  PoolAssignmentPlan plan;
-  for (size_t i = 0; i < eligible.size(); ++i) {
-    if (!assessments[i].has_value()) continue;
-    if (assessments[i]->recommended_pool != Pool::kGeneral) {
-      plan.pools[eligible[i]] = assessments[i]->recommended_pool;
-    }
-  }
-  return plan;
 }
 
 namespace {

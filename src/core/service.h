@@ -7,13 +7,27 @@
 #include <vector>
 
 #include "artifact/reader.h"
-#include "core/provisioning.h"
 #include "features/features.h"
 #include "ml/flat_forest.h"
 #include "ml/random_forest.h"
 #include "telemetry/store.h"
 
 namespace cloudsurv::core {
+
+/// Back-end resource pools for longevity-guided placement (paper
+/// section 3.1): a default pool, a churn pool for predicted-short-lived
+/// databases (non-critical updates deferred; the database simply picks
+/// up new software when its successor is created), and a stable pool
+/// for predicted-long-lived databases. Each assessment names one; the
+/// placement policies in core/provisioning.h map the same confidence
+/// partition onto catalog architectures.
+enum class Pool {
+  kGeneral = 0,
+  kChurn = 1,
+  kStable = 2,
+};
+
+const char* PoolToString(Pool pool);
 
 /// End-to-end lifespan service — the deployable form of the paper's
 /// pipeline. Train() learns one random forest per creation edition from
@@ -85,11 +99,6 @@ class LongevityService {
   /// in its compiled form. Kept only because the pipeline benchmark's
   /// harness still calls it; delete with that call.
   Status CompileForInference() { return Status::OK(); }
-
-  /// Scores every eligible database of `store` and returns a placement
-  /// plan over the confident ones.
-  Result<PoolAssignmentPlan> PlanPlacements(
-      const telemetry::TelemetryStore& store) const;
 
   /// True iff a dedicated model exists for `edition` (otherwise the
   /// pooled model serves it).

@@ -77,10 +77,13 @@ if "$CLI" plan --telemetry "$WORK/region.csv" --region 2 \
 fi
 grep -q "catalog line 4: unknown key 'vcpuz'" "$WORK/plan_bad.txt"
 
-# plan flag validation mirrors serve-sim's strictness.
+# plan flag validation mirrors serve-sim's strictness. Periods the
+# replay cannot step by (under one second, or past int64 seconds) are
+# rejected too, not looped on or overflowed.
 for bad in "--policies banana" "--policies naive,banana" \
            "--format banana" "--maintenance-interval 0" \
-           "--grace-days bad"; do
+           "--grace-days bad" "--maintenance-interval 1e-9" \
+           "--maintenance-interval 1e300" "--grace-days 1e300"; do
   if "$CLI" plan --telemetry "$WORK/region.csv" --region 2 \
       --model "$WORK/svc.csrv" $bad > "$WORK/plan_flag.txt" 2>&1; then
     echo "expected rejection of '$bad'" >&2

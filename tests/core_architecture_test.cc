@@ -1,3 +1,4 @@
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -408,9 +409,58 @@ TEST(SimulateDeploymentTest, RejectsInvalidPlanAndConfig) {
   bad_assignment.assignments[id] = catalog.size() + 3;
   EXPECT_FALSE(SimulateDeployment(store, bad_assignment, catalog, {}).ok());
 
-  DeploymentConfig bad_config;
-  bad_config.maintenance_interval_days = 0.0;
-  EXPECT_FALSE(SimulateDeployment(store, {}, catalog, bad_config).ok());
+  // Each period must be a finite step of at least one second that fits
+  // int64 seconds: 1e-9 days truncates to a 0-second step (the rollout
+  // grid would never advance) and 1e300 days overflows the cast.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -1.0, 1e-9, 0.5 / 86400.0, 1e300, 1.1e14,
+                           kInf, -kInf, kNaN}) {
+    SCOPED_TRACE(bad);
+    DeploymentConfig bad_interval;
+    bad_interval.maintenance_interval_days = bad;
+    const auto interval_report =
+        SimulateDeployment(store, {}, catalog, bad_interval);
+    ASSERT_FALSE(interval_report.ok());
+    EXPECT_EQ(interval_report.status().code(), StatusCode::kInvalidArgument);
+    DeploymentConfig bad_grace;
+    bad_grace.stale_grace_days = bad;
+    const auto grace_report = SimulateDeployment(store, {}, catalog, bad_grace);
+    ASSERT_FALSE(grace_report.ok());
+    EXPECT_EQ(grace_report.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  // Periods longer than the window are valid: no rollout ever lands,
+  // and no tenant on a deferring tier ever leaves its grace period.
+  DeploymentConfig long_periods;
+  long_periods.maintenance_interval_days = 1e9;
+  long_periods.stale_grace_days = 1e14;  // 8.64e18 s, under 2^63
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport report,
+                       SimulateDeployment(store, {}, catalog, long_periods));
+  EXPECT_EQ(report.placements, 1u);
+  EXPECT_EQ(report.disruptions + report.avoided_disruptions +
+                report.transparent_disruptions,
+            0u);
+}
+
+TEST(SimulateDeploymentTest, HugeGracePeriodKeepsDeferringWithoutOverflow) {
+  StoreBuilder b;
+  const auto id = b.AddDatabase(1, 0.0, 100.0, "a", "s", SloIndexByName("S2"));
+  auto store = b.Finish();
+  const ArchitectureCatalog catalog = TestCatalog();
+  ArchitectureAssignmentPlan plan;
+  plan.default_index = catalog.default_index();
+  plan.assignments[id] = *catalog.IndexOfKind(ArchitectureKind::kDense);
+  DeploymentConfig config;
+  config.maintenance_interval_days = 30.0;
+  // 9.2233720362e18 s: valid, but created + grace would overflow int64.
+  config.stale_grace_days = 1.0675199116e14;
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport report,
+                       SimulateDeployment(store, plan, catalog, config));
+  // Rollouts at days 30/60/90 are all deferred inside the grace period.
+  EXPECT_EQ(report.avoided_disruptions, 3u);
+  EXPECT_EQ(report.disruptions, 0u);
+  EXPECT_EQ(report.sla_violations, 0u);
 }
 
 }  // namespace

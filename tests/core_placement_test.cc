@@ -1,3 +1,6 @@
+#include <string>
+
+#include "core/architecture.h"
 #include "core/placement.h"
 #include "gtest/gtest.h"
 #include "simulator/region.h"
@@ -11,94 +14,130 @@ namespace {
 using cloudsurv::testing::StoreBuilder;
 using telemetry::SloIndexByName;
 
-TEST(PlacementTest, SingleDatabaseUsesOneServer) {
+// Packing tests run the deployment replay over a catalog whose tiers
+// share one node shape: a `standard` fleet alone (one shared cluster),
+// or `standard` plus a `dense` churn fleet (churn segregation).
+Result<ArchitectureCatalog> PackingCatalog(int capacity_dtus,
+                                           bool churn_tier) {
+  const std::string shape =
+      " vcpus=8 memory_gb=64 storage_gb=2000 capacity_dtus=" +
+      std::to_string(capacity_dtus) + "\n";
+  return ArchitectureCatalog::Parse(
+      "resource vcpu 1.60\n"
+      "resource memory_gb 0.20\n"
+      "resource storage_gb 0.004\n"
+      "architecture standard kind=standard" + shape +
+      (churn_tier ? "architecture dense kind=dense" + shape : ""));
+}
+
+Result<DeploymentReport> PackOneTier(const telemetry::TelemetryStore& store,
+                                     int capacity_dtus) {
+  CLOUDSURV_ASSIGN_OR_RETURN(const ArchitectureCatalog catalog,
+                             PackingCatalog(capacity_dtus, false));
+  return SimulateDeployment(store, {}, catalog, {});
+}
+
+size_t NodesUsed(const DeploymentReport& report) {
+  size_t nodes = 0;
+  for (const ArchitectureUsage& usage : report.per_architecture) {
+    nodes += usage.nodes_used;
+  }
+  return nodes;
+}
+
+/// Oracle churn plan for a two-tier packing catalog: databases truly
+/// dropped within 30 days go to the dense tier (index 1).
+ArchitectureAssignmentPlan OracleChurnPlan(
+    const telemetry::TelemetryStore& store) {
+  ArchitectureAssignmentPlan plan;
+  for (const auto& record : store.databases()) {
+    const double life = record.ObservedLifespanDays(store.window_end());
+    if (record.dropped_at.has_value() && life <= 30.0) {
+      plan.assignments[record.id] = 1;
+    }
+  }
+  return plan;
+}
+
+TEST(PlacementTest, SingleDatabaseUsesOneNode) {
   StoreBuilder b;
   b.AddDatabase(1, 0.0, 50.0, "db", "s", SloIndexByName("S2"));  // 50 DTUs
   auto store = b.Finish();
-  ClusterConfig config;
-  config.server_capacity_dtus = 100;
-  auto report = SimulatePlacement(store, {}, config);
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(report->placements, 1u);
-  EXPECT_EQ(report->servers_used, 1u);
-  EXPECT_EQ(report->peak_active_servers, 1u);
-  EXPECT_EQ(report->peak_occupied_dtus, 50);
-  EXPECT_EQ(report->rejected, 0u);
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport report,
+                       PackOneTier(store, 100));
+  EXPECT_EQ(report.placements, 1u);
+  EXPECT_EQ(report.rejected, 0u);
+  ASSERT_EQ(report.per_architecture.size(), 1u);
+  EXPECT_EQ(report.per_architecture[0].nodes_used, 1u);
+  EXPECT_EQ(report.per_architecture[0].peak_active_nodes, 1u);
 }
 
 TEST(PlacementTest, FirstFitPacksConcurrentTenants) {
   StoreBuilder b;
-  // Four concurrent 50-DTU databases on 100-DTU servers: 2 servers.
+  // Four concurrent 50-DTU databases on 100-DTU nodes: 2 nodes, the
+  // bin-packing lower bound for 200 DTUs.
   for (int i = 0; i < 4; ++i) {
     b.AddDatabase(1, 0.0 + i * 0.01, 50.0, "db", "s",
                   SloIndexByName("S2"));
   }
   auto store = b.Finish();
-  ClusterConfig config;
-  config.server_capacity_dtus = 100;
-  auto report = SimulatePlacement(store, {}, config);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->peak_active_servers, 2u);
-  EXPECT_EQ(report->peak_occupied_dtus, 200);
-  EXPECT_DOUBLE_EQ(report->packing_overhead, 1.0);
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport report,
+                       PackOneTier(store, 100));
+  EXPECT_EQ(report.placements, 4u);
+  EXPECT_EQ(report.per_architecture[0].nodes_used, 2u);
+  EXPECT_EQ(report.per_architecture[0].peak_active_nodes, 2u);
 }
 
-TEST(PlacementTest, SequentialTenantsReuseServers) {
+TEST(PlacementTest, SequentialTenantsReuseNodes) {
   StoreBuilder b;
-  // Non-overlapping lifetimes: one server suffices.
+  // Non-overlapping lifetimes: one node suffices.
   b.AddDatabase(1, 0.0, 10.0, "a", "s", SloIndexByName("S3"));   // 100
   b.AddDatabase(1, 20.0, 30.0, "b", "s", SloIndexByName("S3"));  // 100
   auto store = b.Finish();
-  ClusterConfig config;
-  config.server_capacity_dtus = 100;
-  auto report = SimulatePlacement(store, {}, config);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->servers_used, 1u);
-  EXPECT_EQ(report->peak_active_servers, 1u);
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport report,
+                       PackOneTier(store, 100));
+  EXPECT_EQ(report.per_architecture[0].nodes_used, 1u);
+  EXPECT_EQ(report.per_architecture[0].peak_active_nodes, 1u);
 }
 
 TEST(PlacementTest, OversizedTenantRejected) {
   StoreBuilder b;
   b.AddDatabase(1, 0.0, 10.0, "big", "s", SloIndexByName("P15"));  // 4000
   auto store = b.Finish();
-  ClusterConfig config;
-  config.server_capacity_dtus = 2000;
-  auto report = SimulatePlacement(store, {}, config);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->rejected, 1u);
-  EXPECT_EQ(report->placements, 0u);
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport report,
+                       PackOneTier(store, 2000));
+  EXPECT_EQ(report.rejected, 1u);
+  EXPECT_EQ(report.placements, 0u);
+  EXPECT_EQ(NodesUsed(report), 0u);
 }
 
 TEST(PlacementTest, SloGrowthBeyondCapacityForcesMove) {
   StoreBuilder b;
-  // Two 50-DTU tenants share a 100-DTU server; one grows to 100 and
-  // must move to a new server.
+  // Two 50-DTU tenants share a 100-DTU node; one grows to 100 and must
+  // move to a new node.
   const auto grower =
       b.AddDatabase(1, 0.0, 50.0, "grow", "s", SloIndexByName("S2"));
   b.AddDatabase(1, 0.001, 50.0, "stay", "s", SloIndexByName("S2"));
   b.AddSloChange(grower, 1, 10.0, SloIndexByName("S2"),
                  SloIndexByName("S3"));
   auto store = b.Finish();
-  ClusterConfig config;
-  config.server_capacity_dtus = 100;
-  auto report = SimulatePlacement(store, {}, config);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->servers_used, 2u);
-  EXPECT_EQ(report->peak_occupied_dtus, 150);
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport report,
+                       PackOneTier(store, 100));
+  EXPECT_EQ(report.per_architecture[0].nodes_used, 2u);
+  EXPECT_EQ(report.moves, 1u);
+  EXPECT_EQ(report.rejected, 0u);
 }
 
 TEST(PlacementTest, FragmentationBoundedInUnitInterval) {
   auto config = simulator::MakeRegionPreset(1, 300, 9);
   auto store = simulator::SimulateRegion(*config);
   ASSERT_TRUE(store.ok());
-  ClusterConfig cluster;
-  auto report = SimulatePlacement(*store, {}, cluster);
-  ASSERT_TRUE(report.ok());
-  EXPECT_GE(report->mean_fragmentation, 0.0);
-  EXPECT_LE(report->mean_fragmentation, 1.0);
-  EXPECT_GE(report->packing_overhead, 1.0);
-  EXPECT_GT(report->placements, 1000u);
-  EXPECT_NE(report->ToString().find("packing_overhead"),
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport report,
+                       PackOneTier(*store, 2000));
+  EXPECT_GE(report.mean_fragmentation, 0.0);
+  EXPECT_LE(report.mean_fragmentation, 1.0);
+  EXPECT_GT(report.placements, 1000u);
+  EXPECT_NE(report.ToString().find("mean_fragmentation"),
             std::string::npos);
 }
 
@@ -106,43 +145,39 @@ TEST(PlacementTest, SegregationDoesNotLoseTenants) {
   auto config = simulator::MakeRegionPreset(1, 300, 10);
   auto store = simulator::SimulateRegion(*config);
   ASSERT_TRUE(store.ok());
-
-  // Oracle plan: true short-lived dropped databases to the churn pool.
-  PoolAssignmentPlan plan;
-  for (const auto& record : store->databases()) {
-    const double life = record.ObservedLifespanDays(store->window_end());
-    if (record.dropped_at.has_value() && life <= 30.0) {
-      plan.pools[record.id] = Pool::kChurn;
-    }
-  }
-  ClusterConfig mixed;
-  ClusterConfig segregated;
-  segregated.segregate_churn_pool = true;
-  auto base = SimulatePlacement(*store, plan, mixed);
-  auto seg = SimulatePlacement(*store, plan, segregated);
-  ASSERT_TRUE(base.ok() && seg.ok());
-  EXPECT_EQ(base->placements, seg->placements);
-  EXPECT_EQ(base->rejected, seg->rejected);
-  // Same workload, same total demand.
-  EXPECT_EQ(base->peak_occupied_dtus, seg->peak_occupied_dtus);
+  const ArchitectureAssignmentPlan plan = OracleChurnPlan(*store);
+  ASSERT_OK_AND_ASSIGN(const ArchitectureCatalog mixed,
+                       PackingCatalog(2000, false));
+  ASSERT_OK_AND_ASSIGN(const ArchitectureCatalog segregated,
+                       PackingCatalog(2000, true));
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport base,
+                       SimulateDeployment(*store, {}, mixed, {}));
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport seg,
+                       SimulateDeployment(*store, plan, segregated, {}));
+  EXPECT_EQ(base.placements, seg.placements);
+  EXPECT_EQ(base.rejected, seg.rejected);
+  EXPECT_EQ(seg.placements + seg.rejected, store->num_databases());
+  // The churn tier really received the plan's tenants.
+  EXPECT_GT(seg.per_architecture[1].placements, 0u);
 }
 
-TEST(PlacementTest, GrowthBeyondServerCapacityIsRejectedNotCorrupted) {
+TEST(PlacementTest, GrowthBeyondNodeCapacityIsRejectedNotCorrupted) {
   StoreBuilder b;
   const auto id =
       b.AddDatabase(1, 0.0, 50.0, "big", "s", SloIndexByName("P6"));
   b.AddSloChange(id, 1, 10.0, SloIndexByName("P6"), SloIndexByName("P11"));
   auto store = b.Finish();
-  ClusterConfig config;
-  config.server_capacity_dtus = 1000;  // P6 fits (1000), P11 (1750) not
-  auto report = SimulatePlacement(store, {}, config);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->placements, 1u);
-  EXPECT_EQ(report->rejected, 1u);
-  // Invariant: open servers always bound the occupancy.
-  EXPECT_GE(report->packing_overhead, 1.0);
-  EXPECT_LE(report->peak_occupied_dtus,
-            static_cast<int64_t>(report->peak_active_servers) * 1000);
+  // P6 (1000 DTUs) fits a 1000-DTU node; P11 (1750) does not.
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport report,
+                       PackOneTier(store, 1000));
+  EXPECT_EQ(report.placements, 1u);
+  EXPECT_EQ(report.rejected, 1u);
+  EXPECT_EQ(report.moves, 0u);
+  // The tenant left its node at the failed grow: one full node for ten
+  // days, then nothing (no phantom occupancy, no negative waste).
+  EXPECT_EQ(report.per_architecture[0].nodes_used, 1u);
+  EXPECT_NEAR(report.node_days, 10.0, 1e-9);
+  EXPECT_NEAR(report.mean_fragmentation, 0.0, 1e-12);
 }
 
 TEST(PlacementTest, ZeroLifetimeDatabaseDoesNotLeak) {
@@ -151,31 +186,75 @@ TEST(PlacementTest, ZeroLifetimeDatabaseDoesNotLeak) {
   b.AddDatabase(1, 1.0, 1.0, "flash", "s", SloIndexByName("S3"));
   b.AddDatabase(1, 50.0, 60.0, "later", "s", SloIndexByName("S3"));
   auto store = b.Finish();
-  ClusterConfig config;
-  config.server_capacity_dtus = 100;
-  auto report = SimulatePlacement(store, {}, config);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->placements, 2u);
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport report,
+                       PackOneTier(store, 100));
+  EXPECT_EQ(report.placements, 2u);
   // If the flash tenant leaked, both would be live at day 50 and the
-  // peak would be 2 servers; correct handling needs only 1 at a time.
-  EXPECT_EQ(report->peak_active_servers, 1u);
+  // peak would be 2 nodes; correct handling needs only 1 at a time.
+  EXPECT_EQ(report.per_architecture[0].peak_active_nodes, 1u);
 }
 
-// Golden-text checks: ToString()/ToJson() are scraped by scripts and
-// quoted in docs/provisioning.md, so the exact format is contract.
-TEST(PlacementTest, PlacementReportGoldenToString) {
-  PlacementReport r;
-  r.placements = 10;
-  r.rejected = 1;
-  r.servers_used = 4;
-  r.peak_active_servers = 3;
-  r.peak_occupied_dtus = 250;
-  r.packing_overhead = 1.25;
-  r.mean_fragmentation = 0.125;
-  EXPECT_EQ(r.ToString(),
-            "placements=10 rejected=1 servers_used=4 peak_active=3 "
-            "peak_dtus=250 packing_overhead=1.250 "
-            "mean_fragmentation=0.125");
+TEST(PlacementTest, ZeroCapacityTierIsRejected) {
+  EXPECT_FALSE(PackingCatalog(0, false).ok());
+}
+
+// Parity pin for the packing that a standalone first-fit cluster
+// replay used to compute: the golden values are that replay's results
+// on Region-1 (300 subscriptions, seed 10) with one shared cluster
+// ("mixed") or a separate churn cluster for the oracle churn plan
+// ("segregated"). The deployment replay over the equivalent one-tier
+// and two-tier catalogs must reproduce placements, rejections, nodes
+// opened and fleet fragmentation. With no rollouts the fragmentation
+// integral is bit-identical; the default 14-day rollouts split the
+// integration intervals and may move it by a few ulps.
+TEST(PlacementTest, MatchesPinnedFirstFitClusterReplay) {
+  auto config = simulator::MakeRegionPreset(1, 300, 10);
+  auto store = simulator::SimulateRegion(*config);
+  ASSERT_TRUE(store.ok());
+  ASSERT_EQ(store->num_databases(), 1622u);
+  const ArchitectureAssignmentPlan churn_plan = OracleChurnPlan(*store);
+  ASSERT_EQ(churn_plan.assignments.size(), 978u);
+
+  struct Golden {
+    int capacity;
+    bool segregated;
+    size_t placements;
+    size_t rejected;
+    size_t nodes_used;
+    double mean_fragmentation;
+  };
+  const Golden goldens[] = {
+      {1000, false, 1613, 10, 25, 0.16104946432499842},
+      {1000, true, 1613, 10, 31, 0.1900198954058169},
+      {2000, false, 1620, 2, 15, 0.20803403469779308},
+      {2000, true, 1620, 2, 18, 0.22311466674810829},
+      {4000, false, 1622, 0, 9, 0.21349949649114408},
+      {4000, true, 1622, 0, 10, 0.2440316876464976},
+  };
+  DeploymentConfig no_rollouts;
+  no_rollouts.maintenance_interval_days = 1e6;  // longer than the window
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE("capacity " + std::to_string(g.capacity) +
+                 (g.segregated ? " segregated" : " mixed"));
+    ASSERT_OK_AND_ASSIGN(const ArchitectureCatalog catalog,
+                         PackingCatalog(g.capacity, g.segregated));
+    const ArchitectureAssignmentPlan plan =
+        g.segregated ? churn_plan : ArchitectureAssignmentPlan{};
+    for (const bool rollouts : {false, true}) {
+      ASSERT_OK_AND_ASSIGN(
+          const DeploymentReport report,
+          SimulateDeployment(*store, plan, catalog,
+                             rollouts ? DeploymentConfig{} : no_rollouts));
+      EXPECT_EQ(report.placements, g.placements);
+      EXPECT_EQ(report.rejected, g.rejected);
+      EXPECT_EQ(NodesUsed(report), g.nodes_used);
+      if (rollouts) {
+        EXPECT_DOUBLE_EQ(report.mean_fragmentation, g.mean_fragmentation);
+      } else {
+        EXPECT_EQ(report.mean_fragmentation, g.mean_fragmentation);
+      }
+    }
+  }
 }
 
 TEST(PlacementTest, DeploymentReportGoldenToStringAndJson) {
@@ -221,15 +300,6 @@ TEST(PlacementTest, DeploymentReportGoldenToStringAndJson) {
             "\"peak_active_nodes\": 1, \"node_days\": 12.500, "
             "\"infra_cost\": 100.00, \"ops_cost\": 2.25, "
             "\"mean_fragmentation\": 0.2500}]}");
-}
-
-TEST(PlacementTest, RejectsInvalidConfig) {
-  StoreBuilder b;
-  b.AddDatabase(1, 0.0, 10.0);
-  auto store = b.Finish();
-  ClusterConfig config;
-  config.server_capacity_dtus = 0;
-  EXPECT_FALSE(SimulatePlacement(store, {}, config).ok());
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
-#include <algorithm>
+#include <optional>
+#include <vector>
 
+#include "core/placement.h"
 #include "core/provisioning.h"
 #include "gtest/gtest.h"
 #include "simulator/region.h"
@@ -11,163 +13,81 @@ namespace {
 
 using cloudsurv::testing::StoreBuilder;
 
-TEST(PlanFromPredictionsTest, OnlyConfidentPredictionsPlaced) {
-  std::vector<PredictionOutcome> outcomes(3);
-  outcomes[0].id = 1;
-  outcomes[0].predicted_label = 0;
-  outcomes[0].confident = true;
-  outcomes[1].id = 2;
-  outcomes[1].predicted_label = 1;
-  outcomes[1].confident = true;
-  outcomes[2].id = 3;
-  outcomes[2].predicted_label = 1;
-  outcomes[2].confident = false;
-  const PoolAssignmentPlan plan = PlanFromPredictions(outcomes);
-  EXPECT_EQ(plan.PoolOf(1), Pool::kChurn);
-  EXPECT_EQ(plan.PoolOf(2), Pool::kStable);
-  EXPECT_EQ(plan.PoolOf(3), Pool::kGeneral);  // uncertain stays default
-  EXPECT_EQ(plan.PoolOf(999), Pool::kGeneral);
+LongevityService::Assessment MakeAssessment(int label, double probability,
+                                            bool confident) {
+  LongevityService::Assessment a;
+  a.predicted_label = label;
+  a.positive_probability = probability;
+  a.confident = confident;
+  return a;
+}
+
+TEST(OutcomesFromAssessmentsTest, KeepsScoredDatabasesWithTrueLifespans) {
+  StoreBuilder b;
+  const auto unscored = b.AddDatabase(1, 0.0, 1.0);
+  const auto short_lived = b.AddDatabase(1, 0.0, 20.0);
+  const auto survivor = b.AddDatabase(1, 0.0, -1.0);  // alive at window end
+  auto store = b.Finish();
+  ASSERT_EQ(store.databases()[0].id, unscored);
+
+  const std::vector<std::optional<LongevityService::Assessment>> assessments =
+      {std::nullopt, MakeAssessment(0, 0.1, true),
+       MakeAssessment(1, 0.6, false)};
+  ASSERT_OK_AND_ASSIGN(const std::vector<PredictionOutcome> outcomes,
+                       OutcomesFromAssessments(store, assessments));
+  ASSERT_EQ(outcomes.size(), 2u);
+
+  EXPECT_EQ(outcomes[0].id, short_lived);
+  EXPECT_EQ(outcomes[0].predicted_label, 0);
+  EXPECT_EQ(outcomes[0].positive_probability, 0.1);
+  EXPECT_TRUE(outcomes[0].confident);
+  EXPECT_NEAR(outcomes[0].duration_days, 20.0, 1e-9);
+  EXPECT_TRUE(outcomes[0].observed);
+  EXPECT_EQ(outcomes[0].true_label, 0);
+
+  EXPECT_EQ(outcomes[1].id, survivor);
+  EXPECT_EQ(outcomes[1].predicted_label, 1);
+  EXPECT_FALSE(outcomes[1].confident);
+  EXPECT_FALSE(outcomes[1].observed);  // censored at window end
+  EXPECT_GT(outcomes[1].duration_days, 30.0);
+  EXPECT_EQ(outcomes[1].true_label, 1);
+
+  // Assessments must be parallel to store.databases().
+  const auto mismatched = OutcomesFromAssessments(
+      store, {assessments.begin(), assessments.end() - 1});
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
+
   EXPECT_STREQ(PoolToString(Pool::kChurn), "churn");
 }
 
-TEST(ProvisioningTest, MaintenanceDisruptionAccounting) {
-  StoreBuilder b;
-  // Lives 0..100: general pool -> hit by rollouts at days 30, 60, 90.
-  const auto general_db = b.AddDatabase(1, 0.0, 100.0);
-  // Lives 0..20: in churn pool, drops before grace -> rollouts avoided.
-  const auto churn_short = b.AddDatabase(1, 0.0, 20.0);
-  // Lives 0..100 in churn pool: avoided before grace (45), forced after.
-  const auto churn_long = b.AddDatabase(1, 0.0, 100.0);
-  auto store = b.Finish();
-
-  PoolAssignmentPlan plan;
-  plan.pools[churn_short] = Pool::kChurn;
-  plan.pools[churn_long] = Pool::kChurn;
-  ProvisioningPolicyConfig config;
-  config.move_rate_per_30_days = 0.0;  // isolate maintenance accounting
-  auto report = SimulateProvisioning(store, plan, config);
-  ASSERT_TRUE(report.ok()) << report.status();
-
-  // general_db: hit at 30/60/90 = 3 disruptions.
-  // churn_long: rollout at 30 avoided; at 60/90 (past grace 45) forced
-  //   -> 2 disruptions, 1 avoided, 1 forced update.
-  // churn_short: no rollout lands inside its 20-day life (window
-  //   rollouts are at absolute days 30/60/...), so nothing counted.
-  EXPECT_EQ(report->disruptions, 5u);
-  EXPECT_EQ(report->avoided_disruptions, 1u);
-  EXPECT_EQ(report->forced_updates, 1u);
-  (void)general_db;
-}
-
-TEST(ProvisioningTest, ChurnPoolIsNeverRebalanced) {
-  StoreBuilder b;
-  const auto id = b.AddDatabase(1, 0.0, 100.0);
-  auto store = b.Finish();
-  PoolAssignmentPlan plan;
-  plan.pools[id] = Pool::kChurn;
-  ProvisioningPolicyConfig config;
-  config.move_rate_per_30_days = 10.0;  // extreme rate
-  auto report = SimulateProvisioning(store, plan, config);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->moves, 0u);
-  EXPECT_EQ(report->wasted_moves, 0u);
-}
-
-TEST(ProvisioningTest, WastedMovesOnlyNearDrop) {
-  StoreBuilder b;
-  // Long-lived censored database: moves can never be wasted.
-  b.AddDatabase(1, 0.0, -1.0);
-  auto store = b.Finish();
-  ProvisioningPolicyConfig config;
-  config.move_rate_per_30_days = 5.0;
-  auto report = SimulateProvisioning(store, {}, config);
-  ASSERT_TRUE(report.ok());
-  EXPECT_GT(report->moves, 0u);
-  EXPECT_EQ(report->wasted_moves, 0u);
-}
-
-TEST(ProvisioningTest, ContentionDropsWhenChurnersSeparated) {
-  StoreBuilder b;
-  // A cluster of churners and one SLO-changing long-lived database on
-  // the same days.
-  for (int i = 0; i < 20; ++i) {
-    b.AddDatabase(1, 10.0 + i * 0.01, 11.0 + i * 0.01);
-  }
-  const auto stable = b.AddDatabase(2, 0.0, -1.0, "app", "s",
-                                    telemetry::SloIndexByName("S0"));
-  b.AddSloChange(stable, 2, 10.5, telemetry::SloIndexByName("S0"),
-                 telemetry::SloIndexByName("S1"));
-  auto store = b.Finish();
-
-  ProvisioningPolicyConfig config;
-  config.move_rate_per_30_days = 0.0;
-  auto baseline = SimulateProvisioning(store, {}, config);
-  ASSERT_TRUE(baseline.ok());
-
-  PoolAssignmentPlan plan;
-  for (const auto& record : store.databases()) {
-    if (record.id != stable) plan.pools[record.id] = Pool::kChurn;
-  }
-  plan.pools[stable] = Pool::kStable;
-  auto guided = SimulateProvisioning(store, plan, config);
-  ASSERT_TRUE(guided.ok());
-  EXPECT_LT(guided->contention_score, baseline->contention_score);
-  EXPECT_GT(baseline->contention_score, 0.0);
-}
-
-// Golden-text check: the exact report format is contract (quoted in
-// docs and consumed by log scrapers).
-TEST(ProvisioningTest, ReportGoldenToString) {
-  ProvisioningReport r;
-  r.num_databases = 3;
-  r.disruptions = 5;
-  r.avoided_disruptions = 1;
-  r.forced_updates = 1;
-  r.moves = 2;
-  r.wasted_moves = 0;
-  r.contention_score = 42.0;
-  EXPECT_EQ(r.ToString(),
-            "databases=3 disruptions=5 avoided=1 forced_updates=1 "
-            "moves=2 wasted_moves=0 contention=42");
-}
-
-TEST(ProvisioningTest, RejectsInvalidConfig) {
-  StoreBuilder b;
-  b.AddDatabase(1, 0.0, 10.0);
-  auto store = b.Finish();
-  ProvisioningPolicyConfig config;
-  config.maintenance_interval_days = 0.0;
-  EXPECT_FALSE(SimulateProvisioning(store, {}, config).ok());
-}
-
-TEST(ProvisioningTest, GuidedPolicyBeatsBaselineOnSimulatedRegion) {
+TEST(PlacementPolicyTest, OraclePlanDefersRolloutsOnSimulatedRegion) {
   auto config = simulator::MakeRegionPreset(1, 400, 21);
   auto store = simulator::SimulateRegion(*config);
   ASSERT_TRUE(store.ok());
 
-  // Oracle plan: place by true outcome (upper bound for what a
-  // classifier-derived plan can achieve).
-  PoolAssignmentPlan plan;
-  for (const auto& record : store->databases()) {
-    const double life = record.ObservedLifespanDays(store->window_end());
-    const bool dropped = record.dropped_at.has_value();
-    if (dropped && life <= 30.0) {
-      plan.pools[record.id] = Pool::kChurn;
-    } else if (life > 30.0) {
-      plan.pools[record.id] = Pool::kStable;
-    }
-  }
-  ProvisioningPolicyConfig policy;
-  auto baseline = SimulateProvisioning(*store, {}, policy);
-  auto guided = SimulateProvisioning(*store, plan, policy);
-  ASSERT_TRUE(baseline.ok() && guided.ok());
-  // Longevity-guided placement avoids disruptions and wastes fewer
-  // load-balancer moves (section 3.1's claims).
-  EXPECT_LT(guided->disruptions, baseline->disruptions);
-  EXPECT_GT(guided->avoided_disruptions, 0u);
-  EXPECT_LE(guided->wasted_moves, baseline->wasted_moves);
-  EXPECT_LT(guided->contention_score, baseline->contention_score);
-  EXPECT_NE(guided->ToString().find("disruptions="), std::string::npos);
+  // The oracle policy reads only true lifespans; predictions are moot.
+  std::vector<std::optional<LongevityService::Assessment>> assessments(
+      store->num_databases(), MakeAssessment(0, 0.5, false));
+  ASSERT_OK_AND_ASSIGN(const std::vector<PredictionOutcome> outcomes,
+                       OutcomesFromAssessments(*store, assessments));
+  const ArchitectureCatalog catalog = ArchitectureCatalog::Default();
+  ASSERT_OK_AND_ASSIGN(
+      const ArchitectureAssignmentPlan naive_plan,
+      MakePlacementPolicy("naive")->Assign(*store, outcomes, catalog));
+  ASSERT_OK_AND_ASSIGN(
+      const ArchitectureAssignmentPlan oracle_plan,
+      MakePlacementPolicy("oracle")->Assign(*store, outcomes, catalog));
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport naive,
+                       SimulateDeployment(*store, naive_plan, catalog, {}));
+  ASSERT_OK_AND_ASSIGN(const DeploymentReport guided,
+                       SimulateDeployment(*store, oracle_plan, catalog, {}));
+  // Longevity-guided placement defers rollouts on the churn tier and
+  // hides them behind replicas on the durable tier (section 3.1).
+  EXPECT_LT(guided.disruptions, naive.disruptions);
+  EXPECT_GT(guided.avoided_disruptions, 0u);
+  EXPECT_LT(guided.sla_violations, naive.sla_violations);
+  EXPECT_EQ(naive.avoided_disruptions, 0u);
 }
 
 }  // namespace

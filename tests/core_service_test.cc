@@ -120,16 +120,6 @@ TEST(LongevityServiceTest, AssessRejectsYoungOrUnknownDatabases) {
   }
 }
 
-TEST(LongevityServiceTest, PlanPlacementsCoversConfidentDatabases) {
-  const auto& service = TrainedService();
-  auto plan = service.PlanPlacements(HistoryStore());
-  ASSERT_TRUE(plan.ok());
-  EXPECT_GT(plan->pools.size(), 500u);
-  for (const auto& [id, pool] : plan->pools) {
-    EXPECT_NE(pool, Pool::kGeneral);  // only confident placements stored
-  }
-}
-
 TEST(LongevityServiceTest, GeneralizesToAnotherRegion) {
   // Train on Region-1, assess Region-2: the service should still beat
   // coin flipping by a wide margin (the behaviour patterns transfer).

@@ -5,6 +5,7 @@
 // the Reserve() no-reallocation guarantee. See docs/telemetry.md.
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <unordered_map>
 #include <variant>
@@ -22,6 +23,21 @@ namespace cloudsurv::telemetry {
 namespace {
 
 #define ASSERT_RESULT_OK(r) ASSERT_TRUE((r).ok()) << (r).status()
+
+/// The region's whole event log in timestamp order, collected from the
+/// streaming generator's partitions.
+Result<std::vector<Event>> CollectEvents(
+    const simulator::RegionConfig& config) {
+  CLOUDSURV_ASSIGN_OR_RETURN(simulator::RegionEventStream stream,
+                             simulator::RegionEventStream::Open(config));
+  std::vector<Event> events;
+  while (!stream.Done()) {
+    simulator::RegionEventStream::Partition part = stream.NextPartition();
+    events.insert(events.end(), std::make_move_iterator(part.events.begin()),
+                  std::make_move_iterator(part.events.end()));
+  }
+  return events;
+}
 
 TEST(StringPoolTest, InterningRoundTrip) {
   columnar::StringPool pool;
@@ -246,7 +262,7 @@ TEST(ColumnarIdentityTest, OutOfOrderIngestMatchesOrderedIngest) {
   // identical stores.
   auto config = simulator::MakeRegionPreset(1, 40, 7);
   ASSERT_RESULT_OK(config);
-  auto events = simulator::GenerateEventStream(*config);
+  auto events = CollectEvents(*config);
   ASSERT_RESULT_OK(events);
 
   HolidayCalendar holidays = config->holidays;
@@ -365,7 +381,7 @@ TEST(StreamingTest, PartitionedStreamRebuildsBatchStore) {
 TEST(ReserveTest, BulkAppendAfterReserveNeverReallocates) {
   auto config = simulator::MakeRegionPreset(2, 60, 5);
   ASSERT_RESULT_OK(config);
-  auto events = simulator::GenerateEventStream(*config);
+  auto events = CollectEvents(*config);
   ASSERT_RESULT_OK(events);
 
   TelemetryStore store(config->name, config->utc_offset_minutes,

@@ -378,28 +378,8 @@ int CmdPlan(const Flags& flags) {
   auto region = LoadAndAssess(flags);
   if (!region.ok()) return Fail(region.status(), "plan");
   const telemetry::TelemetryStore& store = region->store;
-  std::vector<core::PredictionOutcome> outcomes;
-  outcomes.reserve(region->assessments.size());
-  for (size_t i = 0; i < region->assessments.size(); ++i) {
-    const auto& assessment = region->assessments[i];
-    if (!assessment.has_value()) continue;
-    const auto record = store.databases()[i];
-    const telemetry::Timestamp end =
-        record.dropped_at.has_value()
-            ? std::min(*record.dropped_at, store.window_end())
-            : store.window_end();
-    core::PredictionOutcome outcome;
-    outcome.id = record.id;
-    outcome.predicted_label = assessment->predicted_label;
-    outcome.positive_probability = assessment->positive_probability;
-    outcome.confident = assessment->confident;
-    outcome.duration_days = static_cast<double>(end - record.created_at) /
-                            static_cast<double>(telemetry::kSecondsPerDay);
-    outcome.observed = record.dropped_at.has_value() &&
-                       *record.dropped_at <= store.window_end();
-    outcome.true_label = outcome.duration_days > 30.0 ? 1 : 0;
-    outcomes.push_back(outcome);
-  }
+  auto outcomes = core::OutcomesFromAssessments(store, region->assessments);
+  if (!outcomes.ok()) return Fail(outcomes.status(), "plan");
 
   core::DeploymentConfig deploy;
   deploy.maintenance_interval_days = flags.Number("--maintenance-interval");
@@ -414,7 +394,7 @@ int CmdPlan(const Flags& flags) {
     std::unique_ptr<core::PlacementPolicy> policy =
         core::MakePlacementPolicy(name);
     // Names were validated at flag-parse time.
-    auto plan = policy->Assign(store, outcomes, catalog);
+    auto plan = policy->Assign(store, *outcomes, catalog);
     if (!plan.ok()) return Fail(plan.status(), "policy " + name + " failed");
     auto report = core::SimulateDeployment(store, *plan, catalog, deploy);
     if (!report.ok()) {
