@@ -54,7 +54,7 @@ ml::Dataset SyntheticMatrix(size_t rows, size_t features, uint64_t seed) {
   std::vector<std::string> names;
   names.reserve(features);
   for (size_t f = 0; f < features; ++f) {
-    names.push_back("f" + std::to_string(f));
+    names.push_back(std::string("f").append(std::to_string(f)));
   }
   std::vector<std::vector<double>> matrix;
   std::vector<int> labels;

@@ -27,8 +27,8 @@ std::string KmCurveSeriesMulti(
   for (int day = 0; day <= max_day; day += std::max(1, stride)) {
     out += std::to_string(day);
     for (const auto& [label, curve] : curves) {
-      out += "\t" +
-             FormatDouble(curve.SurvivalAt(static_cast<double>(day)), 4);
+      out.append("\t").append(
+          FormatDouble(curve.SurvivalAt(static_cast<double>(day)), 4));
     }
     out += "\n";
   }

@@ -68,10 +68,11 @@ Result<CalibrationReport> ComputeCalibration(
 std::string CalibrationReport::ToText() const {
   std::string out = "bin\tcount\tmean_pred\tobserved\n";
   for (const ReliabilityBin& bin : bins) {
-    out += "[" + FormatDouble(bin.lower, 1) + ", " +
-           FormatDouble(bin.upper, 1) + ")\t" + std::to_string(bin.count) +
-           "\t" + FormatDouble(bin.mean_predicted, 3) + "\t" +
-           FormatDouble(bin.observed_rate, 3) + "\n";
+    out.append("[").append(FormatDouble(bin.lower, 1)).append(", ");
+    out.append(FormatDouble(bin.upper, 1)).append(")\t");
+    out.append(std::to_string(bin.count)).append("\t");
+    out.append(FormatDouble(bin.mean_predicted, 3)).append("\t");
+    out.append(FormatDouble(bin.observed_rate, 3)).append("\n");
   }
   out += "brier=" + FormatDouble(brier_score, 4) +
          " ece=" + FormatDouble(expected_calibration_error, 4) +

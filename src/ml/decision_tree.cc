@@ -552,12 +552,14 @@ std::string DecisionTreeClassifier::Serialize() const {
     out += std::to_string(node.feature) + " " +
            FullPrecision(node.threshold) + " " + std::to_string(node.left) +
            " " + std::to_string(node.right);
-    out += " " + std::to_string(node.probabilities.size());
-    for (double p : node.probabilities) out += " " + FullPrecision(p);
+    out.append(" ").append(std::to_string(node.probabilities.size()));
+    for (double p : node.probabilities) {
+      out.append(" ").append(FullPrecision(p));
+    }
     out += "\n";
   }
   out += "importances";
-  for (double v : importances_) out += " " + FullPrecision(v);
+  for (double v : importances_) out.append(" ").append(FullPrecision(v));
   out += "\n";
   return out;
 }

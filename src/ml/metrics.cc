@@ -206,7 +206,7 @@ std::string MulticlassConfusionToText(
   for (size_t t = 0; t < k; ++t) {
     out += (t < class_names.size() ? class_names[t] : std::to_string(t));
     for (size_t p = 0; p < k; ++p) {
-      out += "\t" + std::to_string(confusion.counts[t][p]);
+      out.append("\t").append(std::to_string(confusion.counts[t][p]));
     }
     out += "\n";
   }

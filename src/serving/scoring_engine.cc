@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <future>
 #include <iterator>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 namespace cloudsurv::serving {
@@ -22,17 +22,28 @@ Timestamp MaturityOf(Timestamp created_at, double observe_days) {
                           observe_days * static_cast<double>(kSecondsPerDay));
 }
 
-/// Result of one shard scoring task.
-struct ShardBatchResult {
+}  // namespace
+
+/// One shard's share of a poll: the events to append to its store and
+/// the matured databases to score (either may be empty, not both).
+struct ScoringEngine::ShardJob {
+  size_t shard = 0;
+  std::vector<Event> events;
+  std::vector<PendingDatabase> due;
+};
+
+/// Result of one shard job.
+struct ScoringEngine::ShardJobResult {
   std::vector<ScoredDatabase> scored;
   uint64_t skipped = 0;
   uint64_t fallback = 0;
   uint64_t retries = 0;
   bool deadline_exceeded = false;
   Status status;  // Non-OK only for snapshot/model-availability failures.
+  /// What the job threw, if anything; rethrown on the driver after the
+  /// join.
+  std::exception_ptr error;
 };
-
-}  // namespace
 
 const char* HealthStateToString(HealthState state) {
   switch (state) {
@@ -289,14 +300,14 @@ void ScoringEngine::UpdateHealthAfterCycle(bool dirty) {
   }
 }
 
-void ScoringEngine::AbsorbStagedEvents() {
+std::vector<std::vector<Event>> ScoringEngine::AbsorbStagedEvents() {
   // Tracker totals are authoritative (Add dedupes, Cancel checks
   // maturity); mirror them onto the registry by delta.
   const uint64_t added_before = tracker_.total_added();
   const uint64_t cancelled_before = tracker_.total_cancelled();
   std::vector<std::vector<Event>> staged = ingest_.TakeAll();
   for (size_t shard = 0; shard < staged.size(); ++shard) {
-    std::vector<Event>& batch = staged[shard];
+    const std::vector<Event>& batch = staged[shard];
     if (batch.empty()) continue;
     series_.events_flushed->Increment(batch.size());
     for (const Event& event : batch) {
@@ -320,244 +331,254 @@ void ScoringEngine::AbsorbStagedEvents() {
           break;
       }
     }
-    ShardLog& log = shard_logs_[shard];
-    log.store->Reserve(batch.size());
-    // Ids were validated at ingest, so the only way a live append can
-    // fail is a lifecycle violation — which poisons the store out of
-    // readable() and routes the shard to the snapshot path, where
-    // Finalize() reports the same violation batch scoring would.
-    Status appended = log.store->AppendEvents(std::move(batch));
-    if (!appended.ok()) {
-      cycle_dirty_.store(true, std::memory_order_relaxed);
-    }
   }
   series_.databases_tracked->Increment(tracker_.total_added() -
                                        added_before);
   series_.databases_cancelled->Increment(tracker_.total_cancelled() -
                                          cancelled_before);
+  return staged;
+}
+
+void ScoringEngine::RunShardJob(ShardJob& job, ShardJobResult* result) {
+  ShardLog& log = shard_logs_[job.shard];
+  if (!job.events.empty()) {
+    // AppendEvents reserves the whole batch up front. Ids were
+    // validated at ingest, so the only way a live append can fail is a
+    // lifecycle violation — which poisons the store out of readable()
+    // and routes the shard to the snapshot path, where Finalize()
+    // reports the same violation batch scoring would.
+    Status appended = log.store->AppendEvents(std::move(job.events));
+    if (!appended.ok()) {
+      cycle_dirty_.store(true, std::memory_order_relaxed);
+    }
+  }
+  // A shard with nothing due never pins a model.
+  if (job.due.empty()) return;
+
+  const std::vector<PendingDatabase>& due = job.due;
+  const int64_t shard_key = static_cast<int64_t>(job.shard);
+  fault::FaultInjector* injector = options_.fault_injector;
+  const bool fallback_enabled = options_.fallback_positive_rate >= 0.0;
+  auto fall_back_all = [&]() {
+    result->scored.reserve(due.size());
+    for (const PendingDatabase& pending : due) {
+      result->scored.push_back(FallbackScore(pending));
+    }
+    result->fallback = due.size();
+  };
+
+  // Pin the model snapshot for the whole batch; a concurrent Publish()
+  // swaps later batches, never this one. A swap-race fault is evaluated
+  // here, per shard, so replay does not depend on which thread runs the
+  // job.
+  ModelRegistry::ActiveModel active = registry_.CurrentWithVersion();
+  bool model_available = active.model != nullptr;
+  if (model_available && injector != nullptr &&
+      injector->Evaluate(fault::Site::kRegistrySwap, shard_key).swap_race) {
+    model_available = false;
+  }
+  if (!model_available) {
+    if (!fallback_enabled) {
+      result->status = Status::FailedPrecondition("no model published");
+      return;
+    }
+    fall_back_all();
+    return;
+  }
+
+  // Pick the store this batch reads. Direct-read fast path: ordered
+  // streaming ingest keeps the live shard store readable(), so the
+  // batch scores straight off its columnar state — no event copy, no
+  // Finalize() barrier. A configured injector always takes the snapshot
+  // path below, preserving the fault::Site::kSnapshotBuild injection
+  // point fault plans target.
+  const telemetry::TelemetryStore* read_store = nullptr;
+  std::optional<telemetry::TelemetryStore> snapshot;
+  if (injector == nullptr && log.store->readable()) {
+    read_store = &*log.store;
+    series_.direct_reads->Increment();
+  } else {
+    // Snapshot materialization from the shard's event log, with bounded
+    // retries around injected allocation/io failures.
+    std::vector<Event> base;
+    base.reserve(log.store->num_events());
+    for (const Event& event : log.store->events()) {
+      base.push_back(event);
+    }
+    Status snap_status;
+    for (size_t attempt = 0; attempt <= options_.snapshot_retries;
+         ++attempt) {
+      if (attempt > 0) {
+        ++result->retries;
+        fault::SleepFor(RetryBackoffUs(attempt - 1));
+      }
+      if (injector != nullptr) {
+        const fault::Outcome outcome =
+            injector->Evaluate(fault::Site::kSnapshotBuild, shard_key);
+        fault::SleepFor(outcome.delay_us + outcome.stall_us);
+        if (outcome.fail) {
+          snap_status =
+              outcome.io
+                  ? Status::IOError("injected io failure building snapshot")
+                  : Status::Internal(
+                        "injected allocation failure building snapshot");
+          continue;
+        }
+      }
+      telemetry::TelemetryStore candidate(
+          region_.region_name, region_.utc_offset_minutes, region_.holidays,
+          region_.window_start, region_.window_end);
+      snap_status = candidate.AppendEvents(std::vector<Event>(base));
+      if (!snap_status.ok()) continue;
+      snap_status = candidate.Finalize();
+      if (!snap_status.ok()) continue;
+      snapshot.emplace(std::move(candidate));
+      break;
+    }
+    if (!snapshot.has_value()) {
+      if (fallback_enabled) {
+        fall_back_all();
+        return;
+      }
+      // No fallback: the batch is reported skipped (counted, not
+      // silently dropped) and the poll surfaces the error.
+      result->skipped = due.size();
+      result->status = snap_status;
+      return;
+    }
+    series_.snapshots->Increment();
+    read_store = &*snapshot;
+  }
+
+  // One pass over the batch, in batch order: every database passes the
+  // engine.score fault site once and its injected delay is slept here.
+  // The virtual clock advances by those delays plus a fixed cost per
+  // assessment — never by wall time, and never by an assessment's
+  // result — so the deadline cut is known before anything is scored and
+  // is bit-reproducible across machines and thread counts.
+  size_t cut = due.size();
+  double virtual_us = 0.0;
+  for (size_t i = 0; i < due.size(); ++i) {
+    if (injector != nullptr) {
+      const fault::Outcome outcome =
+          injector->Evaluate(fault::Site::kScoreAssess, shard_key);
+      fault::SleepFor(outcome.delay_us + outcome.stall_us);
+      virtual_us += outcome.delay_us + outcome.stall_us;
+    }
+    if (cut != due.size()) continue;
+    if (options_.batch_deadline_us > 0.0 &&
+        virtual_us > options_.batch_deadline_us) {
+      cut = i;
+      result->deadline_exceeded = true;
+    } else {
+      virtual_us += options_.assess_virtual_cost_us;
+    }
+  }
+
+  // The rows inside the deadline go through one AssessMany call — rows
+  // grouped per model slot, features extracted in one batch and scored
+  // by the compiled FlatForest in blocks. Assessments are bit-identical
+  // to per-id Assess; nullopt marks exactly the ids whose per-id Assess
+  // would fail (e.g. dropped inside the window with the drop racing the
+  // maturity cutoff), which batch Assess() on the final store skips
+  // identically.
+  std::vector<telemetry::DatabaseId> ids;
+  ids.reserve(cut);
+  for (size_t i = 0; i < cut; ++i) ids.push_back(due[i].database_id);
+  result->scored.reserve(due.size());
+  if (!ids.empty()) {
+    const auto batch_start = std::chrono::steady_clock::now();
+    ml::FlatForest::BatchOptions batch_opts;
+    batch_opts.block_rows = options_.inference_block_rows;
+    batch_opts.traversal = options_.inference_traversal;
+    auto assessments = active.model->AssessMany(*read_store, ids, batch_opts);
+    const double batch_us = std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - batch_start)
+                                .count();
+    if (!assessments.ok()) {
+      result->skipped = due.size();
+      result->status = assessments.status();
+      return;
+    }
+    // One amortized sample per assessed database keeps the histogram's
+    // per-assessment semantics.
+    const double per_db_us = batch_us / static_cast<double>(cut);
+    for (size_t i = 0; i < cut; ++i) {
+      series_.scoring_latency_us->Observe(per_db_us);
+      if (!(*assessments)[i].has_value()) {
+        ++result->skipped;
+        continue;
+      }
+      ScoredDatabase scored;
+      scored.database_id = due[i].database_id;
+      scored.subscription_id = due[i].subscription_id;
+      scored.matured_at = due[i].matures_at;
+      scored.model_version = active.version;
+      scored.assessment = *std::move((*assessments)[i]);
+      result->scored.push_back(std::move(scored));
+    }
+  }
+  // Databases past the deadline fall back or are skipped.
+  for (size_t i = cut; i < due.size(); ++i) {
+    if (fallback_enabled) {
+      result->scored.push_back(FallbackScore(due[i]));
+      ++result->fallback;
+    } else {
+      ++result->skipped;
+    }
+  }
 }
 
 Result<std::vector<ScoredDatabase>> ScoringEngine::ScoreDue(
+    std::vector<std::vector<Event>> staged,
     std::vector<PendingDatabase> due) {
-  if (due.empty()) return std::vector<ScoredDatabase>();
-
-  // Group matured databases by owning shard: one snapshot (and one pool
-  // task) per shard serves its whole batch.
-  std::unordered_map<size_t, std::vector<PendingDatabase>> by_shard;
-  for (PendingDatabase& p : due) {
-    by_shard[p.shard].push_back(p);
+  // One job per shard with staged events or matured databases: the
+  // shard's append and its whole batch share one job (one snapshot, one
+  // model pin). Due databases keep their maturity order within a shard.
+  std::vector<std::vector<PendingDatabase>> due_by_shard(shard_logs_.size());
+  for (PendingDatabase& p : due) due_by_shard[p.shard].push_back(p);
+  std::vector<ShardJob> jobs;
+  for (size_t shard = 0; shard < shard_logs_.size(); ++shard) {
+    if (staged[shard].empty() && due_by_shard[shard].empty()) continue;
+    jobs.push_back(ShardJob{shard, std::move(staged[shard]),
+                            std::move(due_by_shard[shard])});
   }
+  if (jobs.empty()) return std::vector<ScoredDatabase>();
 
-  std::vector<std::future<ShardBatchResult>> futures;
-  futures.reserve(by_shard.size());
-  for (auto& [shard, batch] : by_shard) {
-    // The task reads the shard log concurrently with nothing: the
-    // driver thread blocks on all futures below before the next
-    // AbsorbStagedEvents() can touch it.
-    const ShardLog* log = &shard_logs_[shard];
-    RegionContext* region = &region_;
-    ModelRegistry* registry = &registry_;
-    std::vector<PendingDatabase> task_batch = std::move(batch);
-    const int64_t shard_key = static_cast<int64_t>(shard);
-    futures.push_back(pool_.Submit(
-        [log, region, registry, shard_key,
-         task_batch = std::move(task_batch), this]() -> ShardBatchResult {
-          ShardBatchResult result;
-          fault::FaultInjector* injector = options_.fault_injector;
-          const bool fallback_enabled =
-              options_.fallback_positive_rate >= 0.0;
-
-          // Pin the model snapshot for the whole batch; a concurrent
-          // Publish() swaps later batches, never this one. A swap-race
-          // fault is evaluated here, per shard, so replay does not
-          // depend on which worker thread runs the batch.
-          ModelRegistry::ActiveModel active = registry->CurrentWithVersion();
-          bool model_available = active.model != nullptr;
-          if (model_available && injector != nullptr &&
-              injector->Evaluate(fault::Site::kRegistrySwap, shard_key)
-                  .swap_race) {
-            model_available = false;
-          }
-          if (!model_available) {
-            if (!fallback_enabled) {
-              result.status =
-                  Status::FailedPrecondition("no model published");
-              return result;
-            }
-            result.scored.reserve(task_batch.size());
-            for (const PendingDatabase& pending : task_batch) {
-              result.scored.push_back(FallbackScore(pending));
-            }
-            result.fallback = task_batch.size();
-            return result;
-          }
-
-          // Pick the store this batch reads. Direct-read fast path:
-          // ordered streaming ingest keeps the live shard store
-          // readable(), so the batch scores straight off its columnar
-          // state — no event copy, no Finalize() barrier. A configured
-          // injector always takes the snapshot path below, preserving
-          // the fault::Site::kSnapshotBuild injection point fault
-          // plans target.
-          const telemetry::TelemetryStore* read_store = nullptr;
-          std::optional<telemetry::TelemetryStore> snapshot;
-          if (injector == nullptr && log->store->readable()) {
-            read_store = &*log->store;
-            series_.direct_reads->Increment();
-          } else {
-            // Snapshot materialization from the shard's event log,
-            // with bounded retries around injected allocation/io
-            // failures.
-            std::vector<Event> base;
-            base.reserve(log->store->num_events());
-            for (const Event& event : log->store->events()) {
-              base.push_back(event);
-            }
-            Status snap_status;
-            for (size_t attempt = 0;
-                 attempt <= options_.snapshot_retries; ++attempt) {
-              if (attempt > 0) {
-                ++result.retries;
-                fault::SleepFor(RetryBackoffUs(attempt - 1));
-              }
-              if (injector != nullptr) {
-                const fault::Outcome outcome = injector->Evaluate(
-                    fault::Site::kSnapshotBuild, shard_key);
-                fault::SleepFor(outcome.delay_us + outcome.stall_us);
-                if (outcome.fail) {
-                  snap_status =
-                      outcome.io
-                          ? Status::IOError(
-                                "injected io failure building snapshot")
-                          : Status::Internal(
-                                "injected allocation failure building "
-                                "snapshot");
-                  continue;
-                }
-              }
-              telemetry::TelemetryStore candidate(
-                  region->region_name, region->utc_offset_minutes,
-                  region->holidays, region->window_start,
-                  region->window_end);
-              std::vector<Event> copy(base);
-              candidate.Reserve(copy.size());
-              snap_status = candidate.AppendEvents(std::move(copy));
-              if (!snap_status.ok()) continue;
-              snap_status = candidate.Finalize();
-              if (!snap_status.ok()) continue;
-              snapshot.emplace(std::move(candidate));
-              break;
-            }
-            if (!snapshot.has_value()) {
-              if (fallback_enabled) {
-                result.scored.reserve(task_batch.size());
-                for (const PendingDatabase& pending : task_batch) {
-                  result.scored.push_back(FallbackScore(pending));
-                }
-                result.fallback = task_batch.size();
-                return result;
-              }
-              // No fallback: the batch is reported skipped (counted,
-              // not silently dropped) and the poll surfaces the error.
-              result.skipped = task_batch.size();
-              result.status = snap_status;
-              return result;
-            }
-            series_.snapshots->Increment();
-            read_store = &*snapshot;
-          }
-
-          // One pass over the batch, in batch order: every database
-          // passes the engine.score fault site once and its injected
-          // delay is slept here. The virtual clock advances by those
-          // delays plus a fixed cost per assessment — never by wall
-          // time, and never by an assessment's result — so the deadline
-          // cut is known before anything is scored and is
-          // bit-reproducible across machines and thread counts.
-          size_t cut = task_batch.size();
-          double virtual_us = 0.0;
-          for (size_t i = 0; i < task_batch.size(); ++i) {
-            if (injector != nullptr) {
-              const fault::Outcome outcome = injector->Evaluate(
-                  fault::Site::kScoreAssess, shard_key);
-              fault::SleepFor(outcome.delay_us + outcome.stall_us);
-              virtual_us += outcome.delay_us + outcome.stall_us;
-            }
-            if (cut != task_batch.size()) continue;
-            if (options_.batch_deadline_us > 0.0 &&
-                virtual_us > options_.batch_deadline_us) {
-              cut = i;
-              result.deadline_exceeded = true;
-            } else {
-              virtual_us += options_.assess_virtual_cost_us;
-            }
-          }
-
-          // The rows inside the deadline go through one AssessMany
-          // call — rows grouped per model slot, features extracted in
-          // one batch and scored by the compiled FlatForest in blocks.
-          // Assessments are bit-identical to per-id Assess; nullopt
-          // marks exactly the ids whose per-id Assess would fail (e.g.
-          // dropped inside the window with the drop racing the
-          // maturity cutoff), which batch Assess() on the final store
-          // skips identically.
-          std::vector<telemetry::DatabaseId> ids;
-          ids.reserve(cut);
-          for (size_t i = 0; i < cut; ++i) {
-            ids.push_back(task_batch[i].database_id);
-          }
-          result.scored.reserve(task_batch.size());
-          if (!ids.empty()) {
-            const auto batch_start = std::chrono::steady_clock::now();
-            ml::FlatForest::BatchOptions batch_opts;
-            batch_opts.block_rows = options_.inference_block_rows;
-            batch_opts.traversal = options_.inference_traversal;
-            auto assessments =
-                active.model->AssessMany(*read_store, ids, batch_opts);
-            const double batch_us =
-                std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - batch_start)
-                    .count();
-            if (!assessments.ok()) {
-              result.skipped = task_batch.size();
-              result.status = assessments.status();
-              return result;
-            }
-            // One amortized sample per assessed database keeps the
-            // histogram's per-assessment semantics.
-            const double per_db_us = batch_us / static_cast<double>(cut);
-            for (size_t i = 0; i < cut; ++i) {
-              series_.scoring_latency_us->Observe(per_db_us);
-              if (!(*assessments)[i].has_value()) {
-                ++result.skipped;
-                continue;
-              }
-              ScoredDatabase scored;
-              scored.database_id = task_batch[i].database_id;
-              scored.subscription_id = task_batch[i].subscription_id;
-              scored.matured_at = task_batch[i].matures_at;
-              scored.model_version = active.version;
-              scored.assessment = *std::move((*assessments)[i]);
-              result.scored.push_back(std::move(scored));
-            }
-          }
-          // Databases past the deadline fall back or are skipped.
-          for (size_t i = cut; i < task_batch.size(); ++i) {
-            if (fallback_enabled) {
-              result.scored.push_back(FallbackScore(task_batch[i]));
-              ++result.fallback;
-            } else {
-              ++result.skipped;
-            }
-          }
-          return result;
-        }));
+  // Jobs are claimed from one index by the pool tasks and by this
+  // thread, which would otherwise only wait. Anything a job throws is
+  // kept in its slot and rethrown below, after every task that reads
+  // this frame has been joined.
+  std::vector<ShardJobResult> results(jobs.size());
+  std::atomic<size_t> next_job{0};
+  auto claim_jobs = [this, &jobs, &results, &next_job]() {
+    for (size_t i = next_job.fetch_add(1, std::memory_order_relaxed);
+         i < jobs.size();
+         i = next_job.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        RunShardJob(jobs[i], &results[i]);
+      } catch (...) {
+        results[i].error = std::current_exception();
+      }
+    }
+  };
+  const size_t helpers = std::min(pool_.num_threads(), jobs.size());
+  std::vector<std::future<void>> tasks;
+  tasks.reserve(helpers);
+  for (size_t t = 0; t < helpers; ++t) {
+    tasks.push_back(pool_.Submit(claim_jobs));
+  }
+  claim_jobs();
+  // A task the pool refused (shut down) never ran; its jobs were
+  // claimed here, so waiting is enough — nothing to get().
+  for (std::future<void>& task : tasks) task.wait();
+  for (ShardJobResult& result : results) {
+    if (result.error) std::rethrow_exception(result.error);
   }
 
   std::vector<ScoredDatabase> all;
   Status first_error = Status::OK();
-  for (std::future<ShardBatchResult>& future : futures) {
-    ShardBatchResult result = future.get();
+  for (ShardJobResult& result : results) {
     series_.retries->Increment(result.retries);
     if (result.deadline_exceeded) {
       series_.deadline_exceeded->Increment();
@@ -594,8 +615,10 @@ Result<std::vector<ScoredDatabase>> ScoringEngine::ScoreDue(
 }
 
 Result<std::vector<ScoredDatabase>> ScoringEngine::RunCycle(
+    std::vector<std::vector<Event>> staged,
     std::vector<PendingDatabase> due) {
-  Result<std::vector<ScoredDatabase>> scored = ScoreDue(std::move(due));
+  Result<std::vector<ScoredDatabase>> scored =
+      ScoreDue(std::move(staged), std::move(due));
   // Consume-and-reset: a dirty flag raised between cycles (e.g. ingest
   // retry exhaustion on a producer thread) degrades this cycle.
   const bool dirty =
@@ -616,14 +639,14 @@ Result<std::vector<ScoredDatabase>> ScoringEngine::Poll(Timestamp now) {
         options_.fault_injector->Evaluate(fault::Site::kEngineClock)
             .skew_s);
   }
-  AbsorbStagedEvents();
-  return RunCycle(tracker_.TakeDue(now));
+  std::vector<std::vector<Event>> staged = AbsorbStagedEvents();
+  return RunCycle(std::move(staged), tracker_.TakeDue(now));
 }
 
 Result<std::vector<ScoredDatabase>> ScoringEngine::Drain() {
   series_.polls->Increment();
-  AbsorbStagedEvents();
-  return RunCycle(tracker_.TakeAll());
+  std::vector<std::vector<Event>> staged = AbsorbStagedEvents();
+  return RunCycle(std::move(staged), tracker_.TakeAll());
 }
 
 EngineMetrics ScoringEngine::Metrics() const {

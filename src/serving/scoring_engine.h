@@ -112,20 +112,23 @@ struct EngineMetrics {
 /// Data flow per poll cycle:
 ///   producers --Ingest()--> EventIngestBuffer (mutex-striped shards,
 ///                           keyed by subscription)
-///   Poll(now) drains the buffer into per-shard live TelemetryStores,
-///   registers creations with the MaturityTracker (min-heap on
-///   created_at + observe_days) and cancels databases dropped before
-///   maturing; then every shard holding newly matured databases gets
-///   one ThreadPool task that scores its due databases against the
-///   registry's current model snapshot in one AssessMany() call (those
-///   inside the batch's virtual-time deadline, if one is set; the rest
-///   fall back or are skipped). When no fault injector is
-///   configured and the shard's live store is still readable()
-///   (ordered streaming ingest), the task reads the live columnar
-///   store directly — no event copy, no Finalize() barrier. Otherwise
-///   it falls back to materializing a finalized snapshot store from
-///   the shard's event log (the path fault plans target via
-///   fault::Site::kSnapshotBuild).
+///   Poll(now) takes the staged batches on the driver thread, registers
+///   creations with the MaturityTracker (min-heap on created_at +
+///   observe_days) and cancels databases dropped before maturing. Then
+///   every shard with staged events or newly matured databases becomes
+///   one job. A job appends the shard's batch to its live
+///   TelemetryStore, then (if anything in the shard is due) scores the
+///   due databases against the registry's current model snapshot in one
+///   AssessMany() call (those inside the batch's virtual-time deadline,
+///   if one is set; the rest fall back or are skipped). The jobs are
+///   claimed from one atomic index by up to `num_threads` ThreadPool
+///   tasks and by the calling thread itself, which joins every task
+///   before it returns. When no fault injector is configured and the
+///   shard's live store is still readable() (ordered streaming ingest),
+///   the job reads the live columnar store directly — no event copy, no
+///   Finalize() barrier. Otherwise it falls back to materializing a
+///   finalized snapshot store from the shard's event log (the path
+///   fault plans target via fault::Site::kSnapshotBuild).
 ///
 /// Correctness: features only read telemetry at or before Tp and only
 /// from the scored database's own subscription, and a shard owns every
@@ -135,15 +138,19 @@ struct EngineMetrics {
 ///
 /// Threading contract: Ingest() is safe from any number of threads;
 /// Poll()/Drain() must be called from one driver thread at a time.
-/// ModelRegistry::Publish()/Activate() may race with everything
-/// (hot-swap): each scoring task pins the model snapshot it starts
-/// with, so swaps never tear a batch.
+/// Poll()/Drain() run shard jobs on the calling thread as well as on
+/// the pool's workers. ModelRegistry::Publish()/Activate() may race
+/// with everything (hot-swap): each shard job that scores pins the
+/// model snapshot it starts with, so swaps never tear a batch.
 class ScoringEngine {
  public:
   struct Options {
     size_t num_shards = 16;
+    /// Pool workers that append and score shard jobs. Poll()/Drain()
+    /// also run shard jobs on the calling thread, so a poll uses up to
+    /// num_threads + 1 threads.
     size_t num_threads = 4;
-    /// Bound on queued scoring tasks; Poll() blocks (backpressure) when
+    /// Bound on queued pool tasks; Poll() blocks (backpressure) when
     /// the pool falls behind.
     size_t queue_capacity = 64;
     /// Observation span x in days; must match the published models'
@@ -243,22 +250,35 @@ class ScoringEngine {
   struct ShardLog {
     /// Live columnar store holding every event routed to this shard so
     /// far (arrival order). While ordered streaming keeps it
-    /// readable(), scoring tasks read it directly; out-of-order
+    /// readable(), shard jobs read it directly; out-of-order
     /// arrivals or a configured fault injector divert scoring to a
     /// copy+Finalize snapshot materialized from its event log.
     std::optional<telemetry::TelemetryStore> store;
   };
 
-  /// Moves staged batches into shard logs and updates the tracker.
-  void AbsorbStagedEvents();
+  /// Takes the staged batches and updates the tracker with their
+  /// creations and drops. Returns the batches (element i is shard i's),
+  /// still to be appended to the shard stores. Driver thread only.
+  std::vector<std::vector<telemetry::Event>> AbsorbStagedEvents();
 
-  /// Scores `due` (grouped by shard, one pool task per shard batch).
+  /// Appends `staged` and scores `due`: one job per shard that has
+  /// either, run by the pool workers and the calling thread. Returns
+  /// the assessments sorted by database id.
   Result<std::vector<ScoredDatabase>> ScoreDue(
+      std::vector<std::vector<telemetry::Event>> staged,
       std::vector<PendingDatabase> due);
+
+  struct ShardJob;
+  struct ShardJobResult;
+
+  /// Appends a job's events to its shard store, then scores its due
+  /// databases (if any). Safe to run concurrently for different shards.
+  void RunShardJob(ShardJob& job, ShardJobResult* result);
 
   /// Runs one poll cycle (shared by Poll and Drain) and applies the
   /// health-state transitions it observed.
   Result<std::vector<ScoredDatabase>> RunCycle(
+      std::vector<std::vector<telemetry::Event>> staged,
       std::vector<PendingDatabase> due);
 
   /// Scores one pending database with the weighted-random fallback.
@@ -308,10 +328,9 @@ class ScoringEngine {
   ModelRegistry registry_;
   ThreadPool pool_;
 
-  /// Shard logs are touched only by the Poll()/Drain() driver thread
-  /// and by the scoring task spawned for that shard within one poll
-  /// (which only reads; the driver blocks on the batch before mutating
-  /// again), so they need no lock of their own.
+  /// A shard log is touched only by the one job that owns its shard
+  /// within a poll, and the driver joins every job before the next
+  /// poll, so shard logs need no lock of their own.
   std::vector<ShardLog> shard_logs_;
 
   EngineSeries series_;
@@ -328,8 +347,8 @@ class ScoringEngine {
   std::atomic<uint64_t> jitter_salt_{0};
   /// Consecutive clean polls while degraded. Driver thread only.
   size_t clean_polls_ = 0;
-  /// True while the current cycle observed degradation. Set by scoring
-  /// tasks (under the futures barrier), read by the driver.
+  /// True while the current cycle observed degradation. Set by shard
+  /// jobs (before the join), read by the driver.
   std::atomic<bool> cycle_dirty_{false};
 };
 

@@ -64,10 +64,10 @@ std::string Histogram::ToAsciiArt(size_t max_width) const {
         peak == 0 ? 0
                   : static_cast<size_t>(std::llround(
                         static_cast<double>(counts_[i]) * max_width / peak));
-    out += "[" + FormatDouble(bin_lower(i), 1) + ", " +
-           FormatDouble(bin_upper(i), 1) + ") ";
+    out.append("[").append(FormatDouble(bin_lower(i), 1)).append(", ");
+    out.append(FormatDouble(bin_upper(i), 1)).append(") ");
     out.append(bar, '#');
-    out += " " + std::to_string(counts_[i]) + "\n";
+    out.append(" ").append(std::to_string(counts_[i])).append("\n");
   }
   return out;
 }

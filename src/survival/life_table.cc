@@ -80,13 +80,14 @@ std::string LifeTable::ToText() const {
   std::string out =
       "interval\tentering\tevents\tcensored\tcond_S\tcum_S\thazard\n";
   for (const LifeTableRow& r : rows_) {
-    out += "[" + FormatDouble(r.interval_start, 1) + ", " +
-           FormatDouble(r.interval_end, 1) + ")\t" +
-           std::to_string(r.entering) + "\t" + std::to_string(r.events) +
-           "\t" + std::to_string(r.censored) + "\t" +
-           FormatDouble(r.conditional_survival, 4) + "\t" +
-           FormatDouble(r.cumulative_survival, 4) + "\t" +
-           FormatDouble(r.hazard_rate, 5) + "\n";
+    out.append("[").append(FormatDouble(r.interval_start, 1)).append(", ");
+    out.append(FormatDouble(r.interval_end, 1)).append(")\t");
+    out.append(std::to_string(r.entering)).append("\t");
+    out.append(std::to_string(r.events)).append("\t");
+    out.append(std::to_string(r.censored)).append("\t");
+    out.append(FormatDouble(r.conditional_survival, 4)).append("\t");
+    out.append(FormatDouble(r.cumulative_survival, 4)).append("\t");
+    out.append(FormatDouble(r.hazard_rate, 5)).append("\n");
   }
   return out;
 }

@@ -557,6 +557,11 @@ Status TelemetryStore::AppendInternal(const Event& event) {
   r.last_kind = kind;
 
   uint32_t row = columnar::kNilPage;  // UINT32_MAX = unresolved
+  // Creation names interned by the record path, reused by the active
+  // segment below.
+  bool names_interned = false;
+  uint32_t sname_id = 0;
+  uint32_t dname_id = 0;
   if (r.incremental()) {
     const int64_t part = internal::FloorDiv(event.timestamp - r.window_start,
                                             r.partition_seconds);
@@ -580,8 +585,11 @@ Status TelemetryStore::AppendInternal(const Event& event) {
         r.rec.id.push_back(event.database_id);
         r.rec.sub.push_back(event.subscription_id);
         r.rec.server.push_back(p.server_id);
-        r.rec.sname.push_back(r.pool.Intern(p.server_name));
-        r.rec.dname.push_back(r.pool.Intern(p.database_name));
+        sname_id = r.pool.Intern(p.server_name);
+        dname_id = r.pool.Intern(p.database_name);
+        names_interned = true;
+        r.rec.sname.push_back(sname_id);
+        r.rec.dname.push_back(dname_id);
         r.rec.stype.push_back(static_cast<uint8_t>(p.subscription_type));
         r.rec.slo0.push_back(static_cast<uint16_t>(p.slo_index));
         r.rec.created.push_back(event.timestamp);
@@ -725,8 +733,13 @@ Status TelemetryStore::AppendInternal(const Event& event) {
                             rc);
       internal::PushCounted(a.c_server, static_cast<uint64_t>(p.server_id),
                             rc);
-      internal::PushCounted(a.c_sname, r.pool.Intern(p.server_name), rc);
-      internal::PushCounted(a.c_dname, r.pool.Intern(p.database_name), rc);
+      if (!names_interned) {
+        // Unordered or poisoned store: the record path did not run.
+        sname_id = r.pool.Intern(p.server_name);
+        dname_id = r.pool.Intern(p.database_name);
+      }
+      internal::PushCounted(a.c_sname, sname_id, rc);
+      internal::PushCounted(a.c_dname, dname_id, rc);
       internal::PushCounted(a.c_slo, static_cast<uint16_t>(p.slo_index), rc);
       internal::PushCounted(a.c_stype,
                             static_cast<uint8_t>(p.subscription_type), rc);

@@ -79,14 +79,17 @@ grep -q "catalog line 4: unknown key 'vcpuz'" "$WORK/plan_bad.txt"
 
 # plan flag validation mirrors serve-sim's strictness. Periods the
 # replay cannot step by (under one second, or past int64 seconds) are
-# rejected too, not looped on or overflowed.
+# rejected by the flag table too (exit 2), before any work is done.
 for bad in "--policies banana" "--policies naive,banana" \
            "--format banana" "--maintenance-interval 0" \
            "--grace-days bad" "--maintenance-interval 1e-9" \
-           "--maintenance-interval 1e300" "--grace-days 1e300"; do
-  if "$CLI" plan --telemetry "$WORK/region.csv" --region 2 \
-      --model "$WORK/svc.csrv" $bad > "$WORK/plan_flag.txt" 2>&1; then
-    echo "expected rejection of '$bad'" >&2
+           "--maintenance-interval 1e300" "--grace-days 1e-9" \
+           "--grace-days 1e300"; do
+  status=0
+  "$CLI" plan --telemetry "$WORK/region.csv" --region 2 \
+      --model "$WORK/svc.csrv" $bad > "$WORK/plan_flag.txt" 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "expected exit 2 rejecting '$bad', got $status" >&2
     exit 1
   fi
   grep -q "InvalidArgument" "$WORK/plan_flag.txt" || {

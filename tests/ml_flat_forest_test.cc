@@ -586,7 +586,8 @@ TEST(FlatForestConcurrencyTest, BatchScoringDuringRegistryHotSwap) {
     for (int i = 0; i < 10; ++i) {
       auto copy = std::make_shared<core::LongevityService>(trained);
       auto version =
-          registry.Publish("v" + std::to_string(i), std::move(copy));
+          registry.Publish(std::string("v").append(std::to_string(i)),
+                           std::move(copy));
       EXPECT_TRUE(version.ok());
     }
     stop.store(true);

@@ -277,6 +277,127 @@ TEST(ScoringEngineTest, IncrementalDailyPollsMatchBatchAssess) {
   EXPECT_GT(engine.Metrics().polls, 100u);  // five-month window, daily
 }
 
+/// Daily polls over the event stream and a final drain; element i is
+/// poll i's output (the drain's last). Every poll must succeed.
+std::vector<std::vector<ScoredDatabase>> ReplayDailyPerPoll(
+    ScoringEngine& engine) {
+  const Timestamp day = telemetry::kSecondsPerDay;
+  Timestamp next_poll = Store().window_start() + day;
+  std::vector<std::vector<ScoredDatabase>> polls;
+  for (const Event& e : Store().events()) {
+    while (e.timestamp > next_poll) {
+      auto batch = engine.Poll(next_poll);
+      EXPECT_TRUE(batch.ok()) << batch.status();
+      polls.push_back(batch.ok() ? std::move(batch).value()
+                                 : std::vector<ScoredDatabase>());
+      next_poll += day;
+    }
+    EXPECT_TRUE(engine.Ingest(e).ok());
+  }
+  auto rest = engine.Drain();
+  EXPECT_TRUE(rest.ok()) << rest.status();
+  polls.push_back(rest.ok() ? std::move(rest).value()
+                            : std::vector<ScoredDatabase>());
+  return polls;
+}
+
+TEST(ScoringEngineTest, DailyPollOutputsIdenticalAcrossThreadCounts) {
+  // Shard jobs are claimed by the pool workers and by the polling
+  // thread in whatever order they race for them; each poll's output
+  // must not depend on that, nor on how many workers there are.
+  auto service = Service();
+  const auto baseline = BatchBaseline(*service);
+  std::vector<std::vector<ScoredDatabase>> reference;
+  for (const size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("num_threads " + std::to_string(threads));
+    ScoringEngine::Options options;
+    options.num_shards = 16;
+    options.num_threads = threads;
+    ScoringEngine engine(RegionContext::FromStore(Store()), options);
+    ASSERT_TRUE(engine.registry().Publish("v1", service).ok());
+    std::vector<std::vector<ScoredDatabase>> polls =
+        ReplayDailyPerPoll(engine);
+
+    std::vector<ScoredDatabase> all;
+    for (const auto& poll : polls) {
+      all.insert(all.end(), poll.begin(), poll.end());
+    }
+    std::sort(all.begin(), all.end(),
+              [](const ScoredDatabase& a, const ScoredDatabase& b) {
+                return a.database_id < b.database_id;
+              });
+    ExpectMatchesBaseline(all, baseline);
+
+    if (reference.empty()) {
+      reference = std::move(polls);
+      continue;
+    }
+    ASSERT_EQ(polls.size(), reference.size());
+    for (size_t p = 0; p < polls.size(); ++p) {
+      ASSERT_EQ(polls[p].size(), reference[p].size()) << "poll " << p;
+      for (size_t i = 0; i < polls[p].size(); ++i) {
+        const ScoredDatabase& got = polls[p][i];
+        const ScoredDatabase& want = reference[p][i];
+        EXPECT_EQ(got.database_id, want.database_id) << "poll " << p;
+        EXPECT_EQ(got.subscription_id, want.subscription_id);
+        EXPECT_EQ(got.matured_at, want.matured_at);
+        EXPECT_EQ(got.model_version, want.model_version);
+        EXPECT_EQ(got.fallback, want.fallback);
+        EXPECT_EQ(got.assessment.predicted_label,
+                  want.assessment.predicted_label);
+        EXPECT_EQ(std::memcmp(&got.assessment.positive_probability,
+                              &want.assessment.positive_probability,
+                              sizeof(double)),
+                  0)
+            << "db " << got.database_id;
+        EXPECT_EQ(got.assessment.confident, want.assessment.confident);
+      }
+    }
+  }
+}
+
+TEST(ScoringEngineTest, PollAppendsImmatureCreationsWithoutAModel) {
+  // A poll that only appends (nothing has matured yet) needs no model;
+  // the databases it took in score later, once a model is published,
+  // exactly as batch Assess scores them.
+  auto service = Service();
+  const auto baseline = BatchBaseline(*service);
+  ScoringEngine::Options options;
+  options.num_shards = 8;
+  options.num_threads = 2;
+  ScoringEngine engine(RegionContext::FromStore(Store()), options);
+
+  const Timestamp first_poll =
+      Store().window_start() + telemetry::kSecondsPerDay;
+  size_t ingested = 0;
+  for (const Event& e : Store().events()) {
+    if (e.timestamp > first_poll) break;
+    ASSERT_TRUE(engine.Ingest(e).ok());
+    ++ingested;
+  }
+  auto early = engine.Poll(first_poll);
+  ASSERT_TRUE(early.ok()) << early.status();
+  EXPECT_TRUE(early->empty());
+  EngineMetrics m = engine.Metrics();
+  ASSERT_GT(m.databases_tracked, 0u);
+  EXPECT_EQ(m.events_flushed, ingested);
+  EXPECT_EQ(m.databases_scored, 0u);
+  EXPECT_EQ(engine.health(), HealthState::kHealthy);
+
+  ASSERT_TRUE(engine.registry().Publish("v1", service).ok());
+  size_t i = 0;
+  for (const Event& e : Store().events()) {
+    if (i++ < ingested) continue;
+    ASSERT_TRUE(engine.Ingest(e).ok());
+  }
+  auto rest = engine.Drain();
+  ASSERT_TRUE(rest.ok()) << rest.status();
+  ExpectMatchesBaseline(*rest, baseline);
+  m = engine.Metrics();
+  EXPECT_EQ(m.events_flushed, Store().num_events());
+  EXPECT_EQ(m.databases_scored, baseline.size());
+}
+
 TEST(ScoringEngineTest, HotSwapMidScoringNeverServesTornModel) {
   auto model_a = Service();
   auto model_b = TrainService(1234);

@@ -5,6 +5,7 @@
 // the Reserve() no-reallocation guarantee. See docs/telemetry.md.
 
 #include <cstdio>
+#include <cstring>
 #include <iterator>
 #include <string>
 #include <unordered_map>
@@ -295,6 +296,96 @@ TEST(ColumnarIdentityTest, OutOfOrderIngestMatchesOrderedIngest) {
   }
   std::vector<Event> raw(events->begin(), events->end());
   ExpectStoreMatchesReference(scrambled, Materialize(raw));
+}
+
+/// String-pool bytes of a pool that interned each creation's server
+/// and database name once, in `events` order — what a store's pool
+/// must hold after ingesting `events`, however many columns read it.
+size_t ReferencePoolBytes(const std::vector<Event>& events) {
+  columnar::StringPool pool;
+  for (const Event& event : events) {
+    if (event.kind() != EventKind::kDatabaseCreated) continue;
+    const auto& p = std::get<DatabaseCreatedPayload>(event.payload);
+    pool.Intern(p.server_name);
+    pool.Intern(p.database_name);
+  }
+  return pool.ApproxBytes();
+}
+
+/// Every field of `event`, payload included, as one comparable string.
+std::string DescribeEvent(const Event& event) {
+  std::string out = std::to_string(event.timestamp) + " " +
+                    std::to_string(event.database_id) + " " +
+                    std::to_string(event.subscription_id) + " " +
+                    std::to_string(static_cast<int>(event.kind()));
+  if (const auto* p = std::get_if<DatabaseCreatedPayload>(&event.payload)) {
+    out += " " + std::to_string(p->server_id) + " " + p->server_name + " " +
+           p->database_name + " " + std::to_string(p->slo_index) + " " +
+           std::to_string(static_cast<int>(p->subscription_type));
+  } else if (const auto* c = std::get_if<SloChangedPayload>(&event.payload)) {
+    out += " " + std::to_string(c->old_slo_index) + " " +
+           std::to_string(c->new_slo_index);
+  } else if (const auto* z =
+                 std::get_if<SizeSamplePayload>(&event.payload)) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &z->size_mb, sizeof(bits));
+    out += " " + std::to_string(bits);
+  }
+  return out;
+}
+
+void ExpectEventsEqual(const TelemetryStore& store,
+                       const std::vector<Event>& want) {
+  ASSERT_EQ(store.num_events(), want.size());
+  size_t i = 0;
+  for (const Event& got : store.events()) {
+    ASSERT_EQ(DescribeEvent(got), DescribeEvent(want[i])) << "event " << i;
+    ++i;
+  }
+}
+
+TEST(ColumnarIdentityTest, OrderedAndUnorderedIngestInternNamesOnce) {
+  // Ordered ingest interns creation names on the record path and reuses
+  // the ids for the active segment; unordered ingest interns them only
+  // for the segment until Finalize() replays the log. Either way the
+  // events round-trip and the pool holds each name once.
+  auto config = simulator::MakeRegionPreset(2, 60, 9);
+  ASSERT_RESULT_OK(config);
+  auto events = CollectEvents(*config);
+  ASSERT_RESULT_OK(events);
+  std::vector<Event> scrambled_log;
+  for (size_t stride = 0; stride < 5; ++stride) {
+    for (size_t i = stride; i < events->size(); i += 5) {
+      scrambled_log.push_back((*events)[i]);
+    }
+  }
+
+  TelemetryStore ordered(config->name, config->utc_offset_minutes,
+                         config->holidays, config->window_start,
+                         config->window_end);
+  ASSERT_OK(ordered.AppendEvents(std::vector<Event>(*events)));
+  ASSERT_TRUE(ordered.readable());
+  TelemetryStore scrambled(config->name, config->utc_offset_minutes,
+                           config->holidays, config->window_start,
+                           config->window_end);
+  ASSERT_OK(scrambled.AppendEvents(std::vector<Event>(scrambled_log)));
+  ASSERT_FALSE(scrambled.readable());
+
+  ExpectEventsEqual(ordered, *events);
+  ExpectEventsEqual(scrambled, scrambled_log);
+  const size_t ordered_pool = ordered.memory().string_pool_bytes;
+  EXPECT_EQ(ordered_pool, ReferencePoolBytes(*events));
+  EXPECT_EQ(scrambled.memory().string_pool_bytes,
+            ReferencePoolBytes(scrambled_log));
+
+  ASSERT_OK(ordered.Finalize());
+  ASSERT_OK(scrambled.Finalize());
+  ExpectEventsEqual(ordered, *events);
+  ExpectEventsEqual(scrambled, *events);
+  // Finalize() interns nothing new: every name is already pooled.
+  EXPECT_EQ(ordered.memory().string_pool_bytes, ordered_pool);
+  EXPECT_EQ(scrambled.memory().string_pool_bytes,
+            ReferencePoolBytes(scrambled_log));
 }
 
 // ---------------------------------------------------------------------

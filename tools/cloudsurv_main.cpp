@@ -916,7 +916,7 @@ int CmdServeSim(const Flags& flags) {
 enum class Kind {
   kInt,     // integer >= min
   kUint64,  // non-negative 64-bit integer
-  kDouble,  // finite number >= min, or > min when `exclusive`
+  kDouble,  // finite number >= min (> min when `exclusive`) and < max
   kString,
   kEnum,    // one of the '|'-separated choices in `arg`
   kList,    // comma-separated subset of the ','-separated choices in `arg`
@@ -931,8 +931,16 @@ struct FlagSpec {
   const char* def;  // default value text; nullptr = none
   const char* help;
   double min = 0;          // kInt/kDouble lower bound
-  bool exclusive = false;  // kDouble: the bound itself is rejected
+  bool exclusive = false;  // kDouble: the lower bound itself is rejected
+  double max = HUGE_VAL;   // kDouble: exclusive upper bound
 };
+
+// Rollout periods SimulateDeployment can step by: [1 s, 2^63 s), in
+// days.
+constexpr double kMinPeriodDays =
+    1.0 / static_cast<double>(telemetry::kSecondsPerDay);
+constexpr double kMaxPeriodDays =
+    9223372036854775808.0 / static_cast<double>(telemetry::kSecondsPerDay);
 
 struct VerbSpec {
   const char* name;
@@ -979,9 +987,10 @@ constexpr FlagSpec kFlags[] = {
     {"--format", "plan", "", Kind::kEnum, "text|json", "text",
      "report format"},
     {"--maintenance-interval", "plan", "", Kind::kDouble, "DAYS", "14",
-     "rollout cadence in days", 0, true},
+     "rollout cadence in days", kMinPeriodDays, false, kMaxPeriodDays},
     {"--grace-days", "plan", "", Kind::kDouble, "DAYS", "45",
-     "churn-tier grace period in days", 0, true},
+     "churn-tier grace period in days", kMinPeriodDays, false,
+     kMaxPeriodDays},
     {"--block-rows", "assess plan serve-sim", "", Kind::kInt, "N", nullptr,
      "rows per traversal block (autotuned if omitted)", 1},
     {"--traversal", "assess plan serve-sim", "", Kind::kEnum,
@@ -1075,6 +1084,9 @@ bool ParseValue(const FlagSpec& spec, const char* text, Value* out) {
       if (spec.exclusive ? value <= spec.min : value < spec.min) {
         return Invalid("%s must be %s %g, got '%s'", flag,
                        spec.exclusive ? ">" : ">=", spec.min, text);
+      }
+      if (value >= spec.max) {
+        return Invalid("%s must be < %g, got '%s'", flag, spec.max, text);
       }
       *out = value;
       return true;
