@@ -2,14 +2,13 @@
 // SoA representation (ml/flat_forest.h), scores a synthetic matrix in
 // batches through the legacy per-row path and the blocked flat path,
 // and reports rows/sec plus p50/p99 per-batch latency for each batch
-// size x thread count x traversal kernel (scalar, and AVX2 when the
-// build/CPU has it), with the flat-vs-legacy speedup. Every flat prediction
-// is checked bit-for-bit against the legacy output — any mismatch
-// fails the bench (non-zero exit). Speedups are informational: on a
-// single-core container the parallel sweep cannot demonstrate the
-// multi-core acceptance number, so only bit-identity is load-bearing;
-// tools/bench_check.py gates the speedup ratios against a committed
-// baseline in CI.
+// size x thread count, with the flat-vs-legacy speedup. Every flat
+// prediction is checked bit-for-bit against the legacy output — any
+// mismatch fails the bench (non-zero exit). Speedups are
+// informational: on a single-core container the parallel sweep cannot
+// demonstrate the multi-core acceptance number, so only bit-identity
+// is load-bearing; tools/bench_check.py gates the speedup ratios
+// against a committed baseline in CI.
 //
 // A startup-to-first-score axis persists the same forest both ways and
 // measures the cold-start path each deployment shape pays: text load +
@@ -47,7 +46,6 @@
 #include "ml/dataset.h"
 #include "ml/flat_forest.h"
 #include "ml/random_forest.h"
-#include "ml/simd/traversal.h"
 
 namespace {
 
@@ -326,12 +324,6 @@ int main() {
       flat.memory_bytes(), flat.tuned_block_rows(),
       flat.nodes_breadth_first() ? "true" : "false");
   std::printf(
-      "  \"simd\": {\"avx2_compiled_in\": %s, \"avx2_available\": %s, "
-      "\"force_scalar\": %s},\n",
-      ml::simd::Avx2CompiledIn() ? "true" : "false",
-      ml::simd::Avx2Supported() ? "true" : "false",
-      ml::simd::ForceScalar() ? "true" : "false");
-  std::printf(
       "  \"startup\": {\"iterations\": %zu, \"text_bytes\": %zu, "
       "\"artifact_bytes\": %zu,\n"
       "    \"text_load_compile_ms\": %.3f, \"artifact_mmap_cold_ms\": %.3f, "
@@ -343,14 +335,6 @@ int main() {
       mmap_zero_copy ? "true" : "false",
       cold_cache_dropped ? "true" : "false", warm_speedup,
       startup_identical ? "true" : "false");
-
-  // Flat-path kernels: the portable scalar kernel always runs; the
-  // AVX2 kernel runs when the build and CPU both have it.
-  std::vector<ml::simd::TraversalKind> kinds = {
-      ml::simd::TraversalKind::kScalar};
-  if (ml::simd::Avx2Supported()) {
-    kinds.push_back(ml::simd::TraversalKind::kAvx2);
-  }
 
   std::printf("  \"runs\": [\n");
   bool first_run = true;
@@ -391,16 +375,13 @@ int main() {
         legacy.p50_us, legacy.p99_us);
     first_run = false;
 
-    // Flat path: thread sweep (1 = sequential, no pool) x traversal
-    // kernel (scalar / AVX2).
+    // Flat path: thread sweep (1 = sequential, no pool).
     std::vector<size_t> thread_sweep = {1};
     for (size_t t = 2; t <= max_threads; t *= 2) thread_sweep.push_back(t);
-    for (const ml::simd::TraversalKind kind : kinds)
     for (size_t num_threads : thread_sweep) {
       ThreadPool pool(num_threads, /*max_queued=*/1024);
       ml::FlatForest::BatchOptions options;
       options.pool = num_threads > 1 ? &pool : nullptr;
-      options.traversal = kind;
 
       std::vector<double> flat_seconds;
       for (size_t it = 0; it < iters; ++it) {
@@ -435,11 +416,11 @@ int main() {
       }
       std::printf(
           ",\n    {\"mode\": \"flat\", \"batch_rows\": %zu, "
-          "\"threads\": %zu, \"traversal\": \"%s\", "
+          "\"threads\": %zu, "
           "\"rows_per_sec\": %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
           "\"speedup_vs_legacy\": %.2f}",
-          batch_rows, num_threads, ml::simd::KindName(kind),
-          stats.rows_per_sec, stats.p50_us, stats.p99_us, speedup);
+          batch_rows, num_threads, stats.rows_per_sec, stats.p50_us,
+          stats.p99_us, speedup);
     }
   }
   std::printf("\n  ],\n");

@@ -137,15 +137,6 @@ Result<LongevityService::Assessment> LongevityService::Assess(
 Result<std::vector<std::optional<LongevityService::Assessment>>>
 LongevityService::AssessMany(const TelemetryStore& store,
                              const std::vector<telemetry::DatabaseId>& ids,
-                             size_t block_rows) const {
-  ml::FlatForest::BatchOptions batch;
-  batch.block_rows = block_rows;
-  return AssessMany(store, ids, batch);
-}
-
-Result<std::vector<std::optional<LongevityService::Assessment>>>
-LongevityService::AssessMany(const TelemetryStore& store,
-                             const std::vector<telemetry::DatabaseId>& ids,
                              const ml::FlatForest::BatchOptions& batch) const {
   if (!pooled_model_.present) {
     return Status::FailedPrecondition("service is not trained");

@@ -79,7 +79,7 @@ class LongevityService {
 
   /// Scores many databases of `store` in one pass: feature rows are
   /// grouped per resolved model slot and pushed through the compiled
-  /// `ml::FlatForest` with `batch` (block size, traversal kernel).
+  /// `ml::FlatForest` with `batch` (block size, thread pool).
   /// `out[i]` is nullopt exactly when per-id Assess(ids[i]) would fail
   /// (unknown id, too little telemetry); every produced Assessment is
   /// bit-identical to the per-id call.
@@ -87,13 +87,6 @@ class LongevityService {
       const telemetry::TelemetryStore& store,
       const std::vector<telemetry::DatabaseId>& ids,
       const ml::FlatForest::BatchOptions& batch = {}) const;
-
-  /// Convenience overload pinning only the block size (0 = the
-  /// compiled forest's autotuned size); traversal kind stays kAuto.
-  Result<std::vector<std::optional<Assessment>>> AssessMany(
-      const telemetry::TelemetryStore& store,
-      const std::vector<telemetry::DatabaseId>& ids,
-      size_t block_rows) const;
 
   /// Does nothing: Train() and LoadArtifact() already hold every model
   /// in its compiled form. Kept only because the pipeline benchmark's

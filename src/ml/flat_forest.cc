@@ -98,26 +98,57 @@ obs::Histogram* BatchLatency() {
   return h;
 }
 
-/// One `cloudsurv_inference_kernel_rows_total` series per traversal
-/// kernel, so dashboards can see which kernel actually served the
-/// rows (dispatch is per-batch, not per-process).
-obs::Counter* MakeKernelRows(const char* kernel) {
-  return obs::Registry::Default().GetCounter(
-      "cloudsurv_inference_kernel_rows_total",
-      "Rows scored, labelled by the traversal kernel that ran them",
-      "rows", {{"kernel", kernel}});
-}
-
-obs::Counter* KernelRows(simd::TraversalKind resolved) {
-  static obs::Counter* scalar = MakeKernelRows("scalar");
-  static obs::Counter* avx2 = MakeKernelRows("avx2");
-  return resolved == simd::TraversalKind::kAvx2 ? avx2 : scalar;
-}
-
 double ElapsedMs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+/// Raw pointers into a compiled forest's SoA arrays for the block walk.
+struct ForestView {
+  const int32_t* feature = nullptr;    ///< -1 marks a leaf.
+  const double* threshold = nullptr;
+  const int32_t* left = nullptr;       ///< Absolute node ids.
+  const int32_t* right = nullptr;
+  const int32_t* leaf_index = nullptr; ///< Row into leaf_values.
+  const double* leaf_values = nullptr; ///< num_leaves x leaf_dim.
+  const int32_t* tree_offsets = nullptr;
+  size_t num_trees = 0;
+  size_t num_features = 0;
+  size_t leaf_dim = 0;
+  size_t out_dim = 0;
+};
+
+/// Accumulates raw leaf sums for `n` packed rows
+/// (`rows[i * num_features + f]`) into `out` (`n * out_dim` doubles,
+/// pre-seeded by the caller). The caller finalizes (divide/sigmoid).
+void ScalarTraverse(const ForestView& f, const double* rows, size_t n,
+                    double* out) {
+  // Trees outer, rows inner: the node arrays stream once per block
+  // while the block's rows and accumulators stay cache-resident. Per
+  // row the leaf sums accumulate in tree order 0..T-1 with plain double
+  // adds — the exact summation sequence of the legacy per-row path.
+  for (size_t t = 0; t < f.num_trees; ++t) {
+    const int32_t root = f.tree_offsets[t];
+    for (size_t i = 0; i < n; ++i) {
+      const double* row = rows + i * f.num_features;
+      int32_t node = root;
+      int32_t feat = f.feature[static_cast<size_t>(node)];
+      while (feat >= 0) {
+        node = row[static_cast<size_t>(feat)] <=
+                       f.threshold[static_cast<size_t>(node)]
+                   ? f.left[static_cast<size_t>(node)]
+                   : f.right[static_cast<size_t>(node)];
+        feat = f.feature[static_cast<size_t>(node)];
+      }
+      const double* leaf =
+          f.leaf_values +
+          static_cast<size_t>(f.leaf_index[static_cast<size_t>(node)]) *
+              f.leaf_dim;
+      double* acc = out + i * f.out_dim;
+      for (size_t c = 0; c < f.leaf_dim; ++c) acc[c] += leaf[c];
+    }
+  }
 }
 
 }  // namespace
@@ -293,8 +324,9 @@ void FlatForest::AutotuneBlockRows() {
   // node arrays below the top levels stream regardless. Budget the
   // rows at L2 minus the hot-node footprint (first 6 levels = 63 nodes
   // per tree across the five SoA arrays), clamped to [64, 8192] and
-  // rounded to a multiple of 8 so SIMD groups tile evenly. Callers
-  // override via BatchOptions::block_rows != 0.
+  // rounded down to a multiple of 8 rows, so each block's accumulators
+  // start on a cache line of an aligned output buffer and pooled blocks
+  // never share one. Callers override via BatchOptions::block_rows != 0.
   long l2 = -1;
 #if defined(_SC_LEVEL2_CACHE_SIZE)
   l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
@@ -316,22 +348,6 @@ void FlatForest::AutotuneBlockRows() {
   rows = std::clamp<size_t>(rows, 64, 8192);
   rows -= rows % 8;
   tuned_block_rows_ = rows;
-}
-
-simd::ForestView FlatForest::View() const {
-  simd::ForestView v;
-  v.feature = feature_.data();
-  v.threshold = threshold_.data();
-  v.left = left_.data();
-  v.right = right_.data();
-  v.leaf_index = leaf_index_.data();
-  v.leaf_values = leaf_values_.data();
-  v.tree_offsets = tree_offsets_.data();
-  v.num_trees = num_trees();
-  v.num_features = num_features_;
-  v.leaf_dim = leaf_dim_;
-  v.out_dim = out_dim_;
-  return v;
 }
 
 bool FlatForest::nodes_breadth_first() const {
@@ -494,7 +510,6 @@ Result<FlatForest> FlatForest::FromView(
 }
 
 void FlatForest::ScoreBlock(const double* const* rows, size_t n, double* out,
-                            simd::TraversalFn kernel,
                             std::vector<double>& packed) const {
   const size_t trees = num_trees();
   const size_t od = out_dim_;
@@ -504,10 +519,10 @@ void FlatForest::ScoreBlock(const double* const* rows, size_t n, double* out,
     std::fill(out, out + n, base_score_);
   }
 
-  // The traversal kernels consume a packed row-major block. The
-  // dense-matrix entry points hand over rows that are already
-  // contiguous — alias them; otherwise (Dataset rows, the serving
-  // path's per-slot row vectors) pack once into reusable scratch.
+  // The walk consumes a packed row-major block. The dense-matrix entry
+  // points hand over rows that are already contiguous — alias them;
+  // otherwise (Dataset rows, the serving path's per-slot row vectors)
+  // pack once into reusable scratch.
   // Packing copies row bytes verbatim, so it cannot perturb results.
   const double* block = rows[0];
   bool contiguous = true;
@@ -525,7 +540,19 @@ void FlatForest::ScoreBlock(const double* const* rows, size_t n, double* out,
     }
     block = packed.data();
   }
-  kernel(View(), block, n, out);
+  ForestView view;
+  view.feature = feature_.data();
+  view.threshold = threshold_.data();
+  view.left = left_.data();
+  view.right = right_.data();
+  view.leaf_index = leaf_index_.data();
+  view.leaf_values = leaf_values_.data();
+  view.tree_offsets = tree_offsets_.data();
+  view.num_trees = trees;
+  view.num_features = num_features_;
+  view.leaf_dim = leaf_dim_;
+  view.out_dim = od;
+  ScalarTraverse(view, block, n, out);
 
   // Finalization mirrors the legacy per-row arithmetic exactly: divide
   // the class sums by the tree count, or squash the logit. Per row the
@@ -545,31 +572,11 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
   if (!compiled()) {
     return Status::FailedPrecondition("forest is not compiled");
   }
-  // Resolve the traversal kernel once per call. An explicit kind the
-  // build/CPU cannot serve is a caller error — surfaced as a Status,
-  // never silently downgraded (and checked even for n == 0, so a
-  // misconfigured pipeline fails on its first call).
-  const simd::TraversalKind resolved = simd::Resolve(options.traversal);
-  const simd::TraversalFn kernel = simd::Kernel(resolved);
-  if (kernel == nullptr) {
-    return Status::InvalidArgument(
-        std::string("traversal kernel '") + simd::KindName(resolved) +
-        "' is not available on this build/CPU");
-  }
   if (n == 0) return Status::OK();
   obs::ScopedTimer timer(BatchLatency());
   size_t block =
       options.block_rows == 0 ? tuned_block_rows_ : options.block_rows;
   if (block == 0) block = 1;
-  // The AVX2 kernel addresses the packed block with int32 gather
-  // indices (row offset in doubles); cap the block so they cannot
-  // overflow. Blocking never changes results, so the cap is safe.
-  if (num_features_ > 0) {
-    const size_t cap =
-        static_cast<size_t>(std::numeric_limits<int32_t>::max()) /
-        num_features_;
-    if (cap > 0 && block > cap) block = cap;
-  }
   const size_t num_blocks = (n + block - 1) / block;
 
   if (options.pool == nullptr || num_blocks <= 1) {
@@ -577,7 +584,7 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
     for (size_t b = 0; b < num_blocks; ++b) {
       const size_t lo = b * block;
       const size_t hi = std::min(n, lo + block);
-      ScoreBlock(row_ptrs + lo, hi - lo, out + lo * out_dim_, kernel, packed);
+      ScoreBlock(row_ptrs + lo, hi - lo, out + lo * out_dim_, packed);
     }
   } else {
     std::vector<std::future<void>> futures;
@@ -586,10 +593,9 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
       const size_t lo = b * block;
       const size_t hi = std::min(n, lo + block);
       futures.push_back(options.pool->Submit(
-          [this, row_ptrs, lo, hi, out, kernel]() {
+          [this, row_ptrs, lo, hi, out]() {
             std::vector<double> packed;
-            ScoreBlock(row_ptrs + lo, hi - lo, out + lo * out_dim_, kernel,
-                       packed);
+            ScoreBlock(row_ptrs + lo, hi - lo, out + lo * out_dim_, packed);
           }));
     }
     try {
@@ -600,7 +606,6 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
     }
   }
   RowsTotal()->Increment(n);
-  KernelRows(resolved)->Increment(n);
   return Status::OK();
 }
 

@@ -10,7 +10,6 @@
 #include "ml/dataset.h"
 #include "ml/gbdt.h"
 #include "ml/random_forest.h"
-#include "ml/simd/traversal.h"
 
 namespace cloudsurv::artifact {
 class ArtifactBuffer;
@@ -127,17 +126,14 @@ class Column {
 ///
 /// Batch scoring iterates rows x trees in cache-sized row blocks (all
 /// trees stay hot while a block's rows stream through) and can fan
-/// independent blocks out over a `common::ThreadPool`. The per-block
-/// double traversal dispatches to the kernels in `ml/simd/` — an
-/// always-built scalar walk and, when the build and CPU allow it, an
-/// AVX2 kernel advancing four rows per node step (gathered loads,
-/// vector compares, blended child-index advance); kAuto picks the best
-/// available. Compile() additionally stores each tree's nodes in
-/// breadth-first order so a tree's hot first levels occupy adjacent
-/// cache lines, and autotunes the default block size from the forest
-/// shape and the L2 size. Per-row accumulation order is tree 0..T-1
-/// with the same summation the legacy path uses, so results are
-/// bit-identical at any block size, thread count, and traversal kind.
+/// independent blocks out over a `common::ThreadPool`. Within a block
+/// one portable walk runs trees outer, rows inner. Compile()
+/// additionally stores each tree's nodes in breadth-first order so a
+/// tree's hot first levels occupy adjacent cache lines, and autotunes
+/// the default block size from the forest shape and the L2 size.
+/// Per-row accumulation order is tree 0..T-1 with the same summation
+/// the legacy path uses, so results are bit-identical at any block size
+/// and thread count.
 ///
 /// A FlatForest is immutable after Compile() returns; concurrent reads
 /// from any number of threads are safe.
@@ -155,13 +151,6 @@ class FlatForest {
     /// caller must not be running *inside* a task of the same bounded
     /// pool (nested submission can deadlock on the queue bound).
     ThreadPool* pool = nullptr;
-    /// Which traversal kernel walks the double rows. kAuto resolves to
-    /// the AVX2 multi-row kernel when the build and CPU support it
-    /// (honouring CLOUDSURV_FORCE_SCALAR), else the portable scalar
-    /// kernel. An *explicit* kAvx2 on a build/CPU without it fails the
-    /// batch call with InvalidArgument — never a silent downgrade. All
-    /// kernels are bit-identical.
-    simd::TraversalKind traversal = simd::TraversalKind::kAuto;
   };
 
   FlatForest() = default;
@@ -294,19 +283,13 @@ class FlatForest {
   size_t out_dim() const { return leaf_dim_ == 0 ? 0 : out_dim_; }
 
  private:
-  /// Raw-pointer view of the SoA arrays for the traversal kernels.
-  simd::ForestView View() const;
-
   /// Scores one block of rows addressed through per-row pointers.
-  /// `kernel` walks the rows (already resolved and validated by
-  /// ScorePtrs). `packed` is the reusable row-block buffer of one
-  /// task, resized as needed.
+  /// `packed` is the reusable row-block buffer of one task, resized as
+  /// needed.
   void ScoreBlock(const double* const* rows, size_t n, double* out,
-                  simd::TraversalFn kernel,
                   std::vector<double>& packed) const;
 
-  /// Shared driver: resolves the traversal kernel, blocks `row_ptrs`
-  /// and fans the blocks out.
+  /// Shared driver: blocks `row_ptrs` and fans the blocks out.
   Status ScorePtrs(const double* const* row_ptrs, size_t n, double* out,
                    const BatchOptions& options) const;
 

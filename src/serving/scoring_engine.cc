@@ -490,7 +490,6 @@ void ScoringEngine::RunShardJob(ShardJob& job, ShardJobResult* result) {
     const auto batch_start = std::chrono::steady_clock::now();
     ml::FlatForest::BatchOptions batch_opts;
     batch_opts.block_rows = options_.inference_block_rows;
-    batch_opts.traversal = options_.inference_traversal;
     auto assessments = active.model->AssessMany(*read_store, ids, batch_opts);
     const double batch_us = std::chrono::duration<double, std::micro>(
                                 std::chrono::steady_clock::now() - batch_start)

@@ -160,12 +160,6 @@ class ScoringEngine {
     /// scored (`LongevityService::AssessMany`); 0 uses the compiled
     /// forest's autotuned block size.
     size_t inference_block_rows = 0;
-    /// Traversal kernel for shard-batch scoring: kAuto picks
-    /// the AVX2 multi-row kernel when available (else scalar); an
-    /// explicit kAvx2 on a build/CPU without it fails the batch, which
-    /// surfaces as skipped databases. All kernels are bit-identical.
-    ml::simd::TraversalKind inference_traversal =
-        ml::simd::TraversalKind::kAuto;
 
     // --- Fault injection & graceful degradation -------------------
     // Every knob below defaults to "off": with the defaults the engine

@@ -760,6 +760,8 @@ TEST(RegistryArtifactTest, HotSwapFromFileWhileScoring) {
     if (ids.size() >= 32) break;
     ids.push_back(record.id);
   }
+  ml::FlatForest::BatchOptions blocks;
+  blocks.block_rows = 16;
 
   std::atomic<bool> stop{false};
   std::thread publisher([&] {
@@ -779,7 +781,7 @@ TEST(RegistryArtifactTest, HotSwapFromFileWhileScoring) {
         ++iterations;
         const auto model = registry.Current();
         ASSERT_NE(model, nullptr);
-        auto batch = model->AssessMany(SimStore(), ids, /*block_rows=*/16);
+        auto batch = model->AssessMany(SimStore(), ids, blocks);
         EXPECT_TRUE(batch.ok());
       }
     });

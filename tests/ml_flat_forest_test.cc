@@ -1,12 +1,10 @@
 #include "ml/flat_forest.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -265,16 +263,7 @@ TEST(FlatForestTest, GbdtBitIdentity) {
   EXPECT_EQ(labels, legacy_labels);
 }
 
-// --- Traversal kernels (ml/simd/) ------------------------------------
-
-// Kinds the current build/CPU can execute; kAvx2 is included only when
-// the AVX2 translation unit is linked and the CPU reports support.
-std::vector<simd::TraversalKind> AvailableKinds() {
-  std::vector<simd::TraversalKind> kinds = {simd::TraversalKind::kAuto,
-                                            simd::TraversalKind::kScalar};
-  if (simd::Avx2Supported()) kinds.push_back(simd::TraversalKind::kAvx2);
-  return kinds;
-}
+// --- Blocked traversal -----------------------------------------------
 
 TEST(FlatForestTest, BreadthFirstLayoutAndTunedBlockRows) {
   const Dataset data = ContinuousData(300, 59);
@@ -289,17 +278,11 @@ TEST(FlatForestTest, BreadthFirstLayoutAndTunedBlockRows) {
   EXPECT_EQ(flat.tuned_block_rows() % 8, 0u);
 }
 
-// Every (kernel, block size) combination must reproduce the legacy
-// predictions bit for bit, sequentially and across a thread pool.
-class TraversalKernelTest
-    : public ::testing::TestWithParam<
-          std::tuple<simd::TraversalKind, size_t>> {};
+// Every block size must reproduce the legacy predictions bit for bit,
+// sequentially and across a thread pool.
+class BlockSizeTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(TraversalKernelTest, BitIdenticalAtEveryBlockSizeAndThreadCount) {
-  const auto [kind, block_rows] = GetParam();
-  if (kind == simd::TraversalKind::kAvx2 && !simd::Avx2Supported()) {
-    GTEST_SKIP() << "no AVX2 kernel on this build/CPU";
-  }
+TEST_P(BlockSizeTest, BitIdenticalAtEveryBlockSizeAndThreadCount) {
   const Dataset data = ContinuousData(400, 61);
   const auto forest = FitForest(data, SplitAlgorithm::kHistogram);
   ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
@@ -307,60 +290,44 @@ TEST_P(TraversalKernelTest, BitIdenticalAtEveryBlockSizeAndThreadCount) {
   ThreadPool pool(4, /*max_queued=*/64);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     FlatForest::BatchOptions options;
-    options.block_rows = block_rows;  // 0 = the autotuned size.
-    options.traversal = kind;
+    options.block_rows = GetParam();  // 0 = the autotuned size.
     options.pool = p;
     ExpectBitIdentical(forest, flat, data, options);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Kernels, TraversalKernelTest,
-    ::testing::Combine(::testing::Values(simd::TraversalKind::kAuto,
-                                         simd::TraversalKind::kScalar,
-                                         simd::TraversalKind::kAvx2),
-                       ::testing::Values<size_t>(0, 7, 64, 512, 4096)),
-    [](const auto& info) {
-      return std::string(simd::KindName(std::get<0>(info.param))) + "_block" +
-             std::to_string(std::get<1>(info.param));
-    });
+    Blocks, BlockSizeTest, ::testing::Values<size_t>(0, 7, 64, 512, 4096),
+    [](const auto& info) { return "block" + std::to_string(info.param); });
 
 TEST(FlatForestTest, EmptySingleRowAndRaggedTailBatches) {
-  // The AVX2 kernel walks four rows per step; every n % 4 residue (and
-  // the empty batch) must come out bit-identical to the legacy path.
+  // The empty batch and every small n, including block tails, must come
+  // out bit-identical to the legacy path.
   const Dataset data = ContinuousData(64, 67);
   const auto forest = FitForest(data, SplitAlgorithm::kExact);
   ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
   const std::vector<double> dense = DenseRows(data);
   const size_t od = flat.out_dim();
 
-  for (const simd::TraversalKind kind : AvailableKinds()) {
-    FlatForest::BatchOptions options;
-    options.traversal = kind;
+  std::vector<double> empty_out(od, -1.0);
+  ASSERT_OK(flat.PredictProbaBatch(dense.data(), 0, empty_out.data()));
+  EXPECT_EQ(empty_out[0], -1.0);  // n == 0 must not touch the output.
 
-    std::vector<double> empty_out(od, -1.0);
-    ASSERT_OK(flat.PredictProbaBatch(dense.data(), 0, empty_out.data(),
-                                     options));
-    EXPECT_EQ(empty_out[0], -1.0);  // n == 0 must not touch the output.
-
-    for (const size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u, 31u}) {
-      std::vector<double> out(n * od, -1.0);
-      ASSERT_OK(flat.PredictProbaBatch(dense.data(), n, out.data(), options));
-      for (size_t i = 0; i < n; ++i) {
-        const auto legacy = forest.PredictProba(data.row(i));
-        for (size_t c = 0; c < od; ++c) {
-          EXPECT_EQ(out[i * od + c], legacy[c])
-              << "kind " << simd::KindName(kind) << " n " << n << " row "
-              << i;
-        }
+  for (const size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u, 31u}) {
+    std::vector<double> out(n * od, -1.0);
+    ASSERT_OK(flat.PredictProbaBatch(dense.data(), n, out.data()));
+    for (size_t i = 0; i < n; ++i) {
+      const auto legacy = forest.PredictProba(data.row(i));
+      for (size_t c = 0; c < od; ++c) {
+        EXPECT_EQ(out[i * od + c], legacy[c]) << "n " << n << " row " << i;
       }
     }
   }
 }
 
-TEST(FlatForestTest, WideCodesAcrossTraversalKinds) {
+TEST(FlatForestTest, WideCodesBitIdentity) {
   // A deep histogram forest mints thousands of node-local refined
-  // thresholds; every traversal kernel must stay bit-identical on it.
+  // thresholds; the blocked walk must stay bit-identical on it.
   const Dataset data = ContinuousData(2000, 43);
   ForestParams params;
   params.num_trees = 30;
@@ -372,17 +339,14 @@ TEST(FlatForestTest, WideCodesAcrossTraversalKinds) {
   ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
   EXPECT_OK(flat.SelfCheck());
 
-  for (const simd::TraversalKind kind : AvailableKinds()) {
-    FlatForest::BatchOptions options;
-    options.traversal = kind;
-    options.block_rows = 256;
-    ExpectBitIdentical(forest, flat, data, options);
-  }
+  FlatForest::BatchOptions options;
+  options.block_rows = 256;
+  ExpectBitIdentical(forest, flat, data, options);
 }
 
-TEST(FlatForestTest, GbdtKernelBitIdentity) {
-  // The regressor path exercises the kernels' scalar-leaf vector
-  // accumulation (out_dim == 1) plus the base-score seeding.
+TEST(FlatForestTest, GbdtBlockedBitIdentity) {
+  // The regressor path exercises the scalar-leaf accumulation
+  // (out_dim == 1) plus the base-score seeding.
   const Dataset data = ContinuousData(401, 71);  // Odd n: ragged tail.
   GbdtParams params;
   params.num_rounds = 25;
@@ -394,56 +358,14 @@ TEST(FlatForestTest, GbdtKernelBitIdentity) {
 
   ASSERT_OK_AND_ASSIGN(const std::vector<double> legacy,
                        gbdt.PredictPositiveProba(data));
-  for (const simd::TraversalKind kind : AvailableKinds()) {
-    FlatForest::BatchOptions options;
-    options.traversal = kind;
-    options.block_rows = 37;
-    ASSERT_OK_AND_ASSIGN(const std::vector<double> positives,
-                         flat.PredictPositiveProbaBatch(data, options));
-    ASSERT_EQ(positives.size(), legacy.size());
-    for (size_t i = 0; i < positives.size(); ++i) {
-      EXPECT_EQ(positives[i], legacy[i])
-          << "kind " << simd::KindName(kind) << " row " << i;
-    }
-  }
-}
-
-TEST(FlatForestTest, ExplicitAvx2RequestMatchesAvailability) {
-  const Dataset data = ContinuousData(50, 79);
-  const auto forest = FitForest(data, SplitAlgorithm::kExact);
-  ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
-  const std::vector<double> dense = DenseRows(data);
-  std::vector<double> out(data.num_rows() * flat.out_dim());
-
   FlatForest::BatchOptions options;
-  options.traversal = simd::TraversalKind::kAvx2;
-  const Status status = flat.PredictProbaBatch(dense.data(), data.num_rows(),
-                                               out.data(), options);
-  if (simd::Avx2Supported()) {
-    EXPECT_OK(status);
-  } else {
-    // An explicit kAvx2 request must fail loudly, not silently
-    // downgrade to the scalar kernel — even for an empty batch.
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(flat.PredictProbaBatch(dense.data(), 0, out.data(), options)
-                  .code(),
-              StatusCode::kInvalidArgument);
+  options.block_rows = 37;
+  ASSERT_OK_AND_ASSIGN(const std::vector<double> positives,
+                       flat.PredictPositiveProbaBatch(data, options));
+  ASSERT_EQ(positives.size(), legacy.size());
+  for (size_t i = 0; i < positives.size(); ++i) {
+    EXPECT_EQ(positives[i], legacy[i]) << "row " << i;
   }
-}
-
-TEST(FlatForestTest, ForceScalarEnvRoutesAutoToScalar) {
-  ASSERT_EQ(::setenv("CLOUDSURV_FORCE_SCALAR", "1", /*overwrite=*/1), 0);
-  EXPECT_EQ(simd::Resolve(simd::TraversalKind::kAuto),
-            simd::TraversalKind::kScalar);
-  // Explicit kinds are unaffected by the env override.
-  EXPECT_EQ(simd::Resolve(simd::TraversalKind::kAvx2),
-            simd::TraversalKind::kAvx2);
-  ASSERT_EQ(::setenv("CLOUDSURV_FORCE_SCALAR", "0", /*overwrite=*/1), 0);
-  if (simd::Avx2Supported()) {
-    EXPECT_EQ(simd::Resolve(simd::TraversalKind::kAuto),
-              simd::TraversalKind::kAvx2);
-  }
-  ::unsetenv("CLOUDSURV_FORCE_SCALAR");
 }
 
 // --- Service / registry integration ----------------------------------
@@ -552,8 +474,10 @@ TEST(FlatForestServiceTest, AssessManyMatchesPerIdAssess) {
 
   std::vector<telemetry::DatabaseId> ids = SomeIds(200);
   ids.push_back(telemetry::DatabaseId{9999999});  // Unknown -> nullopt.
+  FlatForest::BatchOptions blocks;
+  blocks.block_rows = 16;
   ASSERT_OK_AND_ASSIGN(const auto batch,
-                       service.AssessMany(SimStore(), ids, /*block_rows=*/16));
+                       service.AssessMany(SimStore(), ids, blocks));
   ASSERT_EQ(batch.size(), ids.size());
   EXPECT_FALSE(batch.back().has_value());
 
@@ -580,6 +504,8 @@ TEST(FlatForestConcurrencyTest, BatchScoringDuringRegistryHotSwap) {
     ASSERT_TRUE(registry.Publish("v-initial", std::move(initial)).ok());
   }
   const std::vector<telemetry::DatabaseId> ids = SomeIds(48);
+  FlatForest::BatchOptions blocks;
+  blocks.block_rows = 16;
 
   std::atomic<bool> stop{false};
   std::thread publisher([&] {
@@ -601,7 +527,7 @@ TEST(FlatForestConcurrencyTest, BatchScoringDuringRegistryHotSwap) {
         ++iterations;
         const auto model = registry.Current();
         ASSERT_NE(model, nullptr);
-        auto batch = model->AssessMany(SimStore(), ids, /*block_rows=*/16);
+        auto batch = model->AssessMany(SimStore(), ids, blocks);
         EXPECT_TRUE(batch.ok());
         if (batch.ok()) {
           EXPECT_EQ(batch->size(), ids.size());

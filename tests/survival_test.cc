@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -469,6 +472,79 @@ TEST(LifeTableTest, AgreesWithKmRoughly) {
   for (double x : {10.0, 30.0, 60.0}) {
     EXPECT_NEAR(table->SurvivalAt(x), km->SurvivalAt(x), 0.03);
   }
+}
+
+// --- Known answers ----------------------------------------------------
+
+/// n subjects with exponential(rate) lifetimes, right-censored by an
+/// independent exponential(censor_rate) follow-up time.
+SurvivalData ExponentialCensoredSample(Rng& rng, int n, double rate,
+                                       double censor_rate) {
+  std::vector<double> t;
+  std::vector<bool> e;
+  for (int i = 0; i < n; ++i) {
+    const double lifetime = rng.Exponential(rate);
+    const double follow_up = rng.Exponential(censor_rate);
+    t.push_back(std::min(lifetime, follow_up));
+    e.push_back(lifetime <= follow_up);
+  }
+  return MakeData(t, e);
+}
+
+/// The 95% interval of the step in force at `time` ([1, 1] before the
+/// first event).
+std::pair<double, double> IntervalAt(const KaplanMeierCurve& km,
+                                     double time) {
+  std::pair<double, double> ci{1.0, 1.0};
+  for (const KaplanMeierStep& step : km.steps()) {
+    if (step.time > time) break;
+    ci = {step.ci_lower, step.ci_upper};
+  }
+  return ci;
+}
+
+TEST(KnownAnswerTest, GreenwoodIntervalCoversTrueExponentialSurvival) {
+  // 200 seeded samples of 100 exponential(1) lifetimes, about a third
+  // censored. At each fixed time the nominal 95% interval must cover
+  // the true S(t) = exp(-t) in 90-99% of the samples.
+  constexpr int kSamples = 200;
+  constexpr double kRate = 1.0;
+  const double times[] = {0.25, 0.7, 1.5};  // S = 0.78, 0.50, 0.22.
+  int covered[3] = {0, 0, 0};
+  for (int sample = 0; sample < kSamples; ++sample) {
+    Rng rng(1000 + sample);
+    auto km = KaplanMeierCurve::Fit(
+        ExponentialCensoredSample(rng, 100, kRate, /*censor_rate=*/0.5));
+    ASSERT_TRUE(km.ok());
+    for (int k = 0; k < 3; ++k) {
+      const double truth = std::exp(-kRate * times[k]);
+      const auto [lo, hi] = IntervalAt(*km, times[k]);
+      if (lo <= truth && truth <= hi) ++covered[k];
+    }
+  }
+  for (int k = 0; k < 3; ++k) {
+    const double rate = static_cast<double>(covered[k]) / kSamples;
+    EXPECT_GE(rate, 0.90) << "t = " << times[k];
+    EXPECT_LE(rate, 0.99) << "t = " << times[k];
+  }
+}
+
+TEST(KnownAnswerTest, LogRankTypeOneErrorUnderTheNull) {
+  // 400 seeded pairs of groups drawn from one distribution: the test
+  // must reject at alpha = 0.05 in 2-8% of them.
+  constexpr int kDraws = 400;
+  int rejected = 0;
+  for (int draw = 0; draw < kDraws; ++draw) {
+    Rng rng(5000 + draw);
+    const SurvivalData a = ExponentialCensoredSample(rng, 60, 0.2, 0.1);
+    const SurvivalData b = ExponentialCensoredSample(rng, 60, 0.2, 0.1);
+    auto test = LogRankTest(a, b);
+    ASSERT_TRUE(test.ok());
+    if (test->significant_at_05()) ++rejected;
+  }
+  const double rate = static_cast<double>(rejected) / kDraws;
+  EXPECT_GE(rate, 0.02);
+  EXPECT_LE(rate, 0.08);
 }
 
 }  // namespace

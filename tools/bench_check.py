@@ -39,14 +39,8 @@ claim, priced); every policy must place every database (rejected ==
 0). Relative: the naive/longevity cost and ops advantages must not
 lose more than --max-regression vs the committed baseline ratios.
 
-Coverage rules:
-  - scalar rows must be present in the current output;
-  - avx2 rows must be present iff the current host reports
-    simd.avx2_available (a silent fallback to scalar would otherwise
-    pass the regression check while benching the wrong kernel);
-  - baseline rows with no matching current row fail the check unless
-    the kernel is legitimately unavailable on the current host
-    (avx2 without AVX2).
+Coverage rule: every baseline flat configuration must have a
+matching current row.
 
 Only the Python standard library is used.
 """
@@ -65,14 +59,12 @@ def load(path):
 
 
 def flat_runs(doc):
-    """Index flat runs by (batch_rows, threads, traversal)."""
+    """Index flat runs by (batch_rows, threads)."""
     out = {}
     for run in doc.get("runs", []):
         if run.get("mode") != "flat":
             continue
-        key = (run["batch_rows"], run["threads"],
-               run.get("traversal", "scalar"))
-        out[key] = run
+        out[(run["batch_rows"], run["threads"])] = run
     return out
 
 
@@ -296,31 +288,14 @@ def main():
         failures.append("startup.first_score_identical is false "
                         "(artifact round-trip changed a score)")
 
-    simd = current.get("simd", {})
-    avx2_available = bool(simd.get("avx2_available", False))
-    forced_scalar = bool(simd.get("force_scalar", False))
-
     cur_flat = flat_runs(current)
     base_flat = flat_runs(baseline)
 
-    # Coverage: the sweep must have exercised every kernel this host has.
-    kinds_seen = {k[2] for k in cur_flat}
-    if "scalar" not in kinds_seen:
-        failures.append("no scalar flat runs in current output")
-    if avx2_available and not forced_scalar and "avx2" not in kinds_seen:
-        failures.append("host reports AVX2 but no avx2 runs were benched")
-    if not avx2_available and "avx2" in kinds_seen:
-        failures.append("avx2 runs present but simd.avx2_available is "
-                        "false — output is inconsistent")
-
     # Ratio regression per configuration.
     for key, base_run in sorted(base_flat.items()):
-        batch_rows, threads, traversal = key
+        batch_rows, threads = key
         cur_run = cur_flat.get(key)
         if cur_run is None:
-            if traversal == "avx2" and not avx2_available:
-                notes.append(f"skip {key}: AVX2 unavailable on this host")
-                continue
             failures.append(f"baseline config {key} missing from current "
                             "run")
             continue
@@ -333,7 +308,7 @@ def main():
         if cur_speedup < floor:
             failures.append(
                 f"speedup regression at batch_rows={batch_rows} "
-                f"threads={threads} traversal={traversal}: "
+                f"threads={threads}: "
                 f"{cur_speedup:.2f}x vs baseline {base_speedup:.2f}x "
                 f"(floor {floor:.2f}x)")
 

@@ -48,7 +48,6 @@
 #include "core/report.h"
 #include "core/service.h"
 #include "fault/fault.h"
-#include "ml/simd/traversal.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serving/scoring_engine.h"
@@ -120,15 +119,6 @@ Status WriteFile(const std::string& path, const std::string& content) {
   }
   out << content;
   return out ? Status::OK() : Status::IOError("write failed: " + path);
-}
-
-// --block-rows and --traversal as batch options. --traversal is
-// validated at parse time, so ParseKind cannot fail here.
-ml::FlatForest::BatchOptions BatchOptionsFromFlags(const Flags& flags) {
-  ml::FlatForest::BatchOptions batch;
-  batch.block_rows = static_cast<size_t>(flags.Int("--block-rows"));
-  ml::simd::ParseKind(flags.Text("--traversal"), &batch.traversal);
-  return batch;
 }
 
 // Loads --telemetry from CSV, using the --region preset's calendar
@@ -303,8 +293,8 @@ struct AssessedRegion {
 };
 
 // The preamble `assess` and `plan` share: load --telemetry and --model,
-// then score the whole store in one blocked AssessMany batch through
-// the selected traversal kernel (bit-identical to per-record scoring).
+// then score the whole store in one blocked AssessMany batch
+// (bit-identical to per-record scoring).
 Result<AssessedRegion> LoadAndAssess(const Flags& flags) {
   CLOUDSURV_ASSIGN_OR_RETURN(telemetry::TelemetryStore store,
                              LoadTelemetry(flags));
@@ -314,9 +304,10 @@ Result<AssessedRegion> LoadAndAssess(const Flags& flags) {
   std::vector<telemetry::DatabaseId> ids;
   ids.reserve(store.databases().size());
   for (const auto& record : store.databases()) ids.push_back(record.id);
-  CLOUDSURV_ASSIGN_OR_RETURN(
-      auto assessments,
-      service.AssessMany(store, ids, BatchOptionsFromFlags(flags)));
+  ml::FlatForest::BatchOptions batch;
+  batch.block_rows = static_cast<size_t>(flags.Int("--block-rows"));
+  CLOUDSURV_ASSIGN_OR_RETURN(auto assessments,
+                             service.AssessMany(store, ids, batch));
   return AssessedRegion{std::move(store), std::move(assessments)};
 }
 
@@ -605,14 +596,12 @@ int CmdServeSim(const Flags& flags) {
   const auto model = std::make_shared<const core::LongevityService>(
       std::move(loaded).value());
 
-  const ml::FlatForest::BatchOptions batch_options =
-      BatchOptionsFromFlags(flags);
   serving::ScoringEngine::Options options;
   options.num_threads = static_cast<size_t>(flags.Int("--threads"));
   options.num_shards = static_cast<size_t>(flags.Int("--shards"));
   options.observe_days = model->options().observe_days;
-  options.inference_block_rows = batch_options.block_rows;
-  options.inference_traversal = batch_options.traversal;
+  options.inference_block_rows =
+      static_cast<size_t>(flags.Int("--block-rows"));
   if (faults_active) {
     options.fault_injector = injector.get();
     options.batch_deadline_us = deadline_us;
@@ -672,16 +661,15 @@ int CmdServeSim(const Flags& flags) {
   }
 
   char block_desc[32] = "auto";
-  if (batch_options.block_rows != 0) {
+  if (options.inference_block_rows != 0) {
     std::snprintf(block_desc, sizeof(block_desc), "%zu",
-                  batch_options.block_rows);
+                  options.inference_block_rows);
   }
   std::printf(
       "serve-sim: regions=%lld subs/region=%zu threads=%zu shards=%zu "
-      "flush_interval_days=%.2f block_rows=%s traversal=%s\n",
+      "flush_interval_days=%.2f block_rows=%s\n",
       static_cast<long long>(regions), subs, options.num_threads,
-      options.num_shards, flush_days, block_desc,
-      ml::simd::KindName(ml::simd::Resolve(batch_options.traversal)));
+      options.num_shards, flush_days, block_desc);
 
   const auto t0 = std::chrono::steady_clock::now();
   for (bool active = true; active;) {
@@ -993,8 +981,6 @@ constexpr FlagSpec kFlags[] = {
      kMaxPeriodDays},
     {"--block-rows", "assess plan serve-sim", "", Kind::kInt, "N", nullptr,
      "rows per traversal block (autotuned if omitted)", 1},
-    {"--traversal", "assess plan serve-sim", "", Kind::kEnum,
-     "auto|scalar|avx2", "auto", "forest traversal kernel"},
     {"--shards", "serve-sim", "", Kind::kInt, "N", "16",
      "ingest shards per engine", 1},
     {"--flush-interval", "serve-sim", "", Kind::kDouble, "DAYS", "1",
@@ -1201,16 +1187,6 @@ int main(int argc, char** argv) {
     if (verb != spec.name) continue;
     Flags flags;
     if (!flags.Parse(verb, argc, argv)) return Usage(spec.name);
-    // The one host-dependent check: fail an explicit AVX2 request up
-    // front — scoring would reject it batch by batch anyway, and a flag
-    // typo on a non-AVX2 host should not masquerade as a slow run.
-    if (InList(FindFlag("--traversal")->verbs, ' ', verb) &&
-        flags.Text("--traversal") == "avx2" && !ml::simd::Avx2Supported()) {
-      std::fprintf(stderr,
-                   "InvalidArgument: --traversal avx2 requested but this "
-                   "build/CPU has no AVX2 kernel\n");
-      return 2;
-    }
     return spec.run(flags);
   }
   std::fprintf(stderr, "InvalidArgument: unknown command '%s'\n",
