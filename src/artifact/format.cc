@@ -59,19 +59,10 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
 const char* SectionIdName(SectionId id) {
   switch (id) {
     case SectionId::kForestMeta: return "forest_meta";
-    case SectionId::kNodeFeature: return "node_feature";
-    case SectionId::kNodeThreshold: return "node_threshold";
-    case SectionId::kNodeLeft: return "node_left";
-    case SectionId::kNodeRight: return "node_right";
-    case SectionId::kNodeLeafIndex: return "node_leaf_index";
-    case SectionId::kLeafValues: return "leaf_values";
-    case SectionId::kTreeOffsets: return "tree_offsets";
-    case SectionId::kQuantThreshold: return "quant_threshold";
-    case SectionId::kCutOffsets: return "cut_offsets";
-    case SectionId::kCutValues: return "cut_values";
+    case SectionId::kForestNodes: return "forest_nodes";
+    case SectionId::kForestTrees: return "forest_trees";
     case SectionId::kServiceMeta: return "service_meta";
     case SectionId::kModelEntry: return "model_entry";
-    case SectionId::kForestBlob: return "forest_blob";
   }
   return "unknown";
 }

@@ -10,7 +10,7 @@ namespace cloudsurv::artifact {
 ///
 /// A `.csrv` file is the one persisted form of a trained model: the
 /// `cloudsurv train -> serve` split stores compiled `ml::FlatForest`
-/// SoA arrays (plus the service thresholds and feature configuration)
+/// node and tree arrays (plus the service thresholds and feature configuration)
 /// in a layout a reader can `mmap` and serve from directly — every
 /// array section is 64-byte aligned relative to the file start, so
 /// after validation the arrays are used in place with zero per-array
@@ -40,8 +40,10 @@ namespace cloudsurv::artifact {
 /// "CSRV" as the first four file bytes.
 inline constexpr char kMagic[4] = {'C', 'S', 'R', 'V'};
 
-/// Current (and only) container format version.
-inline constexpr uint32_t kFormatVersion = 1;
+/// Current (and only) container format version. Version 1 stored the
+/// forest as struct-of-arrays columns plus a multi-class leaf matrix;
+/// readers reject it with a message naming the version.
+inline constexpr uint32_t kFormatVersion = 2;
 
 /// Every section payload starts at a multiple of this from the file
 /// start. Matches a cache line; mmap bases are page-aligned, so
@@ -58,25 +60,12 @@ enum class PayloadKind : uint32_t {
 /// sections of the same id (the model slot in a service payload).
 enum class SectionId : uint32_t {
   // --- compiled ml::FlatForest (one set per model slot) -------------
-  kForestMeta = 1,      ///< One ForestMeta struct.
-  kNodeFeature = 2,     ///< int32[nodes], -1 marks a leaf.
-  kNodeThreshold = 3,   ///< double[nodes].
-  kNodeLeft = 4,        ///< int32[nodes], absolute node ids.
-  kNodeRight = 5,       ///< int32[nodes].
-  kNodeLeafIndex = 6,   ///< int32[nodes], row into leaf values or -1.
-  kLeafValues = 7,      ///< double[leaves * leaf_dim].
-  kTreeOffsets = 8,     ///< int32[trees + 1].
-  // Reserved: tables of the removed quantized traversal. Older files
-  // may carry them; readers ignore them and writers never emit them.
-  kQuantThreshold = 9,  ///< uint16[nodes].
-  kCutOffsets = 10,     ///< int32[features + 1].
-  kCutValues = 11,      ///< double[total cuts].
+  kForestMeta = 1,   ///< One ForestMeta struct.
+  kForestNodes = 2,  ///< ForestNode[nodes], every tree back to back.
+  kForestTrees = 3,  ///< ForestTree[trees]: each tree's root and depth.
   // --- LongevityService snapshot ------------------------------------
-  kServiceMeta = 32,    ///< One ServiceMeta struct (index 0).
-  kModelEntry = 33,     ///< One ModelEntry per slot (index = slot).
-  // Reserved: the trainable text form per slot. Older files carry it;
-  // readers ignore it and writers never emit it.
-  kForestBlob = 34,
+  kServiceMeta = 32,  ///< One ServiceMeta struct (index 0).
+  kModelEntry = 33,   ///< One ModelEntry per slot (index = slot).
 };
 
 /// Stable display name ("node_feature", "service_meta", ...) for
@@ -113,20 +102,33 @@ static_assert(sizeof(SectionEntry) == 48, "entry must stay 48 bytes");
 
 /// Fixed-size metadata for one compiled forest (SectionId::kForestMeta).
 struct ForestMeta {
-  int32_t num_classes;   ///< 0 for a boosted regressor.
-  uint32_t flags;        ///< Reserved bits only; see below.
-  uint64_t num_features;
-  uint64_t leaf_dim;     ///< num_classes, or 1 for a regressor.
-  uint64_t out_dim;
-  double base_score;     ///< Regressor accumulator seed.
-  uint8_t reserved[24];  ///< Zero.
+  uint64_t num_features;  ///< Row width; also the leaf marker feature.
+  uint8_t reserved[56];   ///< Zero.
 };
 static_assert(sizeof(ForestMeta) == 64, "forest meta must stay 64 bytes");
 
-/// Reserved ForestMeta::flags bits, set by older writers alongside the
-/// quantized sections above; ignored on read, never written.
-inline constexpr uint32_t kForestQuantized = 1u << 0;
-inline constexpr uint32_t kForestNarrowCodes = 1u << 1;
+/// One node of a compiled binary forest (SectionId::kForestNodes).
+/// A split keeps its threshold in `value`, reads `feature` (below
+/// num_features) and sends `x <= value` to `left`, anything else
+/// (NaN included) to `left + 1`. A leaf keeps its P(long) in `value`,
+/// sets `feature` to num_features — a row column the walk fills with
+/// -inf — and `left` to its own index, so it loops on itself.
+struct ForestNode {
+  double value;
+  int32_t feature;
+  int32_t left;  ///< Absolute node index.
+};
+static_assert(sizeof(ForestNode) == 16, "forest node must stay 16 bytes");
+
+/// One tree of a compiled forest (SectionId::kForestTrees). The tree
+/// spans nodes [root, next tree's root), the last one up to the end of
+/// the node section; `depth` is the longest root-to-leaf path, the
+/// exact number of steps a walk takes.
+struct ForestTree {
+  int32_t root;
+  int32_t depth;
+};
+static_assert(sizeof(ForestTree) == 8, "forest tree must stay 8 bytes");
 
 /// Fixed-size metadata for a service snapshot (SectionId::kServiceMeta).
 ///

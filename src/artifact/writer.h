@@ -13,7 +13,7 @@ namespace cloudsurv::artifact {
 ///
 /// Usage:
 ///   ArtifactWriter writer(PayloadKind::kFlatForest);
-///   writer.AddArray(SectionId::kNodeFeature, 0, feat.data(), feat.size());
+///   writer.AddArray(SectionId::kForestNodes, 0, nodes.data(), nodes.size());
 ///   ...
 ///   CLOUDSURV_RETURN_NOT_OK(writer.WriteFile("model.csrv"));
 ///

@@ -190,7 +190,6 @@ LongevityService::AssessMany(const TelemetryStore& store,
 
   std::vector<double> matrix;
   std::vector<uint8_t> row_ok;
-  std::vector<double> dense;
   std::vector<double> probs;
   std::vector<size_t> scored_positions;
   for (auto& group : groups) {
@@ -214,24 +213,12 @@ LongevityService::AssessMany(const TelemetryStore& store,
     }
     if (num_rows == 0) continue;
     const ml::FlatForest& flat = group.slot->flat;
-    if (flat.num_classes() != 0 && flat.num_classes() != 2) {
-      return Status::FailedPrecondition(
-          "positive-class probabilities require a binary problem");
-    }
     if (width != flat.num_features()) {
       return Status::InvalidArgument("feature count mismatch");
     }
-    dense.assign(num_rows * flat.out_dim(), 0.0);
-    CLOUDSURV_RETURN_NOT_OK(
-        flat.PredictProbaBatch(matrix.data(), num_rows, dense.data(), batch));
     probs.resize(num_rows);
-    if (flat.out_dim() == 1) {
-      std::copy(dense.begin(), dense.end(), probs.begin());
-    } else {
-      for (size_t k = 0; k < num_rows; ++k) {
-        probs[k] = dense[k * flat.out_dim() + 1];
-      }
-    }
+    CLOUDSURV_RETURN_NOT_OK(
+        flat.PredictPositiveBatch(matrix.data(), num_rows, probs.data(), batch));
     for (size_t k = 0; k < scored_positions.size(); ++k) {
       Assessment assessment;
       assessment.model_name = group.model_name;
@@ -342,7 +329,7 @@ Status LongevityService::SaveArtifact(const std::string& path) const {
     entry.threshold = slot.threshold;
     std::memcpy(entry.name, name.data(), name.size());
     writer.AddStruct(artifact::SectionId::kModelEntry, slot_index, entry);
-    // The SoA arrays a reader binds zero-copy.
+    // The node and tree arrays a reader binds zero-copy.
     return slot.flat.WriteTo(writer, slot_index);
   };
   CLOUDSURV_RETURN_NOT_OK(add_slot(0, pooled_model_));
@@ -418,8 +405,7 @@ Result<LongevityService> LongevityService::LoadArtifact(
     }
 
     // Bind the compiled form straight to the artifact bytes; the slot's
-    // FlatForest pins the mapping via its backing reference. Sections of
-    // reserved ids (forest_blob, the quantized tables) are never read.
+    // FlatForest pins the mapping via its backing reference.
     CLOUDSURV_ASSIGN_OR_RETURN(slot->flat,
                                ml::FlatForest::FromView(reader, entry.slot));
     if (slot->flat.num_features() != feature_width) {

@@ -21,66 +21,20 @@ namespace cloudsurv::ml {
 
 namespace {
 
-/// Vector staging area for the SoA node arrays while a forest is being
-/// compiled; adopted into the FlatForest columns once complete.
-struct NodeArrays {
-  std::vector<int32_t> feature;
-  std::vector<double> threshold;
-  std::vector<int32_t> left;
-  std::vector<int32_t> right;
-  std::vector<int32_t> leaf_index;
-  std::vector<double> leaf_values;
-  std::vector<int32_t> tree_offsets;
+using Node = FlatForest::Node;
+using Tree = FlatForest::Tree;
 
-  void Reserve(size_t total_nodes, size_t trees) {
-    feature.reserve(total_nodes);
-    threshold.reserve(total_nodes);
-    left.reserve(total_nodes);
-    right.reserve(total_nodes);
-    leaf_index.reserve(total_nodes);
-    tree_offsets.reserve(trees + 1);
-    tree_offsets.push_back(0);
-  }
-};
+/// (tree, row) pairs a walk keeps in flight.
+constexpr size_t kLanes = 8;
 
-// Must match the expression in gbdt.cc exactly — bit-identity of the
-// regressor path depends on computing the same double.
-double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
-
-/// Breadth-first visit order of one tree's local node ids: root first,
-/// then each level left to right, so the hot top levels land on
-/// adjacent cache lines after packing. `children(i)` returns the local
-/// {left, right} ids of a split node, {-1, -1} for a leaf. Falls back
-/// to the identity order if the links do not reach every node exactly
-/// once (a malformed tree — Compile()'s per-node validation rejects it
-/// anyway, but the reorder must never drop nodes).
-template <typename Children>
-std::vector<int32_t> BreadthFirstOrder(size_t nodes, Children&& children) {
-  std::vector<int32_t> order;
-  order.reserve(nodes);
-  std::vector<char> seen(nodes, 0);
-  order.push_back(0);
-  seen[0] = 1;
-  for (size_t head = 0; head < order.size(); ++head) {
-    const auto [left, right] = children(static_cast<size_t>(order[head]));
-    for (const int32_t c : {left, right}) {
-      if (c >= 0 && static_cast<size_t>(c) < nodes && !seen[c]) {
-        seen[static_cast<size_t>(c)] = 1;
-        order.push_back(c);
-      }
-    }
-  }
-  if (order.size() != nodes) {
-    order.resize(nodes);
-    for (size_t i = 0; i < nodes; ++i) order[i] = static_cast<int32_t>(i);
-  }
-  return order;
-}
+/// Row widths up to this many doubles (the -inf leaf column included)
+/// are copied to the stack by PredictPositive; wider rows use the heap.
+constexpr size_t kStackRowWidth = 256;
 
 obs::Histogram* CompileHistogram() {
   static obs::Histogram* h = obs::Registry::Default().GetHistogram(
       "cloudsurv_inference_compile_ms",
-      "FlatForest compilation time (SoA layout)", "ms");
+      "FlatForest compilation time (node layout)", "ms");
   return h;
 }
 
@@ -104,50 +58,50 @@ double ElapsedMs(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Raw pointers into a compiled forest's SoA arrays for the block walk.
-struct ForestView {
-  const int32_t* feature = nullptr;    ///< -1 marks a leaf.
-  const double* threshold = nullptr;
-  const int32_t* left = nullptr;       ///< Absolute node ids.
-  const int32_t* right = nullptr;
-  const int32_t* leaf_index = nullptr; ///< Row into leaf_values.
-  const double* leaf_values = nullptr; ///< num_leaves x leaf_dim.
-  const int32_t* tree_offsets = nullptr;
-  size_t num_trees = 0;
-  size_t num_features = 0;
-  size_t leaf_dim = 0;
-  size_t out_dim = 0;
-};
-
-/// Accumulates raw leaf sums for `n` packed rows
-/// (`rows[i * num_features + f]`) into `out` (`n * out_dim` doubles,
-/// pre-seeded by the caller). The caller finalizes (divide/sigmoid).
-void ScalarTraverse(const ForestView& f, const double* rows, size_t n,
-                    double* out) {
-  // Trees outer, rows inner: the node arrays stream once per block
-  // while the block's rows and accumulators stay cache-resident. Per
-  // row the leaf sums accumulate in tree order 0..T-1 with plain double
-  // adds — the exact summation sequence of the legacy per-row path.
-  for (size_t t = 0; t < f.num_trees; ++t) {
-    const int32_t root = f.tree_offsets[t];
-    for (size_t i = 0; i < n; ++i) {
-      const double* row = rows + i * f.num_features;
-      int32_t node = root;
-      int32_t feat = f.feature[static_cast<size_t>(node)];
-      while (feat >= 0) {
-        node = row[static_cast<size_t>(feat)] <=
-                       f.threshold[static_cast<size_t>(node)]
-                   ? f.left[static_cast<size_t>(node)]
-                   : f.right[static_cast<size_t>(node)];
-        feat = f.feature[static_cast<size_t>(node)];
+/// The one forest walk. Adds every tree's leaf value for each of `n`
+/// rows (`rows + r * stride`, column `stride - 1` holding -inf) into
+/// `out[r]`. The (tree, row) pairs are enumerated tree-major and walked
+/// kLanes at a time, each chunk for exactly the largest depth among its
+/// trees (leaves loop on themselves), so one row walks eight trees at
+/// once and a block walks eight rows of a tree. Within a chunk the
+/// values are added in lane order, hence per row in tree order 0..T-1
+/// with plain double adds — the summation sequence of
+/// `RandomForestClassifier::PredictProba`.
+__attribute__((aligned(64))) void Walk(const Node* nodes, const Tree* trees,
+                                       size_t num_trees, const double* rows,
+                                       size_t stride, size_t n, double* out) {
+  const size_t pairs = num_trees * n;
+  size_t t = 0;
+  size_t r = 0;
+  for (size_t p = 0; p < pairs; p += kLanes) {
+    const size_t m = std::min(kLanes, pairs - p);
+    int32_t node[kLanes];
+    const double* x[kLanes];
+    double* acc[kLanes];
+    int32_t depth = 0;
+    for (size_t l = 0; l < kLanes; ++l) {
+      if (l < m) {
+        node[l] = trees[t].root;
+        x[l] = rows + r * stride;
+        acc[l] = out + r;
+        depth = std::max(depth, trees[t].depth);
+        if (++r == n) {
+          r = 0;
+          ++t;
+        }
+      } else {
+        // Idle lanes repeat lane 0's walk; their leaves are not added.
+        node[l] = node[0];
+        x[l] = x[0];
       }
-      const double* leaf =
-          f.leaf_values +
-          static_cast<size_t>(f.leaf_index[static_cast<size_t>(node)]) *
-              f.leaf_dim;
-      double* acc = out + i * f.out_dim;
-      for (size_t c = 0; c < f.leaf_dim; ++c) acc[c] += leaf[c];
     }
+    for (int32_t s = 0; s < depth; ++s) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        const Node& at = nodes[node[l]];
+        node[l] = at.left + !(x[l][at.feature] <= at.value);
+      }
+    }
+    for (size_t l = 0; l < m; ++l) *acc[l] += nodes[node[l]].value;
   }
 }
 
@@ -158,161 +112,85 @@ Result<FlatForest> FlatForest::Compile(const RandomForestClassifier& forest) {
   if (!forest.fitted()) {
     return Status::FailedPrecondition("cannot compile an unfitted forest");
   }
-  FlatForest flat;
-  flat.num_classes_ = forest.num_classes();
-  if (flat.num_classes_ <= 0) {
-    return Status::Internal("fitted forest reports no classes");
+  if (forest.num_classes() != 2) {
+    return Status::FailedPrecondition(
+        "a flat forest scores two classes; this forest has " +
+        std::to_string(forest.num_classes()));
   }
-  flat.leaf_dim_ = static_cast<size_t>(flat.num_classes_);
-  flat.out_dim_ = flat.leaf_dim_;
-
   const auto& trees = forest.trees();
+  if (trees.empty()) {
+    return Status::Internal("fitted forest has no trees");
+  }
   size_t total_nodes = 0;
   for (const auto& tree : trees) total_nodes += tree.num_nodes();
   if (total_nodes >
       static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
     return Status::OutOfRange("forest too large for int32 node ids");
   }
-  NodeArrays arrays;
-  arrays.Reserve(total_nodes, trees.size());
+  FlatForest flat;
+  flat.num_features_ = trees.front().num_features();
+  const auto leaf_feature = static_cast<int32_t>(flat.num_features_);
+  std::vector<Node> nodes;
+  std::vector<Tree> tree_entries;
+  nodes.reserve(total_nodes);
+  tree_entries.reserve(trees.size());
 
-  flat.num_features_ = trees.empty() ? 0 : trees.front().num_features();
-  for (size_t t = 0; t < trees.size(); ++t) {
-    const auto& tree = trees[t];
-    if (tree.num_nodes() == 0) {
+  std::vector<int32_t> order;
+  std::vector<int32_t> level;
+  std::vector<int32_t> pos;
+  for (const auto& tree : trees) {
+    const size_t count = tree.num_nodes();
+    if (count == 0) {
       return Status::Internal("fitted forest contains an empty tree");
     }
     if (tree.num_features() != flat.num_features_) {
       return Status::Internal("trees disagree on feature count");
     }
-    const int32_t offset = static_cast<int32_t>(arrays.feature.size());
-    // Emit the tree's nodes in breadth-first order (root first, levels
-    // left to right): the first few levels — the ones every row
-    // touches — pack onto adjacent cache lines. `pos` maps a training
-    // node id to its packed local slot for child rewriting.
-    const auto order =
-        BreadthFirstOrder(tree.num_nodes(), [&tree](size_t i) {
-          const auto node = tree.node_view(i);
-          return node.feature < 0 ? std::pair<int32_t, int32_t>(-1, -1)
-                                  : std::pair<int32_t, int32_t>(node.left,
-                                                                node.right);
-        });
-    std::vector<int32_t> pos(tree.num_nodes());
-    for (size_t k = 0; k < order.size(); ++k) {
-      pos[static_cast<size_t>(order[k])] = static_cast<int32_t>(k);
+    // Breadth-first order (root first, levels left to right): the hot
+    // first levels pack onto adjacent cache lines, and a split's two
+    // children become neighbours, so right == left + 1.
+    order.assign(1, 0);
+    level.assign(count, -1);
+    level[0] = 0;
+    int32_t depth = 0;
+    for (size_t head = 0; head < order.size(); ++head) {
+      const auto view = tree.node_view(static_cast<size_t>(order[head]));
+      if (view.feature < 0) continue;
+      for (const int child : {view.left, view.right}) {
+        if (child < 0 || static_cast<size_t>(child) >= count ||
+            level[static_cast<size_t>(child)] >= 0) {
+          return Status::Internal("split node with invalid children");
+        }
+        const int32_t child_level =
+            level[static_cast<size_t>(order[head])] + 1;
+        level[static_cast<size_t>(child)] = child_level;
+        depth = std::max(depth, child_level);
+        order.push_back(child);
+      }
     }
-    for (size_t k = 0; k < tree.num_nodes(); ++k) {
-      const auto node = tree.node_view(static_cast<size_t>(order[k]));
-      arrays.feature.push_back(node.feature < 0 ? -1 : node.feature);
-      arrays.threshold.push_back(node.threshold);
-      if (node.feature < 0) {
-        // Leaf: stash the class distribution densely.
-        if (node.probabilities->size() != flat.leaf_dim_) {
+    // Packed absolute index of each training node.
+    const auto offset = static_cast<int32_t>(nodes.size());
+    pos.assign(count, -1);
+    for (size_t k = 0; k < order.size(); ++k) {
+      pos[static_cast<size_t>(order[k])] = offset + static_cast<int32_t>(k);
+    }
+    for (size_t k = 0; k < order.size(); ++k) {
+      const auto view = tree.node_view(static_cast<size_t>(order[k]));
+      const auto self = offset + static_cast<int32_t>(k);
+      if (view.feature < 0) {
+        if (view.probabilities->size() != 2) {
           return Status::Internal("leaf distribution size mismatch");
         }
-        arrays.left.push_back(-1);
-        arrays.right.push_back(-1);
-        arrays.leaf_index.push_back(
-            static_cast<int32_t>(arrays.leaf_values.size() / flat.leaf_dim_));
-        arrays.leaf_values.insert(arrays.leaf_values.end(),
-                                  node.probabilities->begin(),
-                                  node.probabilities->end());
+        nodes.push_back({(*view.probabilities)[1], leaf_feature, self});
       } else {
-        if (node.left < 0 || node.right < 0 ||
-            static_cast<size_t>(node.left) >= tree.num_nodes() ||
-            static_cast<size_t>(node.right) >= tree.num_nodes()) {
-          return Status::Internal("split node with invalid children");
-        }
-        arrays.left.push_back(offset + pos[static_cast<size_t>(node.left)]);
-        arrays.right.push_back(offset + pos[static_cast<size_t>(node.right)]);
-        arrays.leaf_index.push_back(-1);
+        nodes.push_back({view.threshold, view.feature,
+                         pos[static_cast<size_t>(view.left)]});
       }
     }
-    arrays.tree_offsets.push_back(static_cast<int32_t>(arrays.feature.size()));
+    tree_entries.push_back({offset, depth});
   }
-  flat.feature_.Adopt(std::move(arrays.feature));
-  flat.threshold_.Adopt(std::move(arrays.threshold));
-  flat.left_.Adopt(std::move(arrays.left));
-  flat.right_.Adopt(std::move(arrays.right));
-  flat.leaf_index_.Adopt(std::move(arrays.leaf_index));
-  flat.leaf_values_.Adopt(std::move(arrays.leaf_values));
-  flat.tree_offsets_.Adopt(std::move(arrays.tree_offsets));
-  flat.AutotuneBlockRows();
-  CompileHistogram()->Observe(ElapsedMs(start));
-  return flat;
-}
-
-Result<FlatForest> FlatForest::Compile(
-    const GradientBoostedTreesClassifier& gbdt) {
-  const auto start = std::chrono::steady_clock::now();
-  if (!gbdt.fitted()) {
-    return Status::FailedPrecondition("cannot compile an unfitted ensemble");
-  }
-  FlatForest flat;
-  flat.num_classes_ = 0;  // Regressor: scalar logit leaves.
-  flat.leaf_dim_ = 1;
-  flat.out_dim_ = 1;
-  flat.base_score_ = gbdt.base_score();
-  flat.num_features_ = gbdt.num_features();
-
-  size_t total_nodes = 0;
-  for (size_t t = 0; t < gbdt.num_trees(); ++t) {
-    total_nodes += gbdt.tree_nodes(t);
-  }
-  if (total_nodes >
-      static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
-    return Status::OutOfRange("ensemble too large for int32 node ids");
-  }
-  NodeArrays arrays;
-  arrays.Reserve(total_nodes, gbdt.num_trees());
-
-  for (size_t t = 0; t < gbdt.num_trees(); ++t) {
-    const size_t nodes = gbdt.tree_nodes(t);
-    if (nodes == 0) {
-      return Status::Internal("fitted ensemble contains an empty tree");
-    }
-    const int32_t offset = static_cast<int32_t>(arrays.feature.size());
-    // Breadth-first packing, as in the forest overload above.
-    const auto order = BreadthFirstOrder(nodes, [&gbdt, t](size_t i) {
-      const auto node = gbdt.node_view(t, i);
-      return node.feature < 0
-                 ? std::pair<int32_t, int32_t>(-1, -1)
-                 : std::pair<int32_t, int32_t>(node.left, node.right);
-    });
-    std::vector<int32_t> pos(nodes);
-    for (size_t k = 0; k < order.size(); ++k) {
-      pos[static_cast<size_t>(order[k])] = static_cast<int32_t>(k);
-    }
-    for (size_t k = 0; k < nodes; ++k) {
-      const auto node = gbdt.node_view(t, static_cast<size_t>(order[k]));
-      arrays.feature.push_back(node.feature < 0 ? -1 : node.feature);
-      arrays.threshold.push_back(node.threshold);
-      if (node.feature < 0) {
-        arrays.left.push_back(-1);
-        arrays.right.push_back(-1);
-        arrays.leaf_index.push_back(
-            static_cast<int32_t>(arrays.leaf_values.size()));
-        arrays.leaf_values.push_back(node.value);
-      } else {
-        if (node.left < 0 || node.right < 0 ||
-            static_cast<size_t>(node.left) >= nodes ||
-            static_cast<size_t>(node.right) >= nodes) {
-          return Status::Internal("split node with invalid children");
-        }
-        arrays.left.push_back(offset + pos[static_cast<size_t>(node.left)]);
-        arrays.right.push_back(offset + pos[static_cast<size_t>(node.right)]);
-        arrays.leaf_index.push_back(-1);
-      }
-    }
-    arrays.tree_offsets.push_back(static_cast<int32_t>(arrays.feature.size()));
-  }
-  flat.feature_.Adopt(std::move(arrays.feature));
-  flat.threshold_.Adopt(std::move(arrays.threshold));
-  flat.left_.Adopt(std::move(arrays.left));
-  flat.right_.Adopt(std::move(arrays.right));
-  flat.leaf_index_.Adopt(std::move(arrays.leaf_index));
-  flat.leaf_values_.Adopt(std::move(arrays.leaf_values));
-  flat.tree_offsets_.Adopt(std::move(arrays.tree_offsets));
+  flat.nodes_.Adopt(std::move(nodes));
+  flat.trees_.Adopt(std::move(tree_entries));
   flat.AutotuneBlockRows();
   CompileHistogram()->Observe(ElapsedMs(start));
   return flat;
@@ -320,107 +198,101 @@ Result<FlatForest> FlatForest::Compile(
 
 void FlatForest::AutotuneBlockRows() {
   // One traversal block wants (a) the hot top levels of every tree and
-  // (b) the block's double rows + accumulators co-resident in L2; the
-  // node arrays below the top levels stream regardless. Budget the
-  // rows at L2 minus the hot-node footprint (first 6 levels = 63 nodes
-  // per tree across the five SoA arrays), clamped to [64, 8192] and
-  // rounded down to a multiple of 8 rows, so each block's accumulators
-  // start on a cache line of an aligned output buffer and pooled blocks
-  // never share one. Callers override via BatchOptions::block_rows != 0.
+  // (b) the block's packed rows + accumulators co-resident in L2; the
+  // nodes below the top levels stream regardless. Budget the rows at
+  // L2 minus the hot-node footprint (first 6 levels = 63 nodes per
+  // tree), clamped to [64, 8192] and rounded down to a multiple of 8
+  // rows, so each block's accumulators start on a cache line of an
+  // aligned output buffer and pooled blocks never share one. Callers
+  // override via BatchOptions::block_rows != 0.
   long l2 = -1;
 #if defined(_SC_LEVEL2_CACHE_SIZE)
   l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
 #endif
   const size_t l2_bytes = l2 > 0 ? static_cast<size_t>(l2) : (1u << 20);
-  constexpr size_t kNodeStride =
-      4 * sizeof(int32_t) + sizeof(double);  // feature/left/right/leafidx/thr
   constexpr size_t kHotNodesPerTree = 63;
   size_t hot_bytes = 0;
-  for (size_t t = 0; t + 1 < tree_offsets_.size(); ++t) {
-    const size_t tree_nodes =
-        static_cast<size_t>(tree_offsets_[t + 1] - tree_offsets_[t]);
-    hot_bytes += std::min(tree_nodes, kHotNodesPerTree) * kNodeStride;
+  for (size_t t = 0; t < trees_.size(); ++t) {
+    const size_t end = t + 1 < trees_.size()
+                           ? static_cast<size_t>(trees_[t + 1].root)
+                           : nodes_.size();
+    const size_t tree_nodes = end - static_cast<size_t>(trees_[t].root);
+    hot_bytes += std::min(tree_nodes, kHotNodesPerTree) * sizeof(Node);
   }
-  const size_t row_bytes = (num_features_ + out_dim_) * sizeof(double);
+  const size_t row_bytes = (num_features_ + 2) * sizeof(double);
   const size_t budget =
       l2_bytes > hot_bytes ? l2_bytes - hot_bytes : l2_bytes / 2;
-  size_t rows = row_bytes == 0 ? 8192 : budget / row_bytes;
+  size_t rows = budget / row_bytes;
   rows = std::clamp<size_t>(rows, 64, 8192);
   rows -= rows % 8;
   tuned_block_rows_ = rows;
-}
-
-bool FlatForest::nodes_breadth_first() const {
-  // A tree is in BFS order iff replaying a breadth-first walk from its
-  // root visits exactly the sequential ids lo, lo+1, ..., hi-1.
-  if (!compiled()) return false;
-  for (size_t t = 0; t + 1 < tree_offsets_.size(); ++t) {
-    const int32_t lo = tree_offsets_[t];
-    const size_t nodes = static_cast<size_t>(tree_offsets_[t + 1] - lo);
-    const auto order = BreadthFirstOrder(nodes, [this, lo](size_t i) {
-      const size_t u = static_cast<size_t>(lo) + i;
-      return feature_[u] < 0
-                 ? std::pair<int32_t, int32_t>(-1, -1)
-                 : std::pair<int32_t, int32_t>(left_[u] - lo, right_[u] - lo);
-    });
-    for (size_t k = 0; k < nodes; ++k) {
-      if (order[k] != static_cast<int32_t>(k)) return false;
-    }
-  }
-  return true;
-}
-
-size_t FlatForest::memory_bytes() const {
-  return feature_.size() * sizeof(int32_t) +
-         threshold_.size() * sizeof(double) +
-         left_.size() * sizeof(int32_t) + right_.size() * sizeof(int32_t) +
-         leaf_index_.size() * sizeof(int32_t) +
-         leaf_values_.size() * sizeof(double) +
-         tree_offsets_.size() * sizeof(int32_t);
 }
 
 Status FlatForest::SelfCheck() const {
   if (!compiled()) {
     return Status::FailedPrecondition("forest is not compiled");
   }
-  const size_t nodes = feature_.size();
-  if (threshold_.size() != nodes || left_.size() != nodes ||
-      right_.size() != nodes || leaf_index_.size() != nodes) {
-    return Status::Internal("SoA arrays disagree on node count");
+  const size_t count = nodes_.size();
+  if (count > static_cast<size_t>(std::numeric_limits<int32_t>::max()) ||
+      num_features_ >=
+          static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
+    return Status::InvalidArgument("forest too large for int32 node ids");
   }
-  if (tree_offsets_.front() != 0 ||
-      static_cast<size_t>(tree_offsets_.back()) != nodes) {
-    return Status::Internal("tree offsets do not span the node arrays");
+  const auto leaf_feature = static_cast<int32_t>(num_features_);
+  if (trees_[0].root != 0) {
+    return Status::InvalidArgument("first tree does not start at node 0");
   }
-  if (leaf_dim_ == 0 || leaf_values_.size() % leaf_dim_ != 0) {
-    return Status::Internal("leaf matrix not a multiple of leaf_dim");
-  }
-  const int32_t leaves = static_cast<int32_t>(num_leaves());
-  for (size_t t = 0; t + 1 < tree_offsets_.size(); ++t) {
-    const int32_t lo = tree_offsets_[t];
-    const int32_t hi = tree_offsets_[t + 1];
-    if (lo >= hi) return Status::Internal("empty or non-monotone tree range");
-    for (int32_t i = lo; i < hi; ++i) {
-      const size_t u = static_cast<size_t>(i);
-      if (feature_[u] < 0) {
-        if (leaf_index_[u] < 0 || leaf_index_[u] >= leaves) {
-          return Status::Internal("leaf references an out-of-range row");
+  // Longest path from the tree's root to each node. Children always
+  // follow their parent, so one forward pass settles every node.
+  std::vector<int32_t> level;
+  for (size_t t = 0; t < trees_.size(); ++t) {
+    const int64_t lo = trees_[t].root;
+    const int64_t hi = t + 1 < trees_.size()
+                           ? int64_t{trees_[t + 1].root}
+                           : static_cast<int64_t>(count);
+    if (lo >= hi || hi > static_cast<int64_t>(count)) {
+      return Status::InvalidArgument("tree " + std::to_string(t) +
+                                     " has an empty or out-of-bounds "
+                                     "node range");
+    }
+    level.assign(static_cast<size_t>(hi - lo), 0);
+    int32_t depth = 0;
+    for (int64_t i = lo; i < hi; ++i) {
+      const Node& node = nodes_[static_cast<size_t>(i)];
+      const int32_t here = level[static_cast<size_t>(i - lo)];
+      depth = std::max(depth, here);
+      if (node.feature == leaf_feature) {
+        if (node.left != i) {
+          return Status::InvalidArgument(
+              "leaf " + std::to_string(i) + " does not loop on itself");
         }
-        if (left_[u] != -1 || right_[u] != -1) {
-          return Status::Internal("leaf with children");
+        if (std::isnan(node.value)) {
+          return Status::InvalidArgument("leaf " + std::to_string(i) +
+                                         " has a NaN value");
         }
-      } else {
-        if (static_cast<size_t>(feature_[u]) >= num_features_) {
-          return Status::Internal("split feature out of range");
-        }
-        if (left_[u] <= i || left_[u] >= hi || right_[u] <= i ||
-            right_[u] >= hi) {
-          return Status::Internal("child id escapes its tree range");
-        }
-        if (leaf_index_[u] != -1) {
-          return Status::Internal("split node with a leaf row");
-        }
+        continue;
       }
+      if (node.feature < 0 || node.feature > leaf_feature) {
+        return Status::InvalidArgument(
+            "node " + std::to_string(i) + " reads feature " +
+            std::to_string(node.feature) + " of " +
+            std::to_string(num_features_));
+      }
+      if (node.left <= i || int64_t{node.left} + 1 >= hi) {
+        return Status::InvalidArgument("node " + std::to_string(i) +
+                                       " has a child outside tree " +
+                                       std::to_string(t));
+      }
+      for (const int64_t child : {int64_t{node.left}, int64_t{node.left} + 1}) {
+        int32_t& below = level[static_cast<size_t>(child - lo)];
+        below = std::max(below, here + 1);
+      }
+    }
+    if (trees_[t].depth != depth) {
+      return Status::InvalidArgument(
+          "tree " + std::to_string(t) + " stores depth " +
+          std::to_string(trees_[t].depth) + ", its true depth is " +
+          std::to_string(depth));
     }
   }
   return Status::OK();
@@ -433,26 +305,13 @@ Status FlatForest::WriteTo(artifact::ArtifactWriter& writer,
         "cannot persist an uncompiled forest");
   }
   using artifact::SectionId;
-  artifact::ForestMeta meta;
-  std::memset(&meta, 0, sizeof(meta));
-  meta.num_classes = num_classes_;
+  artifact::ForestMeta meta{};
   meta.num_features = num_features_;
-  meta.leaf_dim = leaf_dim_;
-  meta.out_dim = out_dim_;
-  meta.base_score = base_score_;
   writer.AddStruct(SectionId::kForestMeta, slot, meta);
-  writer.AddArray(SectionId::kNodeFeature, slot, feature_.data(),
-                  feature_.size());
-  writer.AddArray(SectionId::kNodeThreshold, slot, threshold_.data(),
-                  threshold_.size());
-  writer.AddArray(SectionId::kNodeLeft, slot, left_.data(), left_.size());
-  writer.AddArray(SectionId::kNodeRight, slot, right_.data(), right_.size());
-  writer.AddArray(SectionId::kNodeLeafIndex, slot, leaf_index_.data(),
-                  leaf_index_.size());
-  writer.AddArray(SectionId::kLeafValues, slot, leaf_values_.data(),
-                  leaf_values_.size());
-  writer.AddArray(SectionId::kTreeOffsets, slot, tree_offsets_.data(),
-                  tree_offsets_.size());
+  writer.AddArray(SectionId::kForestNodes, slot, nodes_.data(),
+                  nodes_.size());
+  writer.AddArray(SectionId::kForestTrees, slot, trees_.data(),
+                  trees_.size());
   return Status::OK();
 }
 
@@ -462,45 +321,19 @@ Result<FlatForest> FlatForest::FromView(
   CLOUDSURV_ASSIGN_OR_RETURN(
       const artifact::ForestMeta meta,
       reader.Struct<artifact::ForestMeta>(SectionId::kForestMeta, slot));
-
-  FlatForest flat;
-  flat.num_classes_ = meta.num_classes;
-  flat.num_features_ = static_cast<size_t>(meta.num_features);
-  flat.leaf_dim_ = static_cast<size_t>(meta.leaf_dim);
-  flat.out_dim_ = static_cast<size_t>(meta.out_dim);
-  flat.base_score_ = meta.base_score;
-  const size_t expect_dim =
-      flat.num_classes_ > 0 ? static_cast<size_t>(flat.num_classes_) : 1;
-  if (meta.num_classes < 0 || flat.leaf_dim_ != expect_dim ||
-      flat.out_dim_ != expect_dim) {
-    return Status::InvalidArgument(
-        "artifact forest metadata is inconsistent (classes/leaf_dim/"
-        "out_dim)");
-  }
-
-  // Bind every column as an in-place view of the artifact bytes — the
-  // zero-copy path. The reader validated bounds, alignment, and
-  // checksums; structural validation below covers the rest.
-  auto bind = [&](SectionId id, auto& column) -> Status {
-    using T = std::decay_t<decltype(column[0])>;
-    auto span = reader.Array<T>(id, slot);
-    if (!span.ok()) return span.status();
-    column.BindView(span->data, span->size);
-    return Status::OK();
-  };
-  CLOUDSURV_RETURN_NOT_OK(bind(SectionId::kNodeFeature, flat.feature_));
-  CLOUDSURV_RETURN_NOT_OK(bind(SectionId::kNodeThreshold, flat.threshold_));
-  CLOUDSURV_RETURN_NOT_OK(bind(SectionId::kNodeLeft, flat.left_));
-  CLOUDSURV_RETURN_NOT_OK(bind(SectionId::kNodeRight, flat.right_));
-  CLOUDSURV_RETURN_NOT_OK(bind(SectionId::kNodeLeafIndex, flat.leaf_index_));
-  CLOUDSURV_RETURN_NOT_OK(bind(SectionId::kLeafValues, flat.leaf_values_));
-  CLOUDSURV_RETURN_NOT_OK(bind(SectionId::kTreeOffsets, flat.tree_offsets_));
-  // Older files may also carry the reserved quantized-table sections
-  // and ForestMeta flag bits (artifact/format.h); they are not read.
-
-  if (flat.tree_offsets_.empty()) {
+  // Both arrays are used in place: the reader validated bounds,
+  // alignment and checksums, and SelfCheck below the structure.
+  CLOUDSURV_ASSIGN_OR_RETURN(const auto nodes,
+                             reader.Array<Node>(SectionId::kForestNodes, slot));
+  CLOUDSURV_ASSIGN_OR_RETURN(const auto trees,
+                             reader.Array<Tree>(SectionId::kForestTrees, slot));
+  if (trees.empty()) {
     return Status::InvalidArgument("artifact forest has no trees");
   }
+  FlatForest flat;
+  flat.num_features_ = static_cast<size_t>(meta.num_features);
+  flat.nodes_.BindView(nodes.data, nodes.size);
+  flat.trees_.BindView(trees.data, trees.size);
   flat.backing_ = reader.backing();
   CLOUDSURV_RETURN_NOT_OK(flat.SelfCheck());
   // Derived (non-serialized) state: the autotuned block size for this
@@ -511,60 +344,21 @@ Result<FlatForest> FlatForest::FromView(
 
 void FlatForest::ScoreBlock(const double* const* rows, size_t n, double* out,
                             std::vector<double>& packed) const {
-  const size_t trees = num_trees();
-  const size_t od = out_dim_;
-  if (num_classes_ > 0) {
-    std::fill(out, out + n * od, 0.0);
-  } else {
-    std::fill(out, out + n, base_score_);
+  // Pack the block with one extra -inf column per row, the column every
+  // leaf reads. Packing copies row bytes verbatim, so it cannot perturb
+  // results.
+  const size_t stride = num_features_ + 1;
+  packed.resize(n * stride);
+  for (size_t i = 0; i < n; ++i) {
+    double* dst = packed.data() + i * stride;
+    std::memcpy(dst, rows[i], num_features_ * sizeof(double));
+    dst[num_features_] = -std::numeric_limits<double>::infinity();
   }
-
-  // The walk consumes a packed row-major block. The dense-matrix entry
-  // points hand over rows that are already contiguous — alias them;
-  // otherwise (Dataset rows, the serving path's per-slot row vectors)
-  // pack once into reusable scratch.
-  // Packing copies row bytes verbatim, so it cannot perturb results.
-  const double* block = rows[0];
-  bool contiguous = true;
-  for (size_t i = 1; i < n; ++i) {
-    if (rows[i] != rows[0] + i * num_features_) {
-      contiguous = false;
-      break;
-    }
-  }
-  if (!contiguous) {
-    packed.resize(n * num_features_);
-    for (size_t i = 0; i < n; ++i) {
-      std::memcpy(packed.data() + i * num_features_, rows[i],
-                  num_features_ * sizeof(double));
-    }
-    block = packed.data();
-  }
-  ForestView view;
-  view.feature = feature_.data();
-  view.threshold = threshold_.data();
-  view.left = left_.data();
-  view.right = right_.data();
-  view.leaf_index = leaf_index_.data();
-  view.leaf_values = leaf_values_.data();
-  view.tree_offsets = tree_offsets_.data();
-  view.num_trees = trees;
-  view.num_features = num_features_;
-  view.leaf_dim = leaf_dim_;
-  view.out_dim = od;
-  ScalarTraverse(view, block, n, out);
-
-  // Finalization mirrors the legacy per-row arithmetic exactly: divide
-  // the class sums by the tree count, or squash the logit. Per row the
-  // accumulation above ran in tree order 0..T-1 — the same double
-  // summation sequence the per-row path performs — so results are
-  // bit-identical at any block size or thread count.
-  if (num_classes_ > 0) {
-    const double t = static_cast<double>(trees);
-    for (size_t i = 0; i < n * od; ++i) out[i] /= t;
-  } else {
-    for (size_t i = 0; i < n; ++i) out[i] = Sigmoid(out[i]);
-  }
+  std::fill(out, out + n, 0.0);
+  Walk(nodes_.data(), trees_.data(), trees_.size(), packed.data(), stride, n,
+       out);
+  const double t = static_cast<double>(trees_.size());
+  for (size_t i = 0; i < n; ++i) out[i] /= t;
 }
 
 Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
@@ -576,7 +370,6 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
   obs::ScopedTimer timer(BatchLatency());
   size_t block =
       options.block_rows == 0 ? tuned_block_rows_ : options.block_rows;
-  if (block == 0) block = 1;
   const size_t num_blocks = (n + block - 1) / block;
 
   if (options.pool == nullptr || num_blocks <= 1) {
@@ -584,7 +377,7 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
     for (size_t b = 0; b < num_blocks; ++b) {
       const size_t lo = b * block;
       const size_t hi = std::min(n, lo + block);
-      ScoreBlock(row_ptrs + lo, hi - lo, out + lo * out_dim_, packed);
+      ScoreBlock(row_ptrs + lo, hi - lo, out + lo, packed);
     }
   } else {
     std::vector<std::future<void>> futures;
@@ -592,11 +385,10 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
     for (size_t b = 0; b < num_blocks; ++b) {
       const size_t lo = b * block;
       const size_t hi = std::min(n, lo + block);
-      futures.push_back(options.pool->Submit(
-          [this, row_ptrs, lo, hi, out]() {
-            std::vector<double> packed;
-            ScoreBlock(row_ptrs + lo, hi - lo, out + lo * out_dim_, packed);
-          }));
+      futures.push_back(options.pool->Submit([this, row_ptrs, lo, hi, out]() {
+        std::vector<double> packed;
+        ScoreBlock(row_ptrs + lo, hi - lo, out + lo, packed);
+      }));
     }
     try {
       for (auto& f : futures) f.get();
@@ -609,76 +401,31 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
   return Status::OK();
 }
 
-void FlatForest::PredictProbaInto(const std::vector<double>& row,
-                                  std::vector<double>& out) const {
-  out.assign(out_dim_, num_classes_ > 0 ? 0.0 : base_score_);
-  const size_t trees = num_trees();
-  for (size_t t = 0; t < trees; ++t) {
-    int32_t node = tree_offsets_[t];
-    int32_t f = feature_[static_cast<size_t>(node)];
-    while (f >= 0) {
-      node = row[static_cast<size_t>(f)] <=
-                     threshold_[static_cast<size_t>(node)]
-                 ? left_[static_cast<size_t>(node)]
-                 : right_[static_cast<size_t>(node)];
-      f = feature_[static_cast<size_t>(node)];
-    }
-    const double* leaf =
-        leaf_values_.data() +
-        static_cast<size_t>(leaf_index_[static_cast<size_t>(node)]) *
-            leaf_dim_;
-    for (size_t c = 0; c < leaf_dim_; ++c) out[c] += leaf[c];
-  }
-  if (num_classes_ > 0) {
-    const double t = static_cast<double>(trees);
-    for (double& v : out) v /= t;
-  } else {
-    out[0] = Sigmoid(out[0]);
-  }
-  RowsTotal()->Increment(1);
-}
-
-std::vector<double> FlatForest::PredictProba(
-    const std::vector<double>& row) const {
-  std::vector<double> out;
-  PredictProbaInto(row, out);
-  return out;
-}
-
-// Starts on a cache line so the per-row tree walk below keeps its
-// alignment when unrelated code moves: the per-id Assess latency of
-// plan-offline rose by a quarter when this function merely shifted 16
-// bytes within its line.
+// Starts on a cache line so the per-id walk keeps its alignment when
+// unrelated code moves: the per-id Assess latency of plan-offline rose
+// by a quarter when an earlier version of this function merely shifted
+// 16 bytes within its line.
 __attribute__((aligned(64))) double FlatForest::PredictPositive(
     const std::vector<double>& row) const {
-  // Accumulating only the positive component reproduces the legacy
-  // doubles: acc[1]'s summation sequence is independent of acc[0].
-  const size_t trees = num_trees();
-  const size_t component = num_classes_ > 0 ? 1 : 0;
-  double acc = num_classes_ > 0 ? 0.0 : base_score_;
-  for (size_t t = 0; t < trees; ++t) {
-    int32_t node = tree_offsets_[t];
-    int32_t f = feature_[static_cast<size_t>(node)];
-    while (f >= 0) {
-      node = row[static_cast<size_t>(f)] <=
-                     threshold_[static_cast<size_t>(node)]
-                 ? left_[static_cast<size_t>(node)]
-                 : right_[static_cast<size_t>(node)];
-      f = feature_[static_cast<size_t>(node)];
-    }
-    acc += leaf_values_[static_cast<size_t>(
-                            leaf_index_[static_cast<size_t>(node)]) *
-                            leaf_dim_ +
-                        component];
+  const size_t stride = num_features_ + 1;
+  double stack_row[kStackRowWidth];
+  std::vector<double> heap_row;
+  double* x = stack_row;
+  if (stride > kStackRowWidth) {
+    heap_row.resize(stride);
+    x = heap_row.data();
   }
+  std::memcpy(x, row.data(), num_features_ * sizeof(double));
+  x[num_features_] = -std::numeric_limits<double>::infinity();
+  double acc = 0.0;
+  Walk(nodes_.data(), trees_.data(), trees_.size(), x, stride, 1, &acc);
   RowsTotal()->Increment(1);
-  if (num_classes_ > 0) return acc / static_cast<double>(trees);
-  return Sigmoid(acc);
+  return acc / static_cast<double>(trees_.size());
 }
 
-Status FlatForest::PredictProbaBatch(const double* rows, size_t n,
-                                     double* out,
-                                     const BatchOptions& options) const {
+Status FlatForest::PredictPositiveBatch(const double* rows, size_t n,
+                                        double* out,
+                                        const BatchOptions& options) const {
   std::vector<const double*> ptrs(n);
   for (size_t i = 0; i < n; ++i) ptrs[i] = rows + i * num_features_;
   return ScorePtrs(ptrs.data(), n, out, options);
@@ -689,72 +436,14 @@ Result<std::vector<double>> FlatForest::PredictPositiveProbaBatch(
   if (!compiled()) {
     return Status::FailedPrecondition("forest is not compiled");
   }
-  if (num_classes_ != 0 && num_classes_ != 2) {
-    return Status::FailedPrecondition(
-        "positive-class probabilities require a binary problem");
-  }
   if (data.num_features() != num_features_) {
     return Status::InvalidArgument("feature count mismatch");
   }
   const size_t n = data.num_rows();
   std::vector<const double*> ptrs(n);
   for (size_t i = 0; i < n; ++i) ptrs[i] = data.row(i).data();
-  std::vector<double> dense(n * out_dim_);
-  CLOUDSURV_RETURN_NOT_OK(ScorePtrs(ptrs.data(), n, dense.data(), options));
-  if (out_dim_ == 1) return dense;
   std::vector<double> out(n);
-  for (size_t i = 0; i < n; ++i) out[i] = dense[i * out_dim_ + 1];
-  return out;
-}
-
-Result<std::vector<double>> FlatForest::PredictPositiveProbaRows(
-    const std::vector<std::vector<double>>& rows,
-    const BatchOptions& options) const {
-  if (!compiled()) {
-    return Status::FailedPrecondition("forest is not compiled");
-  }
-  if (num_classes_ != 0 && num_classes_ != 2) {
-    return Status::FailedPrecondition(
-        "positive-class probabilities require a binary problem");
-  }
-  const size_t n = rows.size();
-  std::vector<const double*> ptrs(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (rows[i].size() != num_features_) {
-      return Status::InvalidArgument("feature count mismatch");
-    }
-    ptrs[i] = rows[i].data();
-  }
-  std::vector<double> dense(n * out_dim_);
-  CLOUDSURV_RETURN_NOT_OK(ScorePtrs(ptrs.data(), n, dense.data(), options));
-  if (out_dim_ == 1) return dense;
-  std::vector<double> out(n);
-  for (size_t i = 0; i < n; ++i) out[i] = dense[i * out_dim_ + 1];
-  return out;
-}
-
-Result<std::vector<int>> FlatForest::PredictBatch(
-    const Dataset& data, const BatchOptions& options) const {
-  if (!compiled()) {
-    return Status::FailedPrecondition("forest is not compiled");
-  }
-  if (data.num_features() != num_features_) {
-    return Status::InvalidArgument("feature count mismatch");
-  }
-  const size_t n = data.num_rows();
-  std::vector<const double*> ptrs(n);
-  for (size_t i = 0; i < n; ++i) ptrs[i] = data.row(i).data();
-  std::vector<double> dense(n * out_dim_);
-  CLOUDSURV_RETURN_NOT_OK(ScorePtrs(ptrs.data(), n, dense.data(), options));
-  std::vector<int> out(n);
-  if (num_classes_ > 0) {
-    for (size_t i = 0; i < n; ++i) {
-      const double* p = dense.data() + i * out_dim_;
-      out[i] = static_cast<int>(std::max_element(p, p + out_dim_) - p);
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) out[i] = dense[i] > 0.5 ? 1 : 0;
-  }
+  CLOUDSURV_RETURN_NOT_OK(ScorePtrs(ptrs.data(), n, out.data(), options));
   return out;
 }
 

@@ -5,10 +5,10 @@
 #include <memory>
 #include <vector>
 
+#include "artifact/format.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "ml/dataset.h"
-#include "ml/gbdt.h"
 #include "ml/random_forest.h"
 
 namespace cloudsurv::artifact {
@@ -111,34 +111,38 @@ class Column {
 
 }  // namespace flat_internal
 
-/// Compiled, immutable inference representation of a trained tree
-/// ensemble — the serving-path counterpart of the training-oriented
-/// `DecisionTreeClassifier`/`GradientBoostedTreesClassifier` node
-/// structs (which keep a heap-allocated probability vector per node and
-/// therefore pay a cache miss per node hop).
+/// Compiled, immutable inference representation of a trained binary
+/// random forest — the serving-path counterpart of the training-oriented
+/// `DecisionTreeClassifier` node structs (which keep a heap-allocated
+/// probability vector per node and therefore pay a cache miss per node
+/// hop).
 ///
-/// Layout: struct-of-arrays node storage. All trees are packed
-/// back-to-back into contiguous `feature`/`threshold`/`left`/`right`
-/// arrays (children are absolute node ids, `feature == -1` marks a
-/// leaf) with `tree_offsets` giving each tree's root; leaf payloads
-/// (class distributions, or scalar leaf weights for boosted trees)
-/// live in one dense `leaf_values` matrix indexed by a per-leaf id.
+/// Layout: one array of 16-byte nodes `{value, feature, left}`
+/// (`artifact::ForestNode`) holding every tree back to back, each tree
+/// root-first in breadth-first order, plus one `{root, depth}` entry per
+/// tree. A split keeps its threshold in `value` and its children at
+/// `left` and `left + 1`; a leaf keeps its P(long) in `value`, points
+/// `left` at itself and reads feature `num_features`, a column the walk
+/// fills with -inf, so `x <= value` holds and the leaf loops on itself.
+/// A walk therefore steps exactly `depth` times with no leaf test.
 ///
-/// Batch scoring iterates rows x trees in cache-sized row blocks (all
-/// trees stay hot while a block's rows stream through) and can fan
-/// independent blocks out over a `common::ThreadPool`. Within a block
-/// one portable walk runs trees outer, rows inner. Compile()
-/// additionally stores each tree's nodes in breadth-first order so a
-/// tree's hot first levels occupy adjacent cache lines, and autotunes
-/// the default block size from the forest shape and the L2 size.
-/// Per-row accumulation order is tree 0..T-1 with the same summation
-/// the legacy path uses, so results are bit-identical at any block size
-/// and thread count.
+/// One walk serves every caller: it keeps eight (tree, row) pairs in
+/// flight, enumerated tree-major, so a single row walks eight trees at a
+/// time, a large block walks eight rows of one tree, and a small block
+/// walks rows x trees. Batch scoring iterates cache-sized row blocks and
+/// can fan independent blocks out over a `common::ThreadPool`. Per row
+/// the leaf values are added in tree order 0..T-1 with plain double adds
+/// and divided by T, so every score is bit-identical to
+/// `RandomForestClassifier::PredictProba(row)[1]` at any block size and
+/// thread count.
 ///
 /// A FlatForest is immutable after Compile() returns; concurrent reads
 /// from any number of threads are safe.
 class FlatForest {
  public:
+  using Node = artifact::ForestNode;
+  using Tree = artifact::ForestTree;
+
   /// Batch traversal knobs. Defaults favour an L1/L2-resident block of
   /// rows sized per compiled forest; see docs/inference.md.
   struct BatchOptions {
@@ -155,103 +159,76 @@ class FlatForest {
 
   FlatForest() = default;
 
-  /// Compiles a fitted random forest. Fails on an unfitted forest.
+  /// Compiles a fitted two-class random forest. Fails on an unfitted
+  /// forest and on any other class count.
   static Result<FlatForest> Compile(const RandomForestClassifier& forest);
-
-  /// Compiles a fitted gradient-boosted ensemble (scalar leaves,
-  /// logit accumulation seeded with the base score).
-  static Result<FlatForest> Compile(
-      const GradientBoostedTreesClassifier& gbdt);
 
   // --- Binary model artifacts (src/artifact/, CSRV container) --------
 
-  /// Serializes the compiled arrays into `writer` as one CSRV section
-  /// per SoA array, tagged with `slot` as the section index (0 for a
+  /// Serializes the forest into `writer` as a meta, a node and a tree
+  /// section, tagged with `slot` as the section index (0 for a
   /// standalone forest; a LongevityService snapshot writes one forest
   /// per model slot). Byte-exact: FromView on the written artifact
   /// reproduces this forest's predictions bit for bit.
   Status WriteTo(artifact::ArtifactWriter& writer, uint32_t slot = 0) const;
 
-  /// Binds a FlatForest directly onto the arrays inside a validated
-  /// artifact — the zero-copy startup path. No array is copied: every
-  /// column aliases the reader's (typically mmap'ed) backing bytes,
-  /// and the forest retains shared ownership of that backing, so the
-  /// mapping stays alive for as long as any copy of the forest does.
-  /// Runs SelfCheck() before returning, so a structurally corrupt
-  /// artifact that slipped past the checksums is still rejected.
+  /// Binds a FlatForest directly onto the node and tree sections inside
+  /// a validated artifact — the zero-copy startup path. Nothing is
+  /// copied or converted: both arrays alias the reader's (typically
+  /// mmap'ed) backing bytes, and the forest retains shared ownership of
+  /// that backing, so the mapping stays alive for as long as any copy
+  /// of the forest does. Runs SelfCheck() before returning, so a
+  /// structurally corrupt artifact that slipped past the checksums is
+  /// still rejected.
   static Result<FlatForest> FromView(const artifact::ArtifactReader& reader,
                                      uint32_t slot = 0);
 
-  /// True when the node arrays alias artifact backing bytes rather
-  /// than owned vectors (i.e. this forest came from FromView).
+  /// True when the arrays alias artifact backing bytes rather than
+  /// owned vectors (i.e. this forest came from FromView).
   bool zero_copy() const { return backing_ != nullptr; }
 
-  bool compiled() const { return !tree_offsets_.empty(); }
-  /// True for a classifier ensemble (leaf class distributions); false
-  /// for a boosted regressor (scalar logit leaves).
-  bool is_classifier() const { return num_classes_ > 0; }
+  bool compiled() const { return !trees_.empty(); }
 
   /// Rows-per-block the compiler picked for this forest (used whenever
-  /// BatchOptions::block_rows is 0): sized so one block of double rows
-  /// plus accumulators shares the L2 cache with the forest's hot top
-  /// levels. Always in [64, 8192] and a multiple of 8.
+  /// BatchOptions::block_rows is 0): sized so one block of rows plus
+  /// accumulators shares the L2 cache with the forest's hot top levels.
+  /// Always in [64, 8192] and a multiple of 8.
   size_t tuned_block_rows() const { return tuned_block_rows_; }
 
-  /// True when every tree's nodes are stored root-first in
-  /// breadth-first order (Compile() emits this layout so the hot first
-  /// levels of a tree occupy adjacent cache lines). Artifacts written
-  /// before the BFS layout load fine — node order is plain data — so
-  /// FromView forests may legitimately return false here.
-  bool nodes_breadth_first() const;
-
-  size_t num_trees() const {
-    return tree_offsets_.empty() ? 0 : tree_offsets_.size() - 1;
-  }
-  size_t num_nodes() const { return feature_.size(); }
-  size_t num_leaves() const {
-    return leaf_dim_ == 0 ? 0 : leaf_values_.size() / leaf_dim_;
-  }
-  int num_classes() const { return num_classes_; }
+  size_t num_trees() const { return trees_.size(); }
+  size_t num_nodes() const { return nodes_.size(); }
   size_t num_features() const { return num_features_; }
 
-  /// Total bytes of the compiled arrays (layout cost accounting).
-  size_t memory_bytes() const;
-
-  /// Verifies structural invariants (offset monotonicity, child and
-  /// leaf references in range). Cheap; tests and Compile() debug paths
-  /// use it.
-  Status SelfCheck() const;
-
-  // --- Single-row scoring (bit-identical to the legacy per-row path) -
-
-  /// Classifier: averaged class distribution into `out` (resized to
-  /// num_classes). Regressor: out = {sigmoid(logit)}.
-  void PredictProbaInto(const std::vector<double>& row,
-                        std::vector<double>& out) const;
-
-  /// Convenience copy of PredictProbaInto.
-  std::vector<double> PredictProba(const std::vector<double>& row) const;
-
-  /// Positive-class probability: classifier -> averaged P[class 1]
-  /// (requires a binary ensemble), regressor -> sigmoid(logit). This is
-  /// the quantity `LongevityService::Assess` serves.
-  double PredictPositive(const std::vector<double>& row) const;
-
-  // --- Blocked batch scoring -----------------------------------------
-
-  /// Scores `n` rows given as a contiguous row-major matrix
-  /// (`rows[i * num_features + f]`, finite values). `out` must hold
-  /// `n * out_dim()` doubles: per row the averaged class distribution
-  /// (classifier) or the single sigmoid probability (regressor).
-  Status PredictProbaBatch(const double* rows, size_t n, double* out,
-                           const BatchOptions& options) const;
-  Status PredictProbaBatch(const double* rows, size_t n, double* out) const {
-    return PredictProbaBatch(rows, n, out, BatchOptions());
+  /// Total bytes of the node and tree arrays (layout cost accounting).
+  size_t memory_bytes() const {
+    return nodes_.size() * sizeof(Node) + trees_.size() * sizeof(Tree);
   }
 
-  /// Positive-class probability per dataset row; bit-identical to
-  /// `RandomForestClassifier::PredictPositiveProba` /
-  /// `GradientBoostedTreesClassifier::PredictPositiveProba`.
+  /// Verifies in one pass over the nodes that no walk can leave its
+  /// tree: every tree range is non-empty and in bounds, every split
+  /// reads a feature below num_features and has both children inside
+  /// its tree after it, every leaf loops on itself with a non-NaN
+  /// value, and every stored depth equals the tree's true depth.
+  Status SelfCheck() const;
+
+  // --- Scoring --------------------------------------------------------
+
+  /// P(long) of one row (num_features values): the averaged positive-
+  /// class leaf probability. This is the quantity
+  /// `LongevityService::Assess` serves.
+  double PredictPositive(const std::vector<double>& row) const;
+
+  /// P(long) of `n` rows given as a contiguous row-major matrix
+  /// (`rows[i * num_features + f]`) into `out[0..n)`.
+  Status PredictPositiveBatch(const double* rows, size_t n, double* out,
+                              const BatchOptions& options) const;
+  Status PredictPositiveBatch(const double* rows, size_t n,
+                              double* out) const {
+    return PredictPositiveBatch(rows, n, out, BatchOptions());
+  }
+
+  /// P(long) per dataset row; bit-identical to
+  /// `RandomForestClassifier::PredictPositiveProba`.
   Result<std::vector<double>> PredictPositiveProbaBatch(
       const Dataset& data, const BatchOptions& options) const;
   Result<std::vector<double>> PredictPositiveProbaBatch(
@@ -259,33 +236,9 @@ class FlatForest {
     return PredictPositiveProbaBatch(data, BatchOptions());
   }
 
-  /// Positive-class probability for externally assembled rows (the
-  /// serving path groups feature rows per model slot and scores them
-  /// here). Every row must have num_features values.
-  Result<std::vector<double>> PredictPositiveProbaRows(
-      const std::vector<std::vector<double>>& rows,
-      const BatchOptions& options) const;
-  Result<std::vector<double>> PredictPositiveProbaRows(
-      const std::vector<std::vector<double>>& rows) const {
-    return PredictPositiveProbaRows(rows, BatchOptions());
-  }
-
-  /// argmax class per dataset row (classifier; probability > 0.5 for a
-  /// regressor); bit-identical to the legacy PredictBatch.
-  Result<std::vector<int>> PredictBatch(const Dataset& data,
-                                        const BatchOptions& options) const;
-  Result<std::vector<int>> PredictBatch(const Dataset& data) const {
-    return PredictBatch(data, BatchOptions());
-  }
-
-  /// Doubles per row that PredictProbaBatch writes (num_classes for a
-  /// classifier, 1 for a regressor).
-  size_t out_dim() const { return leaf_dim_ == 0 ? 0 : out_dim_; }
-
  private:
   /// Scores one block of rows addressed through per-row pointers.
-  /// `packed` is the reusable row-block buffer of one task, resized as
-  /// needed.
+  /// `packed` is the reusable row-block buffer of one task.
   void ScoreBlock(const double* const* rows, size_t n, double* out,
                   std::vector<double>& packed) const;
 
@@ -300,21 +253,13 @@ class FlatForest {
   template <typename T>
   using Column = flat_internal::Column<T>;
 
-  int num_classes_ = 0;     ///< 0 for a boosted regressor.
   size_t num_features_ = 0;
-  size_t leaf_dim_ = 0;     ///< num_classes, or 1 for a regressor.
-  size_t out_dim_ = 0;      ///< num_classes, or 1 for a regressor.
-  double base_score_ = 0.0; ///< Regressor accumulator seed.
-
-  // SoA node storage; index = absolute node id. Owned after Compile(),
-  // views into an artifact's bytes after FromView().
-  Column<int32_t> feature_;    ///< -1 marks a leaf.
-  Column<double> threshold_;
-  Column<int32_t> left_;
-  Column<int32_t> right_;
-  Column<int32_t> leaf_index_; ///< Leaves: row into leaf_values_.
-  Column<double> leaf_values_; ///< num_leaves x leaf_dim_, dense.
-  Column<int32_t> tree_offsets_; ///< Tree t = [offsets[t], offsets[t+1]).
+  /// Every tree's nodes, back to back. Owned after Compile(), a view
+  /// into an artifact's bytes after FromView().
+  Column<Node> nodes_;
+  /// Tree t spans nodes [trees_[t].root, trees_[t + 1].root), the last
+  /// one up to num_nodes().
+  Column<Tree> trees_;
 
   /// Rows per block when BatchOptions::block_rows is 0 (autotuned).
   size_t tuned_block_rows_ = 512;

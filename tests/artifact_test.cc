@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,7 +25,6 @@
 #include "gtest/gtest.h"
 #include "ml/dataset.h"
 #include "ml/flat_forest.h"
-#include "ml/gbdt.h"
 #include "ml/random_forest.h"
 #include "obs/metrics.h"
 #include "serving/model_registry.h"
@@ -81,19 +82,15 @@ std::string ForestImage(const ml::FlatForest& flat) {
   return *image;
 }
 
-// Every row's full distribution and positive probability must match
-// the original forest exactly — EXPECT_EQ on doubles, no tolerance.
+// Every row's P(long) must match the original forest exactly —
+// EXPECT_EQ on doubles, no tolerance.
 void ExpectForestBitIdentical(const ml::RandomForestClassifier& forest,
                               const ml::FlatForest& flat,
                               const ml::Dataset& data) {
   for (size_t i = 0; i < data.num_rows(); ++i) {
-    const auto legacy = forest.PredictProba(data.row(i));
-    const auto got = flat.PredictProba(data.row(i));
-    ASSERT_EQ(got.size(), legacy.size());
-    for (size_t c = 0; c < legacy.size(); ++c) {
-      EXPECT_EQ(got[c], legacy[c]) << "row " << i << " class " << c;
-    }
-    EXPECT_EQ(flat.PredictPositive(data.row(i)), legacy[1]) << "row " << i;
+    EXPECT_EQ(flat.PredictPositive(data.row(i)),
+              forest.PredictProba(data.row(i))[1])
+        << "row " << i;
   }
 }
 
@@ -150,29 +147,6 @@ TEST(ArtifactRoundTripTest, HistogramTrainedForestBitIdentical) {
                        restored.PredictPositiveProbaBatch(data));
   for (size_t i = 0; i < data.num_rows(); ++i) {
     EXPECT_EQ(batch[i], forest.PredictProba(data.row(i))[1]) << "row " << i;
-  }
-}
-
-TEST(ArtifactRoundTripTest, GbdtBitIdentical) {
-  const ml::Dataset data = ContinuousData(300, 37);
-  ml::GbdtParams params;
-  params.num_rounds = 20;
-  params.max_depth = 4;
-  ml::GradientBoostedTreesClassifier gbdt;
-  ASSERT_OK(gbdt.Fit(data, params, /*seed=*/41));
-  ASSERT_OK_AND_ASSIGN(const ml::FlatForest flat,
-                       ml::FlatForest::Compile(gbdt));
-
-  ASSERT_OK_AND_ASSIGN(ArtifactReader reader,
-                       ArtifactReader::FromBuffer(ForestImage(flat)));
-  ASSERT_OK_AND_ASSIGN(const ml::FlatForest restored,
-                       ml::FlatForest::FromView(reader));
-  EXPECT_FALSE(restored.is_classifier());
-  EXPECT_OK(restored.SelfCheck());
-  for (size_t i = 0; i < data.num_rows(); ++i) {
-    EXPECT_EQ(restored.PredictPositive(data.row(i)),
-              gbdt.PredictProbability(data.row(i)))
-        << "row " << i;
   }
 }
 
@@ -241,6 +215,29 @@ TEST(ArtifactRoundTripTest, ViewOutlivesReaderViaBacking) {
   const ml::FlatForest copy = *restored;
   restored.reset();
   ExpectForestBitIdentical(forest, copy, data);
+}
+
+const telemetry::TelemetryStore& SimStore() {
+  static const telemetry::TelemetryStore* store = [] {
+    auto config = simulator::MakeRegionPreset(1, /*num_subscriptions=*/120,
+                                              /*seed=*/99);
+    EXPECT_TRUE(config.ok());
+    auto simulated = simulator::SimulateRegion(*config);
+    EXPECT_TRUE(simulated.ok());
+    return new telemetry::TelemetryStore(std::move(*simulated));
+  }();
+  return *store;
+}
+
+core::LongevityService TrainSmallService() {
+  core::LongevityService::Options options;
+  options.forest_params.num_trees = 10;
+  options.forest_params.max_depth = 6;
+  options.forest_params.num_threads = 1;
+  options.min_cohort_size = 50;
+  auto service = core::LongevityService::Train(SimStore(), options);
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  return *service;
 }
 
 // --- Corruption matrix ------------------------------------------------
@@ -339,30 +336,235 @@ TEST_F(ArtifactCorruptionTest, MissingFileAndEmptyFileRejected) {
   std::remove(path.c_str());
 }
 
-// --- Service snapshots ------------------------------------------------
+// --- Hostile v2 forests ----------------------------------------------
+//
+// Each case below rewrites slot 0's forest of a service artifact and
+// re-seals every checksum, so the container checks pass and only the
+// structural validation in FlatForest::SelfCheck stands between the
+// bytes and a walk outside its tree.
 
-const telemetry::TelemetryStore& SimStore() {
-  static const telemetry::TelemetryStore* store = [] {
-    auto config = simulator::MakeRegionPreset(1, /*num_subscriptions=*/120,
-                                              /*seed=*/99);
-    EXPECT_TRUE(config.ok());
-    auto simulated = simulator::SimulateRegion(*config);
-    EXPECT_TRUE(simulated.ok());
-    return new telemetry::TelemetryStore(std::move(*simulated));
+using Node = ml::FlatForest::Node;
+using Tree = ml::FlatForest::Tree;
+
+/// A trained service's artifact bytes (trained once per process).
+const std::string& ServiceImage() {
+  static const std::string* image = [] {
+    const std::string path = TempPath("hostile_base.csrv");
+    EXPECT_OK(TrainSmallService().SaveArtifact(path));
+    std::ifstream in(path, std::ios::binary);
+    auto* bytes = new std::string((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    return bytes;
   }();
-  return *store;
+  return *image;
 }
 
-core::LongevityService TrainSmallService() {
-  core::LongevityService::Options options;
-  options.forest_params.num_trees = 10;
-  options.forest_params.max_depth = 6;
-  options.forest_params.num_threads = 1;
-  options.min_cohort_size = 50;
-  auto service = core::LongevityService::Train(SimStore(), options);
-  EXPECT_TRUE(service.ok()) << service.status().ToString();
-  return *service;
+/// Copies ServiceImage() section by section, passing slot 0's node and
+/// tree arrays through `mutate`, writes the re-sealed artifact and
+/// returns LoadArtifact's verdict on it.
+template <typename Mutate>
+Status LoadMutatedService(const std::string& name, Mutate mutate) {
+  auto reader = ArtifactReader::FromBuffer(ServiceImage());
+  if (!reader.ok()) return reader.status();
+  auto nodes_span = reader->Array<Node>(SectionId::kForestNodes, 0);
+  auto trees_span = reader->Array<Tree>(SectionId::kForestTrees, 0);
+  if (!nodes_span.ok()) return nodes_span.status();
+  if (!trees_span.ok()) return trees_span.status();
+  std::vector<Node> nodes(nodes_span->data,
+                          nodes_span->data + nodes_span->size);
+  std::vector<Tree> trees(trees_span->data,
+                          trees_span->data + trees_span->size);
+  mutate(nodes, trees);
+  ArtifactWriter writer(reader->payload());
+  for (const SectionEntry& entry : reader->sections()) {
+    const auto id = static_cast<SectionId>(entry.id);
+    if (entry.index == 0 && id == SectionId::kForestNodes) {
+      writer.AddArray(id, 0, nodes.data(), nodes.size());
+    } else if (entry.index == 0 && id == SectionId::kForestTrees) {
+      writer.AddArray(id, 0, trees.data(), trees.size());
+    } else {
+      writer.AddSection(id, entry.index, reader->SectionBytes(entry),
+                        entry.count, entry.elem_size);
+    }
+  }
+  const std::string path = TempPath(name);
+  CLOUDSURV_RETURN_NOT_OK(writer.WriteFile(path));
+  auto loaded = core::LongevityService::LoadArtifact(path);
+  std::remove(path.c_str());
+  return loaded.status();
 }
+
+/// Index of the first split (or, with `leaf`, the first leaf) of tree 0.
+/// Leaves read feature num_features, the largest feature of any node.
+size_t FirstNode(const std::vector<Node>& nodes, bool leaf) {
+  const int32_t leaf_feature =
+      std::max_element(nodes.begin(), nodes.end(),
+                       [](const Node& a, const Node& b) {
+                         return a.feature < b.feature;
+                       })->feature;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if ((nodes[i].feature == leaf_feature) == leaf) return i;
+  }
+  ADD_FAILURE() << "forest has no " << (leaf ? "leaf" : "split");
+  return 0;
+}
+
+void ExpectRejected(const Status& status, const std::string& needle) {
+  ASSERT_FALSE(status.ok()) << "hostile forest loaded (" << needle << ")";
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find(needle), std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(ArtifactCorruptionTest, UnmodifiedRewriteLoads) {
+  // The rewrite itself must be faithful, or every case below is vacuous.
+  EXPECT_OK(LoadMutatedService("hostile_none.csrv",
+                               [](std::vector<Node>&, std::vector<Tree>&) {}));
+}
+
+TEST_F(ArtifactCorruptionTest, ChildOutsideItsTreeRejected) {
+  ExpectRejected(
+      LoadMutatedService("hostile_child.csrv",
+                         [](std::vector<Node>& nodes, std::vector<Tree>& trees) {
+                           nodes[FirstNode(nodes, false)].left = trees[1].root;
+                         }),
+      "outside tree 0");
+  ExpectRejected(
+      LoadMutatedService("hostile_back.csrv",
+                         [](std::vector<Node>& nodes, std::vector<Tree>&) {
+                           const size_t i = FirstNode(nodes, false);
+                           nodes[i].left = static_cast<int32_t>(i);
+                         }),
+      "outside tree 0");
+}
+
+TEST_F(ArtifactCorruptionTest, RightChildPastTreeEndRejected) {
+  // left itself is the tree's last node, so left + 1 is the next root.
+  ExpectRejected(
+      LoadMutatedService("hostile_right.csrv",
+                         [](std::vector<Node>& nodes, std::vector<Tree>& trees) {
+                           nodes[FirstNode(nodes, false)].left =
+                               trees[1].root - 1;
+                         }),
+      "outside tree 0");
+}
+
+TEST_F(ArtifactCorruptionTest, LeafThatDoesNotLoopRejected) {
+  ExpectRejected(
+      LoadMutatedService("hostile_leaf.csrv",
+                         [](std::vector<Node>& nodes, std::vector<Tree>&) {
+                           nodes[FirstNode(nodes, true)].left = 0;
+                         }),
+      "does not loop on itself");
+  // A NaN leaf value fails `-inf <= value` and would step off the loop.
+  ExpectRejected(
+      LoadMutatedService("hostile_nan.csrv",
+                         [](std::vector<Node>& nodes, std::vector<Tree>&) {
+                           nodes[FirstNode(nodes, true)].value =
+                               std::numeric_limits<double>::quiet_NaN();
+                         }),
+      "NaN");
+}
+
+TEST_F(ArtifactCorruptionTest, FeatureOutOfRangeRejected) {
+  for (const int32_t delta : {1, 1000}) {
+    ExpectRejected(
+        LoadMutatedService("hostile_feature.csrv",
+                           [delta](std::vector<Node>& nodes,
+                                   std::vector<Tree>&) {
+                             const int32_t leaf_feature =
+                                 nodes[FirstNode(nodes, true)].feature;
+                             nodes[FirstNode(nodes, false)].feature =
+                                 leaf_feature + delta;
+                           }),
+        "reads feature");
+  }
+  ExpectRejected(
+      LoadMutatedService("hostile_negative.csrv",
+                         [](std::vector<Node>& nodes, std::vector<Tree>&) {
+                           nodes[FirstNode(nodes, false)].feature = -1;
+                         }),
+      "reads feature -1");
+}
+
+TEST_F(ArtifactCorruptionTest, StoredDepthBelowTrueDepthRejected) {
+  ExpectRejected(
+      LoadMutatedService("hostile_depth.csrv",
+                         [](std::vector<Node>&, std::vector<Tree>& trees) {
+                           ASSERT_GT(trees[0].depth, 0);
+                           --trees[0].depth;
+                         }),
+      "true depth");
+  ExpectRejected(
+      LoadMutatedService("hostile_deep.csrv",
+                         [](std::vector<Node>&, std::vector<Tree>& trees) {
+                           trees[0].depth = std::numeric_limits<int32_t>::max();
+                         }),
+      "true depth");
+}
+
+TEST_F(ArtifactCorruptionTest, TruncatedNodeSectionRejected) {
+  ExpectRejected(
+      LoadMutatedService("hostile_short.csrv",
+                         [](std::vector<Node>& nodes, std::vector<Tree>&) {
+                           nodes.pop_back();
+                         }),
+      "outside tree");
+  ExpectRejected(
+      LoadMutatedService("hostile_half.csrv",
+                         [](std::vector<Node>& nodes, std::vector<Tree>&) {
+                           nodes.resize(nodes.size() / 2);
+                         }),
+      "node range");
+}
+
+TEST_F(ArtifactCorruptionTest, BrokenTreeTableRejected) {
+  ExpectRejected(
+      LoadMutatedService("hostile_order.csrv",
+                         [](std::vector<Node>&, std::vector<Tree>& trees) {
+                           std::swap(trees[1].root, trees[2].root);
+                         }),
+      "node range");
+  ExpectRejected(
+      LoadMutatedService("hostile_start.csrv",
+                         [](std::vector<Node>&, std::vector<Tree>& trees) {
+                           trees[0].root = 1;
+                         }),
+      "node 0");
+  ExpectRejected(
+      LoadMutatedService("hostile_empty.csrv",
+                         [](std::vector<Node>&, std::vector<Tree>& trees) {
+                           trees.clear();
+                         }),
+      "no trees");
+}
+
+TEST_F(ArtifactCorruptionTest, VersionOneFileRejectedByVersion) {
+  // The header of a format v1 file, re-sealed so the version check —
+  // not the checksum — does the rejecting.
+  std::string v1 = ServiceImage();
+  const uint32_t version = 1;
+  std::memcpy(v1.data() + offsetof(artifact::FileHeader, format_version),
+              &version, sizeof(version));
+  const uint32_t crc =
+      artifact::Crc32c(v1.data(), offsetof(artifact::FileHeader, header_crc));
+  std::memcpy(v1.data() + offsetof(artifact::FileHeader, header_crc), &crc,
+              sizeof(crc));
+  const std::string path = TempPath("service_v1.csrv");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+  }
+  auto loaded = core::LongevityService::LoadArtifact(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("format version 1"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+// --- Service snapshots ------------------------------------------------
 
 void ExpectServicesAssessIdentically(
     const core::LongevityService& want, const core::LongevityService& got,
@@ -540,150 +742,27 @@ TEST(ServiceArtifactTest, CorruptServiceArtifactRejected) {
   std::remove(path.c_str());
 }
 
-// --- Reserved sections of older artifacts ------------------------------
+// --- Section layout ----------------------------------------------------
 
-bool IsReservedSection(uint32_t id) {
-  return id == static_cast<uint32_t>(SectionId::kQuantThreshold) ||
-         id == static_cast<uint32_t>(SectionId::kCutOffsets) ||
-         id == static_cast<uint32_t>(SectionId::kCutValues) ||
-         id == static_cast<uint32_t>(SectionId::kForestBlob);
-}
-
-/// The quantized traversal tables older writers emitted per forest
-/// slot: each feature's sorted distinct split thresholds, and each
-/// split node's index into its feature's cuts.
-struct LegacyQuantizedTables {
-  std::vector<uint16_t> qthreshold;
-  std::vector<int32_t> cut_offsets;
-  std::vector<double> cut_values;
-  bool narrow = true;  ///< Every feature has <= 255 cuts.
-};
-
-LegacyQuantizedTables BuildLegacyTables(const ArtifactReader& reader,
-                                        uint32_t slot, size_t features) {
-  LegacyQuantizedTables tables;
-  auto feature = reader.Array<int32_t>(SectionId::kNodeFeature, slot);
-  auto threshold = reader.Array<double>(SectionId::kNodeThreshold, slot);
-  EXPECT_OK(feature.status());
-  EXPECT_OK(threshold.status());
-  if (!feature.ok() || !threshold.ok()) return tables;
-  std::vector<std::vector<double>> cuts(features);
-  for (size_t i = 0; i < feature->size; ++i) {
-    if (feature->data[i] >= 0) {
-      cuts[static_cast<size_t>(feature->data[i])].push_back(
-          threshold->data[i]);
-    }
-  }
-  tables.cut_offsets.push_back(0);
-  for (auto& c : cuts) {
-    std::sort(c.begin(), c.end());
-    c.erase(std::unique(c.begin(), c.end()), c.end());
-    tables.narrow = tables.narrow && c.size() <= 255;
-    tables.cut_values.insert(tables.cut_values.end(), c.begin(), c.end());
-    tables.cut_offsets.push_back(
-        static_cast<int32_t>(tables.cut_values.size()));
-  }
-  tables.qthreshold.assign(feature->size, 0);
-  for (size_t i = 0; i < feature->size; ++i) {
-    if (feature->data[i] < 0) continue;
-    const auto& c = cuts[static_cast<size_t>(feature->data[i])];
-    tables.qthreshold[i] = static_cast<uint16_t>(
-        std::lower_bound(c.begin(), c.end(), threshold->data[i]) - c.begin());
-  }
-  return tables;
-}
-
-/// Rewrites the artifact at `from` into `to` the way older writers laid
-/// it out: every section copied, a forest_blob section after each model
-/// entry, each ForestMeta flagged quantized, and each slot's quantized
-/// tables appended after its tree offsets. The blob bytes are not a
-/// valid forest, so a load that parsed them would fail.
-void WriteWithLegacySections(const std::string& from, const std::string& to) {
-  ASSERT_OK_AND_ASSIGN(const ArtifactReader reader, ArtifactReader::Open(from));
-  ArtifactWriter writer(reader.payload());
-  const std::string garbage_blob = "random_forest v0\nnot a forest\n";
-  std::map<uint32_t, LegacyQuantizedTables> tables;
-  for (const SectionEntry& entry : reader.sections()) {
-    const auto id = static_cast<SectionId>(entry.id);
-    if (id != SectionId::kForestMeta) {
-      writer.AddSection(id, entry.index, reader.SectionBytes(entry),
-                        entry.count, entry.elem_size);
-    } else {
-      ASSERT_OK_AND_ASSIGN(
-          artifact::ForestMeta meta,
-          reader.Struct<artifact::ForestMeta>(id, entry.index));
-      LegacyQuantizedTables& slot = tables[entry.index];
-      slot = BuildLegacyTables(reader, entry.index,
-                               static_cast<size_t>(meta.num_features));
-      meta.flags = artifact::kForestQuantized |
-                   (slot.narrow ? artifact::kForestNarrowCodes : 0u);
-      writer.AddStruct(id, entry.index, meta);
-    }
-    if (id == SectionId::kTreeOffsets) {
-      const LegacyQuantizedTables& slot = tables.at(entry.index);
-      writer.AddArray(SectionId::kQuantThreshold, entry.index,
-                      slot.qthreshold.data(), slot.qthreshold.size());
-      writer.AddArray(SectionId::kCutOffsets, entry.index,
-                      slot.cut_offsets.data(), slot.cut_offsets.size());
-      writer.AddArray(SectionId::kCutValues, entry.index,
-                      slot.cut_values.data(), slot.cut_values.size());
-    }
-    if (id == SectionId::kModelEntry) {
-      writer.AddArray(SectionId::kForestBlob, entry.index,
-                      garbage_blob.data(), garbage_blob.size());
-    }
-  }
-  ASSERT_OK(writer.WriteFile(to));
-}
-
-TEST(ServiceArtifactTest, LegacyReservedSectionsAreIgnored) {
+TEST(ServiceArtifactTest, OneMetaNodeAndTreeSectionPerSlot) {
   const core::LongevityService trained = TrainSmallService();
-  const std::string path = TempPath("service_current.csrv");
-  const std::string legacy_path = TempPath("service_legacy.csrv");
+  const std::string path = TempPath("service_layout.csrv");
   ASSERT_OK(trained.SaveArtifact(path));
-
-  // A fresh artifact carries none of the reserved sections or flag bits.
-  {
-    ASSERT_OK_AND_ASSIGN(const ArtifactReader fresh,
-                         ArtifactReader::Open(path));
-    for (const SectionEntry& entry : fresh.sections()) {
-      EXPECT_FALSE(IsReservedSection(entry.id))
-          << SectionIdName(static_cast<SectionId>(entry.id)) << "["
-          << entry.index << "]";
-      if (entry.id != static_cast<uint32_t>(SectionId::kForestMeta)) continue;
-      ASSERT_OK_AND_ASSIGN(const artifact::ForestMeta meta,
-                           fresh.Struct<artifact::ForestMeta>(
-                               SectionId::kForestMeta, entry.index));
-      EXPECT_EQ(meta.flags, 0u);
-    }
-  }
-
-  // The same service laid out with them, as older writers did, loads,
-  // passes SelfCheck and scores bit-identically.
-  ASSERT_NO_FATAL_FAILURE(WriteWithLegacySections(path, legacy_path));
-  ASSERT_OK_AND_ASSIGN(const ArtifactReader reader,
-                       ArtifactReader::Open(legacy_path));
-  size_t legacy_sections = 0;
+  ASSERT_OK_AND_ASSIGN(const ArtifactReader reader, ArtifactReader::Open(path));
+  std::map<uint32_t, std::vector<std::string>> per_slot;
   for (const SectionEntry& entry : reader.sections()) {
-    if (IsReservedSection(entry.id)) ++legacy_sections;
-    if (entry.id != static_cast<uint32_t>(SectionId::kForestMeta)) continue;
-    ASSERT_OK_AND_ASSIGN(const ml::FlatForest flat,
-                         ml::FlatForest::FromView(reader, entry.index));
-    EXPECT_OK(flat.SelfCheck());
+    per_slot[entry.index].push_back(
+        SectionIdName(static_cast<SectionId>(entry.id)));
   }
-  EXPECT_GT(legacy_sections, 0u);
-  EXPECT_NE(reader.Find(SectionId::kForestBlob, 0), nullptr);
-  // `cloudsurv inspect` still names the reserved ids.
-  EXPECT_STREQ(SectionIdName(SectionId::kForestBlob), "forest_blob");
-
-  ASSERT_OK_AND_ASSIGN(const core::LongevityService current,
-                       core::LongevityService::LoadArtifact(path));
-  ASSERT_OK_AND_ASSIGN(const core::LongevityService legacy,
-                       core::LongevityService::LoadArtifact(legacy_path));
-  ExpectServicesAssessIdentically(current, legacy);
-  ExpectServicesAssessManyIdentically(current, legacy);
+  const std::vector<std::string> slot_sections = {
+      "model_entry", "forest_meta", "forest_nodes", "forest_trees"};
+  std::vector<std::string> slot0 = {"service_meta"};
+  slot0.insert(slot0.end(), slot_sections.begin(), slot_sections.end());
+  for (const auto& [slot, names] : per_slot) {
+    EXPECT_EQ(names, slot == 0 ? slot0 : slot_sections) << "slot " << slot;
+  }
+  EXPECT_EQ(reader.format_version(), 2u);
   std::remove(path.c_str());
-  std::remove(legacy_path.c_str());
 }
 
 // --- Registry integration (TSan-covered) ------------------------------

@@ -16,12 +16,13 @@ grep -q "Weibull fit" "$WORK/analyze.txt"
 
 "$CLI" train --telemetry "$WORK/region.csv" --region 2 --out "$WORK/svc.csrv" \
   | tee "$WORK/train.txt"
-grep -q "model written to .*format v1" "$WORK/train.txt"
+grep -q "model written to .*format v2" "$WORK/train.txt"
 test -s "$WORK/svc.csrv"
 "$CLI" inspect --model "$WORK/svc.csrv" | tee "$WORK/inspect.txt"
-grep -q "CSRV format v1" "$WORK/inspect.txt"
+grep -q "CSRV format v2" "$WORK/inspect.txt"
 grep -q "service_meta" "$WORK/inspect.txt"
-grep -q "node_threshold" "$WORK/inspect.txt"
+grep -q "forest_nodes" "$WORK/inspect.txt"
+grep -q "forest_trees" "$WORK/inspect.txt"
 grep -q "slot 0: pooled" "$WORK/inspect.txt"
 
 "$CLI" assess --telemetry "$WORK/region.csv" --region 2 \
@@ -140,6 +141,17 @@ if "$CLI" inspect --model "$WORK/corrupt.csrv" > "$WORK/corrupt.txt" 2>&1; then
   exit 1
 fi
 grep -q "CRC" "$WORK/corrupt.txt"
+
+# A format v1 file (struct-of-arrays forests) is rejected by version:
+# the reader reads the version before any checksum.
+cp "$WORK/svc.csrv" "$WORK/v1.csrv"
+printf '\001' | dd of="$WORK/v1.csrv" bs=1 seek=4 conv=notrunc 2>/dev/null
+if "$CLI" assess --telemetry "$WORK/region.csv" --region 2 \
+    --model "$WORK/v1.csrv" > "$WORK/v1.txt" 2>&1; then
+  echo "expected rejection of a format v1 artifact" >&2
+  exit 1
+fi
+grep -q "unsupported CSRV format version 1" "$WORK/v1.txt"
 
 # serve-sim with periodic metrics dumps: the output must contain valid
 # Prometheus text exposition (HELP/TYPE + engine counters) and the

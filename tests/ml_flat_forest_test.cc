@@ -1,6 +1,7 @@
 #include "ml/flat_forest.h"
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -14,7 +15,6 @@
 #include "features/features.h"
 #include "gtest/gtest.h"
 #include "ml/dataset.h"
-#include "ml/gbdt.h"
 #include "ml/random_forest.h"
 #include "serving/model_registry.h"
 #include "simulator/region.h"
@@ -66,50 +66,31 @@ std::vector<double> DenseRows(const Dataset& data) {
   return dense;
 }
 
-// Asserts that every batch entry point reproduces the legacy per-row
-// predictions bit-for-bit under the given options.
+// Asserts that every scoring entry point reproduces the legacy per-row
+// P(long) bit for bit under the given options.
 void ExpectBitIdentical(const RandomForestClassifier& forest,
                         const FlatForest& flat, const Dataset& data,
                         const FlatForest::BatchOptions& options) {
-  // Per-row distributions.
+  std::vector<double> legacy(data.num_rows());
   for (size_t i = 0; i < data.num_rows(); ++i) {
-    const auto legacy = forest.PredictProba(data.row(i));
-    const auto got = flat.PredictProba(data.row(i));
-    ASSERT_EQ(got.size(), legacy.size());
-    for (size_t c = 0; c < legacy.size(); ++c) {
-      EXPECT_EQ(got[c], legacy[c]) << "row " << i << " class " << c;
-    }
-    EXPECT_EQ(flat.PredictPositive(data.row(i)), legacy[1]) << "row " << i;
+    legacy[i] = forest.PredictProba(data.row(i))[1];
+    EXPECT_EQ(flat.PredictPositive(data.row(i)), legacy[i]) << "row " << i;
   }
 
   // Blocked batch over the dense matrix.
   const std::vector<double> dense = DenseRows(data);
-  std::vector<double> out(data.num_rows() * flat.out_dim(), -1.0);
-  ASSERT_OK(flat.PredictProbaBatch(dense.data(), data.num_rows(), out.data(),
-                                   options));
-  for (size_t i = 0; i < data.num_rows(); ++i) {
-    const auto legacy = forest.PredictProba(data.row(i));
-    for (size_t c = 0; c < legacy.size(); ++c) {
-      EXPECT_EQ(out[i * flat.out_dim() + c], legacy[c])
-          << "row " << i << " class " << c;
-    }
-  }
+  std::vector<double> out(data.num_rows(), -1.0);
+  ASSERT_OK(flat.PredictPositiveBatch(dense.data(), data.num_rows(),
+                                      out.data(), options));
+  EXPECT_EQ(out, legacy);
 
-  // Dataset-level positive-probability and label batches.
+  // Dataset-level batch.
   ASSERT_OK_AND_ASSIGN(const std::vector<double> positives,
                        flat.PredictPositiveProbaBatch(data, options));
   ASSERT_OK_AND_ASSIGN(const std::vector<double> legacy_positives,
                        forest.PredictPositiveProba(data));
-  ASSERT_EQ(positives.size(), legacy_positives.size());
-  for (size_t i = 0; i < positives.size(); ++i) {
-    EXPECT_EQ(positives[i], legacy_positives[i]) << "row " << i;
-  }
-
-  ASSERT_OK_AND_ASSIGN(const std::vector<int> labels,
-                       flat.PredictBatch(data, options));
-  ASSERT_OK_AND_ASSIGN(const std::vector<int> legacy_labels,
-                       forest.PredictBatch(data));
-  EXPECT_EQ(labels, legacy_labels);
+  EXPECT_EQ(positives, legacy_positives);
+  EXPECT_EQ(positives, legacy);
 }
 
 TEST(FlatForestTest, CompileInvariantsAndSelfCheck) {
@@ -118,23 +99,36 @@ TEST(FlatForestTest, CompileInvariantsAndSelfCheck) {
   ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
 
   EXPECT_TRUE(flat.compiled());
-  EXPECT_TRUE(flat.is_classifier());
   EXPECT_EQ(flat.num_trees(), forest.num_trees());
-  EXPECT_EQ(flat.num_classes(), forest.num_classes());
   EXPECT_EQ(flat.num_features(), 3u);
-  EXPECT_EQ(flat.out_dim(), 2u);
   EXPECT_GT(flat.num_nodes(), flat.num_trees());
-  EXPECT_GT(flat.num_leaves(), 0u);
-  EXPECT_GT(flat.memory_bytes(), 0u);
+  EXPECT_EQ(flat.memory_bytes(),
+            flat.num_nodes() * 16 + flat.num_trees() * 8);
   EXPECT_OK(flat.SelfCheck());
 }
 
 TEST(FlatForestTest, CompileRejectsUnfittedForest) {
   RandomForestClassifier unfitted;
   EXPECT_FALSE(FlatForest::Compile(unfitted).ok());
+}
 
-  GradientBoostedTreesClassifier unfitted_gbdt;
-  EXPECT_FALSE(FlatForest::Compile(unfitted_gbdt).ok());
+TEST(FlatForestTest, CompileRejectsMoreThanTwoClasses) {
+  Rng rng(5);
+  std::vector<std::vector<double>> rows;
+  std::vector<int> labels;
+  for (int i = 0; i < 90; ++i) {
+    rows.push_back({rng.Normal(i % 3, 1.0)});
+    labels.push_back(i % 3);
+  }
+  ASSERT_OK_AND_ASSIGN(const Dataset data,
+                       Dataset::Make({"x"}, std::move(rows), std::move(labels)));
+  const auto forest = FitForest(data, SplitAlgorithm::kHistogram);
+  ASSERT_EQ(forest.num_classes(), 3);
+  const auto flat = FlatForest::Compile(forest);
+  ASSERT_FALSE(flat.ok());
+  EXPECT_EQ(flat.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(flat.status().message().find("two classes"), std::string::npos)
+      << flat.status().ToString();
 }
 
 TEST(FlatForestTest, UncompiledBatchFails) {
@@ -187,7 +181,7 @@ TEST(FlatForestTest, BitIdenticalToHistogramTrainedForest) {
 
 TEST(FlatForestTest, SingleLeafTrees) {
   // max_depth = 0 forces every tree to a single root leaf holding the
-  // (bootstrap-sample) class prior.
+  // (bootstrap-sample) class prior: depth 0, a walk of zero steps.
   const Dataset data = ContinuousData(100, 19);
   ForestParams params;
   params.num_trees = 5;
@@ -199,7 +193,6 @@ TEST(FlatForestTest, SingleLeafTrees) {
   ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
   EXPECT_OK(flat.SelfCheck());
   EXPECT_EQ(flat.num_nodes(), 5u);
-  EXPECT_EQ(flat.num_leaves(), 5u);
   ExpectBitIdentical(forest, flat, data, FlatForest::BatchOptions());
 }
 
@@ -224,55 +217,12 @@ TEST(FlatForestTest, SerializeRoundTripCompilesIdentically) {
   ExpectBitIdentical(forest, flat, data, FlatForest::BatchOptions());
 }
 
-TEST(FlatForestTest, GbdtBitIdentity) {
-  const Dataset data = ContinuousData(400, 37);
-  GbdtParams params;
-  params.num_rounds = 30;
-  params.max_depth = 4;
-  GradientBoostedTreesClassifier gbdt;
-  ASSERT_OK(gbdt.Fit(data, params, /*seed=*/41));
-
-  ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(gbdt));
-  EXPECT_OK(flat.SelfCheck());
-  EXPECT_FALSE(flat.is_classifier());
-  EXPECT_EQ(flat.out_dim(), 1u);
-
-  for (size_t i = 0; i < data.num_rows(); ++i) {
-    EXPECT_EQ(flat.PredictPositive(data.row(i)),
-              gbdt.PredictProbability(data.row(i)))
-        << "row " << i;
-  }
-
-  ThreadPool pool(4, /*max_queued=*/64);
-  FlatForest::BatchOptions options;
-  options.block_rows = 50;
-  options.pool = &pool;
-  ASSERT_OK_AND_ASSIGN(const std::vector<double> positives,
-                       flat.PredictPositiveProbaBatch(data, options));
-  ASSERT_OK_AND_ASSIGN(const std::vector<double> legacy,
-                       gbdt.PredictPositiveProba(data));
-  ASSERT_EQ(positives.size(), legacy.size());
-  for (size_t i = 0; i < positives.size(); ++i) {
-    EXPECT_EQ(positives[i], legacy[i]) << "row " << i;
-  }
-
-  ASSERT_OK_AND_ASSIGN(const std::vector<int> labels,
-                       flat.PredictBatch(data, options));
-  ASSERT_OK_AND_ASSIGN(const std::vector<int> legacy_labels,
-                       gbdt.PredictBatch(data));
-  EXPECT_EQ(labels, legacy_labels);
-}
-
 // --- Blocked traversal -----------------------------------------------
 
-TEST(FlatForestTest, BreadthFirstLayoutAndTunedBlockRows) {
+TEST(FlatForestTest, TunedBlockRowsInRange) {
   const Dataset data = ContinuousData(300, 59);
   const auto forest = FitForest(data, SplitAlgorithm::kHistogram);
   ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
-
-  // Compile() must emit every tree in breadth-first node order and
-  // autotune a sane default block size.
-  EXPECT_TRUE(flat.nodes_breadth_first());
   EXPECT_GE(flat.tuned_block_rows(), 64u);
   EXPECT_LE(flat.tuned_block_rows(), 8192u);
   EXPECT_EQ(flat.tuned_block_rows() % 8, 0u);
@@ -301,26 +251,24 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return "block" + std::to_string(info.param); });
 
 TEST(FlatForestTest, EmptySingleRowAndRaggedTailBatches) {
-  // The empty batch and every small n, including block tails, must come
-  // out bit-identical to the legacy path.
+  // The empty batch and every small n — fewer rows than lanes, so the
+  // walk fills its lanes with rows x trees — must come out
+  // bit-identical to the legacy path.
   const Dataset data = ContinuousData(64, 67);
   const auto forest = FitForest(data, SplitAlgorithm::kExact);
   ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
   const std::vector<double> dense = DenseRows(data);
-  const size_t od = flat.out_dim();
 
-  std::vector<double> empty_out(od, -1.0);
-  ASSERT_OK(flat.PredictProbaBatch(dense.data(), 0, empty_out.data()));
-  EXPECT_EQ(empty_out[0], -1.0);  // n == 0 must not touch the output.
+  double empty_out = -1.0;
+  ASSERT_OK(flat.PredictPositiveBatch(dense.data(), 0, &empty_out));
+  EXPECT_EQ(empty_out, -1.0);  // n == 0 must not touch the output.
 
   for (const size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u, 31u}) {
-    std::vector<double> out(n * od, -1.0);
-    ASSERT_OK(flat.PredictProbaBatch(dense.data(), n, out.data()));
+    std::vector<double> out(n, -1.0);
+    ASSERT_OK(flat.PredictPositiveBatch(dense.data(), n, out.data()));
     for (size_t i = 0; i < n; ++i) {
-      const auto legacy = forest.PredictProba(data.row(i));
-      for (size_t c = 0; c < od; ++c) {
-        EXPECT_EQ(out[i * od + c], legacy[c]) << "n " << n << " row " << i;
-      }
+      EXPECT_EQ(out[i], forest.PredictProba(data.row(i))[1])
+          << "n " << n << " row " << i;
     }
   }
 }
@@ -344,27 +292,25 @@ TEST(FlatForestTest, WideCodesBitIdentity) {
   ExpectBitIdentical(forest, flat, data, options);
 }
 
-TEST(FlatForestTest, GbdtBlockedBitIdentity) {
-  // The regressor path exercises the scalar-leaf accumulation
-  // (out_dim == 1) plus the base-score seeding.
-  const Dataset data = ContinuousData(401, 71);  // Odd n: ragged tail.
-  GbdtParams params;
-  params.num_rounds = 25;
-  params.max_depth = 4;
-  GradientBoostedTreesClassifier gbdt;
-  ASSERT_OK(gbdt.Fit(data, params, /*seed=*/73));
-  ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(gbdt));
-  EXPECT_TRUE(flat.nodes_breadth_first());
-
-  ASSERT_OK_AND_ASSIGN(const std::vector<double> legacy,
-                       gbdt.PredictPositiveProba(data));
-  FlatForest::BatchOptions options;
-  options.block_rows = 37;
-  ASSERT_OK_AND_ASSIGN(const std::vector<double> positives,
-                       flat.PredictPositiveProbaBatch(data, options));
-  ASSERT_EQ(positives.size(), legacy.size());
-  for (size_t i = 0; i < positives.size(); ++i) {
-    EXPECT_EQ(positives[i], legacy[i]) << "row " << i;
+TEST(FlatForestTest, NonFiniteValuesRouteLikeTheTreeWalk) {
+  // NaN fails every `x <= threshold` and goes right, as in the training
+  // tree's walk; +-inf fall off either end of every split. None of them
+  // may take a leaf off its self-loop.
+  const Dataset data = ContinuousData(300, 79);
+  const auto forest = FitForest(data, SplitAlgorithm::kHistogram);
+  ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& row :
+       std::vector<std::vector<double>>{{nan, nan, nan},
+                                        {inf, -inf, nan},
+                                        {-inf, inf, 0.5},
+                                        {0.1, nan, -inf}}) {
+    const double want = forest.PredictProba(row)[1];
+    EXPECT_EQ(flat.PredictPositive(row), want);
+    double got = -1.0;
+    ASSERT_OK(flat.PredictPositiveBatch(row.data(), 1, &got));
+    EXPECT_EQ(got, want);
   }
 }
 

@@ -547,5 +547,63 @@ TEST(KnownAnswerTest, LogRankTypeOneErrorUnderTheNull) {
   EXPECT_LE(rate, 0.08);
 }
 
+TEST(KnownAnswerTest, LogRankNullPValuesAreUniform) {
+  // Under the null the p-value is Uniform(0, 1). One-sample KS test of
+  // 500 seeded null p-values: D must stay below the alpha = 0.01
+  // critical value 1.63 / sqrt(n).
+  constexpr int kDraws = 500;
+  std::vector<double> p;
+  for (int draw = 0; draw < kDraws; ++draw) {
+    Rng rng(9000 + draw);
+    const SurvivalData a = ExponentialCensoredSample(rng, 60, 0.2, 0.1);
+    const SurvivalData b = ExponentialCensoredSample(rng, 60, 0.2, 0.1);
+    auto test = LogRankTest(a, b);
+    ASSERT_TRUE(test.ok());
+    p.push_back(test->p_value);
+  }
+  std::sort(p.begin(), p.end());
+  double d = 0.0;
+  for (int i = 0; i < kDraws; ++i) {
+    d = std::max({d, (i + 1.0) / kDraws - p[i], p[i] - double{i} / kDraws});
+  }
+  EXPECT_LT(d, 1.63 / std::sqrt(double{kDraws}));
+}
+
+TEST(KnownAnswerTest, GreenwoodIntervalCoversTrueWeibullSurvival) {
+  // 200 seeded samples of 100 Weibull(k = 1.5, scale 10) lifetimes,
+  // right-censored by an independent exponential follow-up (about a
+  // quarter censored). At each fixed time the nominal 95% interval
+  // must cover the true S(t) = exp(-(t / 10)^1.5) in 90-99% of the
+  // samples.
+  constexpr int kSamples = 200;
+  constexpr double kShape = 1.5;
+  constexpr double kScale = 10.0;
+  const double times[] = {4.0, 8.5, 14.0};  // S = 0.78, 0.46, 0.19.
+  int covered[3] = {0, 0, 0};
+  for (int sample = 0; sample < kSamples; ++sample) {
+    Rng rng(3000 + sample);
+    std::vector<double> t;
+    std::vector<bool> e;
+    for (int i = 0; i < 100; ++i) {
+      const double lifetime = rng.Weibull(kShape, kScale);
+      const double follow_up = rng.Exponential(0.03);
+      t.push_back(std::min(lifetime, follow_up));
+      e.push_back(lifetime <= follow_up);
+    }
+    auto km = KaplanMeierCurve::Fit(MakeData(t, e));
+    ASSERT_TRUE(km.ok());
+    for (int k = 0; k < 3; ++k) {
+      const double truth = std::exp(-std::pow(times[k] / kScale, kShape));
+      const auto [lo, hi] = IntervalAt(*km, times[k]);
+      if (lo <= truth && truth <= hi) ++covered[k];
+    }
+  }
+  for (int k = 0; k < 3; ++k) {
+    const double rate = static_cast<double>(covered[k]) / kSamples;
+    EXPECT_GE(rate, 0.90) << "t = " << times[k];
+    EXPECT_LE(rate, 0.99) << "t = " << times[k];
+  }
+}
+
 }  // namespace
 }  // namespace cloudsurv::survival
