@@ -8,7 +8,7 @@
 // Every scenario is seeded and count-scheduled, so two runs of this
 // binary fire the identical fault sequence (timings vary; counts do
 // not). Scale with CLOUDSURV_SUBS / CLOUDSURV_THREADS /
-// CLOUDSURV_FLUSH_DAYS as with serving_throughput.
+// CLOUDSURV_FLUSH_DAYS.
 
 #include <chrono>
 #include <cstdio>

@@ -102,11 +102,10 @@ Result<SubgroupExperimentResult> RunPredictionExperimentOnDataset(
   result.feature_names = dataset.feature_names();
 
   // Hyper-parameter tuning on the first repetition's training split.
-  // The experiment-level thread / split-algorithm knobs reach every
-  // forest trained here: tuning cells and per-repetition fits alike.
+  // The experiment-level thread knob reaches every forest trained
+  // here: tuning cells and per-repetition fits alike.
   ml::ForestParams params = config.default_params;
   params.num_threads = config.num_threads;
-  params.split_algorithm = config.split_algorithm;
   if (config.tune_with_grid_search) {
     CLOUDSURV_ASSIGN_OR_RETURN(
         ml::TrainTestIndices tune_split,
@@ -116,7 +115,6 @@ Result<SubgroupExperimentResult> RunPredictionExperimentOnDataset(
     std::vector<ml::ForestParams> grid = config.grid;
     for (ml::ForestParams& cell : grid) {
       cell.num_threads = config.num_threads;
-      cell.split_algorithm = config.split_algorithm;
     }
     const int pool_threads =
         config.num_threads > 0

@@ -42,9 +42,6 @@ struct ExperimentConfig {
   /// fits (0 = hardware concurrency). Results are seed-deterministic
   /// for any value.
   int num_threads = 0;
-  /// Node-split search used by every forest this experiment trains
-  /// (tuning cells and per-repetition fits alike).
-  ml::SplitAlgorithm split_algorithm = ml::SplitAlgorithm::kHistogram;
 };
 
 /// Partition of predictions by the paper's confidence rule

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
-#include <sstream>
 
 #include "obs/metrics.h"
 
@@ -562,53 +561,6 @@ std::string DecisionTreeClassifier::Serialize() const {
   for (double v : importances_) out.append(" ").append(FullPrecision(v));
   out += "\n";
   return out;
-}
-
-Result<DecisionTreeClassifier> DecisionTreeClassifier::Deserialize(
-    const std::string& text) {
-  std::istringstream is(text);
-  std::string tag;
-  DecisionTreeClassifier tree;
-  size_t num_features = 0;
-  size_t num_nodes = 0;
-  if (!(is >> tag >> tree.num_classes_ >> num_features >> tree.depth_ >>
-        num_nodes) ||
-      tag != "tree") {
-    return Status::InvalidArgument("malformed tree header");
-  }
-  tree.num_features_ = num_features;
-  tree.nodes_.resize(num_nodes);
-  for (Node& node : tree.nodes_) {
-    size_t num_probs = 0;
-    if (!(is >> node.feature >> node.threshold >> node.left >> node.right >>
-          num_probs)) {
-      return Status::InvalidArgument("malformed tree node");
-    }
-    node.probabilities.resize(num_probs);
-    for (double& p : node.probabilities) {
-      if (!(is >> p)) {
-        return Status::InvalidArgument("malformed node probabilities");
-      }
-    }
-    if (node.feature >= static_cast<int>(num_features) ||
-        node.left >= static_cast<int>(num_nodes) ||
-        node.right >= static_cast<int>(num_nodes)) {
-      return Status::InvalidArgument("tree node references out of range");
-    }
-  }
-  if (!(is >> tag) || tag != "importances") {
-    return Status::InvalidArgument("missing importances");
-  }
-  tree.importances_.resize(num_features);
-  for (double& v : tree.importances_) {
-    if (!(is >> v)) {
-      return Status::InvalidArgument("malformed importances");
-    }
-  }
-  if (tree.nodes_.empty()) {
-    return Status::InvalidArgument("serialized tree has no nodes");
-  }
-  return tree;
 }
 
 }  // namespace cloudsurv::ml

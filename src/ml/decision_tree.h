@@ -107,11 +107,9 @@ class DecisionTreeClassifier {
       const std::vector<double>& row) const;
 
   /// Serializes the fitted tree to a compact line-oriented text form
-  /// that round-trips exactly (doubles printed with full precision).
+  /// (doubles printed with full precision), the input of golden model
+  /// digests.
   std::string Serialize() const;
-
-  /// Reconstructs a tree from Serialize() output.
-  static Result<DecisionTreeClassifier> Deserialize(const std::string& text);
 
  private:
   struct Node {

@@ -9,10 +9,6 @@
 #include <string>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 #include "artifact/reader.h"
 #include "artifact/writer.h"
 #include "obs/metrics.h"
@@ -191,41 +187,8 @@ Result<FlatForest> FlatForest::Compile(const RandomForestClassifier& forest) {
   }
   flat.nodes_.Adopt(std::move(nodes));
   flat.trees_.Adopt(std::move(tree_entries));
-  flat.AutotuneBlockRows();
   CompileHistogram()->Observe(ElapsedMs(start));
   return flat;
-}
-
-void FlatForest::AutotuneBlockRows() {
-  // One traversal block wants (a) the hot top levels of every tree and
-  // (b) the block's packed rows + accumulators co-resident in L2; the
-  // nodes below the top levels stream regardless. Budget the rows at
-  // L2 minus the hot-node footprint (first 6 levels = 63 nodes per
-  // tree), clamped to [64, 8192] and rounded down to a multiple of 8
-  // rows, so each block's accumulators start on a cache line of an
-  // aligned output buffer and pooled blocks never share one. Callers
-  // override via BatchOptions::block_rows != 0.
-  long l2 = -1;
-#if defined(_SC_LEVEL2_CACHE_SIZE)
-  l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
-#endif
-  const size_t l2_bytes = l2 > 0 ? static_cast<size_t>(l2) : (1u << 20);
-  constexpr size_t kHotNodesPerTree = 63;
-  size_t hot_bytes = 0;
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    const size_t end = t + 1 < trees_.size()
-                           ? static_cast<size_t>(trees_[t + 1].root)
-                           : nodes_.size();
-    const size_t tree_nodes = end - static_cast<size_t>(trees_[t].root);
-    hot_bytes += std::min(tree_nodes, kHotNodesPerTree) * sizeof(Node);
-  }
-  const size_t row_bytes = (num_features_ + 2) * sizeof(double);
-  const size_t budget =
-      l2_bytes > hot_bytes ? l2_bytes - hot_bytes : l2_bytes / 2;
-  size_t rows = budget / row_bytes;
-  rows = std::clamp<size_t>(rows, 64, 8192);
-  rows -= rows % 8;
-  tuned_block_rows_ = rows;
 }
 
 Status FlatForest::SelfCheck() const {
@@ -336,9 +299,6 @@ Result<FlatForest> FlatForest::FromView(
   flat.trees_.BindView(trees.data, trees.size);
   flat.backing_ = reader.backing();
   CLOUDSURV_RETURN_NOT_OK(flat.SelfCheck());
-  // Derived (non-serialized) state: the autotuned block size for this
-  // machine.
-  flat.AutotuneBlockRows();
   return flat;
 }
 
@@ -368,23 +328,21 @@ Status FlatForest::ScorePtrs(const double* const* row_ptrs, size_t n,
   }
   if (n == 0) return Status::OK();
   obs::ScopedTimer timer(BatchLatency());
-  size_t block =
-      options.block_rows == 0 ? tuned_block_rows_ : options.block_rows;
-  const size_t num_blocks = (n + block - 1) / block;
+  const size_t num_blocks = (n + kBlockRows - 1) / kBlockRows;
 
   if (options.pool == nullptr || num_blocks <= 1) {
     std::vector<double> packed;
     for (size_t b = 0; b < num_blocks; ++b) {
-      const size_t lo = b * block;
-      const size_t hi = std::min(n, lo + block);
+      const size_t lo = b * kBlockRows;
+      const size_t hi = std::min(n, lo + kBlockRows);
       ScoreBlock(row_ptrs + lo, hi - lo, out + lo, packed);
     }
   } else {
     std::vector<std::future<void>> futures;
     futures.reserve(num_blocks);
     for (size_t b = 0; b < num_blocks; ++b) {
-      const size_t lo = b * block;
-      const size_t hi = std::min(n, lo + block);
+      const size_t lo = b * kBlockRows;
+      const size_t hi = std::min(n, lo + kBlockRows);
       futures.push_back(options.pool->Submit([this, row_ptrs, lo, hi, out]() {
         std::vector<double> packed;
         ScoreBlock(row_ptrs + lo, hi - lo, out + lo, packed);

@@ -143,14 +143,16 @@ class FlatForest {
   using Node = artifact::ForestNode;
   using Tree = artifact::ForestTree;
 
-  /// Batch traversal knobs. Defaults favour an L1/L2-resident block of
-  /// rows sized per compiled forest; see docs/inference.md.
+  /// Rows per batch traversal block. A packed block of 2,048 rows of
+  /// 30 features is 0.5 MiB, so it shares even a 1 MiB L2 with the
+  /// trees' hot top levels; larger blocks evict the nodes the walk
+  /// reuses (see docs/inference.md). A multiple of 8, so each block's
+  /// accumulators start on a cache line of an aligned output buffer
+  /// and pooled blocks never share one.
+  static constexpr size_t kBlockRows = 2048;
+
+  /// Batch traversal knobs; see docs/inference.md.
   struct BatchOptions {
-    /// Rows per traversal block. 0 (default) picks the per-forest
-    /// autotuned size (`tuned_block_rows()`, derived from the forest's
-    /// hot-node footprint vs. the L2 cache); any explicit value >= 1
-    /// overrides it.
-    size_t block_rows = 0;
     /// When set, independent blocks are scored as pool tasks. The
     /// caller must not be running *inside* a task of the same bounded
     /// pool (nested submission can deadlock on the queue bound).
@@ -188,12 +190,6 @@ class FlatForest {
   bool zero_copy() const { return backing_ != nullptr; }
 
   bool compiled() const { return !trees_.empty(); }
-
-  /// Rows-per-block the compiler picked for this forest (used whenever
-  /// BatchOptions::block_rows is 0): sized so one block of rows plus
-  /// accumulators shares the L2 cache with the forest's hot top levels.
-  /// Always in [64, 8192] and a multiple of 8.
-  size_t tuned_block_rows() const { return tuned_block_rows_; }
 
   size_t num_trees() const { return trees_.size(); }
   size_t num_nodes() const { return nodes_.size(); }
@@ -246,10 +242,6 @@ class FlatForest {
   Status ScorePtrs(const double* const* row_ptrs, size_t n, double* out,
                    const BatchOptions& options) const;
 
-  /// Derives `tuned_block_rows_` from the forest shape and the machine
-  /// L2 size. Runs at the end of Compile() and FromView().
-  void AutotuneBlockRows();
-
   template <typename T>
   using Column = flat_internal::Column<T>;
 
@@ -260,9 +252,6 @@ class FlatForest {
   /// Tree t spans nodes [trees_[t].root, trees_[t + 1].root), the last
   /// one up to num_nodes().
   Column<Tree> trees_;
-
-  /// Rows per block when BatchOptions::block_rows is 0 (autotuned).
-  size_t tuned_block_rows_ = 512;
 
   /// Pins the mapped/loaded artifact bytes the view columns alias;
   /// nullptr for a Compile()d forest.

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <numeric>
-#include <sstream>
 
 #include "common/rng.h"
 
@@ -440,81 +438,6 @@ GradientBoostedTreesClassifier::PredictPositiveProba(
     out.push_back(PredictProbability(data.row(i)));
   }
   return out;
-}
-
-std::string GradientBoostedTreesClassifier::Serialize() const {
-  char header[128];
-  std::snprintf(header, sizeof(header), "gbdt %zu %zu %.17g\n",
-                trees_.size(), num_features_, base_score_);
-  std::string out = header;
-  out += "importances";
-  for (double v : importances_) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), " %.17g", v);
-    out += buf;
-  }
-  out += "\n";
-  for (const Tree& tree : trees_) {
-    out += "gtree " + std::to_string(tree.nodes.size()) + "\n";
-    for (const Node& node : tree.nodes) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf), "%d %.17g %d %d %.17g\n",
-                    node.feature, node.threshold, node.left, node.right,
-                    node.value);
-      out += buf;
-    }
-  }
-  return out;
-}
-
-Result<GradientBoostedTreesClassifier>
-GradientBoostedTreesClassifier::Deserialize(const std::string& text) {
-  std::istringstream is(text);
-  std::string tag;
-  GradientBoostedTreesClassifier model;
-  size_t num_trees = 0;
-  if (!(is >> tag >> num_trees >> model.num_features_ >>
-        model.base_score_) ||
-      tag != "gbdt") {
-    return Status::InvalidArgument("malformed gbdt header");
-  }
-  if (!(is >> tag) || tag != "importances") {
-    return Status::InvalidArgument("missing gbdt importances");
-  }
-  model.importances_.resize(model.num_features_);
-  for (double& v : model.importances_) {
-    if (!(is >> v)) {
-      return Status::InvalidArgument("malformed gbdt importances");
-    }
-  }
-  model.trees_.reserve(num_trees);
-  for (size_t t = 0; t < num_trees; ++t) {
-    size_t num_nodes = 0;
-    if (!(is >> tag >> num_nodes) || tag != "gtree") {
-      return Status::InvalidArgument("malformed gtree header");
-    }
-    Tree tree;
-    tree.nodes.resize(num_nodes);
-    for (Node& node : tree.nodes) {
-      if (!(is >> node.feature >> node.threshold >> node.left >>
-            node.right >> node.value)) {
-        return Status::InvalidArgument("malformed gtree node");
-      }
-      if (node.feature >= static_cast<int>(model.num_features_) ||
-          node.left >= static_cast<int>(num_nodes) ||
-          node.right >= static_cast<int>(num_nodes)) {
-        return Status::InvalidArgument("gtree node out of range");
-      }
-    }
-    if (tree.nodes.empty()) {
-      return Status::InvalidArgument("empty gtree");
-    }
-    model.trees_.push_back(std::move(tree));
-  }
-  if (model.trees_.empty()) {
-    return Status::InvalidArgument("serialized gbdt has no trees");
-  }
-  return model;
 }
 
 }  // namespace cloudsurv::ml

@@ -67,33 +67,6 @@ class GradientBoostedTreesClassifier {
 
   size_t num_trees() const { return trees_.size(); }
   size_t num_features() const { return num_features_; }
-  /// Initial log-odds the additive score starts from.
-  double base_score() const { return base_score_; }
-
-  /// Nodes stored in tree `t` (node 0 is that tree's root).
-  size_t tree_nodes(size_t t) const { return trees_[t].nodes.size(); }
-
-  /// Read-only view of node `i` of tree `t`, for compilers of
-  /// alternative inference layouts (`ml::FlatForest`). `feature < 0`
-  /// marks a leaf carrying the (already shrunk) weight `value`.
-  struct NodeView {
-    int feature;
-    double threshold;
-    int left;
-    int right;
-    double value;
-  };
-  NodeView node_view(size_t t, size_t i) const {
-    const Node& n = trees_[t].nodes[i];
-    return {n.feature, n.threshold, n.left, n.right, n.value};
-  }
-
-  /// Serializes the fitted ensemble to text; exact round trip.
-  std::string Serialize() const;
-
-  /// Reconstructs an ensemble from Serialize() output.
-  static Result<GradientBoostedTreesClassifier> Deserialize(
-      const std::string& text);
 
  private:
   struct Node {

@@ -7,7 +7,6 @@
 #include <limits>
 #include <mutex>
 #include <numeric>
-#include <sstream>
 #include <thread>
 
 #include "common/rng.h"
@@ -359,61 +358,6 @@ std::string RandomForestClassifier::Serialize() const {
     out += tree.Serialize();
   }
   return out;
-}
-
-Result<RandomForestClassifier> RandomForestClassifier::Deserialize(
-    const std::string& text) {
-  std::istringstream is(text);
-  std::string tag;
-  RandomForestClassifier forest;
-  size_t num_trees = 0;
-  if (!(is >> tag >> num_trees >> forest.num_classes_ >>
-        forest.num_features_ >> forest.oob_accuracy_) ||
-      tag != "forest") {
-    return Status::InvalidArgument("malformed forest header");
-  }
-  if (!(is >> tag) || tag != "importances") {
-    return Status::InvalidArgument("missing forest importances");
-  }
-  forest.importances_.resize(forest.num_features_);
-  for (double& v : forest.importances_) {
-    if (!(is >> v)) {
-      return Status::InvalidArgument("malformed forest importances");
-    }
-  }
-  // The remainder is the concatenation of tree blocks; split on the
-  // "tree " header lines.
-  std::string rest;
-  std::getline(is, rest);  // consume end of importances line
-  std::string line;
-  std::vector<std::string> blocks;
-  while (std::getline(is, line)) {
-    if (line.rfind("tree ", 0) == 0) {
-      blocks.emplace_back();
-    }
-    if (blocks.empty()) {
-      return Status::InvalidArgument("unexpected content before trees");
-    }
-    blocks.back() += line;
-    blocks.back() += "\n";
-  }
-  if (blocks.size() != num_trees) {
-    return Status::InvalidArgument("forest tree count mismatch");
-  }
-  forest.trees_.reserve(num_trees);
-  for (const std::string& block : blocks) {
-    CLOUDSURV_ASSIGN_OR_RETURN(DecisionTreeClassifier tree,
-                               DecisionTreeClassifier::Deserialize(block));
-    if (tree.num_classes() != forest.num_classes_ ||
-        tree.num_features() != forest.num_features_) {
-      return Status::InvalidArgument("tree shape mismatches forest header");
-    }
-    forest.trees_.push_back(std::move(tree));
-  }
-  if (forest.trees_.empty()) {
-    return Status::InvalidArgument("serialized forest has no trees");
-  }
-  return forest;
 }
 
 }  // namespace cloudsurv::ml

@@ -91,12 +91,9 @@ class RandomForestClassifier {
   int num_classes() const { return num_classes_; }
   const std::vector<DecisionTreeClassifier>& trees() const { return trees_; }
 
-  /// Serializes the fitted forest (trees, importances, OOB score) to a
-  /// text form suitable for storing a trained model; exact round trip.
+  /// Serializes the fitted forest (trees, importances, OOB score) to
+  /// full-precision text, the input of golden model digests.
   std::string Serialize() const;
-
-  /// Reconstructs a forest from Serialize() output.
-  static Result<RandomForestClassifier> Deserialize(const std::string& text);
 
  private:
   /// Sums the per-tree leaf distributions for `row` into `acc`

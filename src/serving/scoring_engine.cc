@@ -488,9 +488,7 @@ void ScoringEngine::RunShardJob(ShardJob& job, ShardJobResult* result) {
   result->scored.reserve(due.size());
   if (!ids.empty()) {
     const auto batch_start = std::chrono::steady_clock::now();
-    ml::FlatForest::BatchOptions batch_opts;
-    batch_opts.block_rows = options_.inference_block_rows;
-    auto assessments = active.model->AssessMany(*read_store, ids, batch_opts);
+    auto assessments = active.model->AssessMany(*read_store, ids);
     const double batch_us = std::chrono::duration<double, std::micro>(
                                 std::chrono::steady_clock::now() - batch_start)
                                 .count();

@@ -156,10 +156,6 @@ class ScoringEngine {
     /// Observation span x in days; must match the published models'
     /// observe_days for assessments to be meaningful.
     double observe_days = 2.0;
-    /// Rows per FlatForest traversal block when a shard batch is
-    /// scored (`LongevityService::AssessMany`); 0 uses the compiled
-    /// forest's autotuned block size.
-    size_t inference_block_rows = 0;
 
     // --- Fault injection & graceful degradation -------------------
     // Every knob below defaults to "off": with the defaults the engine

@@ -839,9 +839,6 @@ TEST(RegistryArtifactTest, HotSwapFromFileWhileScoring) {
     if (ids.size() >= 32) break;
     ids.push_back(record.id);
   }
-  ml::FlatForest::BatchOptions blocks;
-  blocks.block_rows = 16;
-
   std::atomic<bool> stop{false};
   std::thread publisher([&] {
     for (int i = 0; i < 8; ++i) {
@@ -860,7 +857,7 @@ TEST(RegistryArtifactTest, HotSwapFromFileWhileScoring) {
         ++iterations;
         const auto model = registry.Current();
         ASSERT_NE(model, nullptr);
-        auto batch = model->AssessMany(SimStore(), ids, blocks);
+        auto batch = model->AssessMany(SimStore(), ids);
         EXPECT_TRUE(batch.ok());
       }
     });

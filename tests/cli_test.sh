@@ -99,17 +99,24 @@ for bad in "--policies banana" "--policies naive,banana" \
   }
 done
 
-# No verb takes a traversal-kernel selector: the flag must be rejected
-# as unknown (exit 2), not silently accepted.
-status=0
-"$CLI" assess --telemetry "$WORK/region.csv" --region 2 \
-  --model "$WORK/svc.csrv" --traversal scalar > "$WORK/kernel_flag.txt" 2>&1 \
-  || status=$?
-if [ "$status" -ne 2 ]; then
-  echo "expected exit 2 for the removed kernel flag, got $status" >&2
-  exit 1
-fi
-grep -q "unknown flag" "$WORK/kernel_flag.txt"
+# Removed knobs (the traversal-kernel selector, the traversal block
+# size, the split search) must be rejected as unknown flags (exit 2),
+# not silently accepted.
+for bad in "assess --telemetry $WORK/region.csv --model $WORK/svc.csrv --traversal scalar" \
+           "assess --telemetry $WORK/region.csv --model $WORK/svc.csrv --block-rows 64" \
+           "serve-sim --region 2 --subs 50 --seed 5 --block-rows 64" \
+           "train --telemetry $WORK/region.csv --out $WORK/x --split exact"; do
+  status=0
+  "$CLI" $bad > "$WORK/removed_flag.txt" 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "expected exit 2 for removed flag in '$bad', got $status" >&2
+    exit 1
+  fi
+  grep -q "unknown flag" "$WORK/removed_flag.txt" || {
+    echo "expected unknown-flag diagnostic for '$bad'" >&2
+    exit 1
+  }
+done
 
 # serve-sim serves train's artifact and still verifies bit-identical.
 "$CLI" serve-sim --region 2 --subs 200 --seed 5 \
@@ -170,14 +177,6 @@ grep -q "\"metrics\": \[" "$WORK/metrics.json"
 grep -q "\"name\": \"cloudsurv_engine_databases_scored_total\"" \
   "$WORK/metrics.json"
 
-# serve-sim at an explicit traversal block size: the summary line names
-# it, and the replay verifies IDENTICAL against the sequential ground
-# truth.
-"$CLI" serve-sim --region 2 --subs 300 --seed 5 \
-  --block-rows 128 | tee "$WORK/serve_flat.txt"
-grep -q "block_rows=128" "$WORK/serve_flat.txt"
-grep -q "IDENTICAL" "$WORK/serve_flat.txt"
-
 # serve-sim under an output-neutral fault plan: faults fire, the replay
 # stays bit-identical to batch Assess, and the ingest/scoring accounting
 # identities hold.
@@ -211,7 +210,7 @@ grep -q "accounting.*OK" "$WORK/serve_swap.txt"
 for bad in "--threads 0" "--threads -3" "--shards banana" \
            "--flush-interval 0" "--flush-interval -2" \
            "--metrics-interval abc" "--deadline-us -1" "--shed-high -5" \
-           "--block-rows 0" "--verify banana" \
+           "--verify banana" \
            "--stream" "--regions 2 --shed-low 3"; do
   if "$CLI" serve-sim --region 2 --subs 50 --seed 5 $bad \
       > "$WORK/bad.txt" 2>&1; then
@@ -229,8 +228,7 @@ done
 for bad in "simulate --out $WORK/x.csv --catalog x" \
            "inspect --model $WORK/svc.csrv --threads 4" \
            "analyze --telemetry $WORK/region.csv --top 3" \
-           "assess --telemetry $WORK/region.csv --model $WORK/svc.csrv --out $WORK/x" \
-           "train --telemetry $WORK/region.csv --out $WORK/x --split banana"; do
+           "assess --telemetry $WORK/region.csv --model $WORK/svc.csrv --out $WORK/x"; do
   if "$CLI" $bad > "$WORK/verb_flag.txt" 2>&1; then
     echo "expected rejection of '$bad'" >&2
     exit 1

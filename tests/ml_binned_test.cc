@@ -341,23 +341,6 @@ TEST(HistogramDegenerateTest, ConstantFeatureNeverChosen) {
   EXPECT_GT(imp[1], 0.0);
 }
 
-TEST(HistogramSerializationTest, BinnedForestRoundTrips) {
-  const Dataset d = ContinuousData(400, 57);
-  ForestParams hist;
-  hist.num_trees = 8;
-  hist.split_algorithm = SplitAlgorithm::kHistogram;
-  RandomForestClassifier forest;
-  ASSERT_TRUE(forest.Fit(d, hist, 57).ok());
-  const std::string text = forest.Serialize();
-  auto restored = RandomForestClassifier::Deserialize(text);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->Serialize(), text);
-  auto p1 = forest.PredictBatch(d);
-  auto p2 = restored->PredictBatch(d);
-  ASSERT_TRUE(p1.ok() && p2.ok());
-  EXPECT_EQ(*p1, *p2);
-}
-
 TEST(FitOnRowsTest, ViewTrainingMatchesSubsetCopy) {
   const Dataset d = GridValuedData(400, 20, 58);
   std::vector<size_t> rows;

@@ -1,7 +1,9 @@
 #include "ml/flat_forest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -154,13 +156,10 @@ TEST(FlatForestTest, BitIdenticalToExactTrainedForest) {
   EXPECT_OK(flat.SelfCheck());
 
   ThreadPool pool(4, /*max_queued=*/64);
-  for (const size_t block_rows : {7u, 64u, 4096u}) {
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      FlatForest::BatchOptions options;
-      options.block_rows = block_rows;
-      options.pool = p;
-      ExpectBitIdentical(forest, flat, data, options);
-    }
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    FlatForest::BatchOptions options;
+    options.pool = p;
+    ExpectBitIdentical(forest, flat, data, options);
   }
 }
 
@@ -173,7 +172,6 @@ TEST(FlatForestTest, BitIdenticalToHistogramTrainedForest) {
   ThreadPool pool(4, /*max_queued=*/64);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     FlatForest::BatchOptions options;
-    options.block_rows = 32;
     options.pool = p;
     ExpectBitIdentical(forest, flat, data, options);
   }
@@ -205,50 +203,33 @@ TEST(FlatForestTest, ClassWeightedLeaves) {
   ExpectBitIdentical(forest, flat, data, FlatForest::BatchOptions());
 }
 
-TEST(FlatForestTest, SerializeRoundTripCompilesIdentically) {
-  const Dataset data = ContinuousData(300, 31);
-  const auto forest = FitForest(data, SplitAlgorithm::kHistogram);
-  ASSERT_OK_AND_ASSIGN(const auto restored,
-                       RandomForestClassifier::Deserialize(forest.Serialize()));
-  ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(restored));
-  EXPECT_OK(flat.SelfCheck());
-  // The restored forest's compiled form must still match the *original*
-  // forest's predictions exactly — serialization is an exact round trip.
-  ExpectBitIdentical(forest, flat, data, FlatForest::BatchOptions());
-}
-
 // --- Blocked traversal -----------------------------------------------
 
-TEST(FlatForestTest, TunedBlockRowsInRange) {
-  const Dataset data = ContinuousData(300, 59);
-  const auto forest = FitForest(data, SplitAlgorithm::kHistogram);
-  ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
-  EXPECT_GE(flat.tuned_block_rows(), 64u);
-  EXPECT_LE(flat.tuned_block_rows(), 8192u);
-  EXPECT_EQ(flat.tuned_block_rows() % 8, 0u);
-}
-
-// Every block size must reproduce the legacy predictions bit for bit,
-// sequentially and across a thread pool.
+// Row counts around the block size — one short of a block, exactly one,
+// one over, and several blocks with a ragged tail — must reproduce the
+// legacy predictions bit for bit, sequentially and across a thread pool.
 class BlockSizeTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(BlockSizeTest, BitIdenticalAtEveryBlockSizeAndThreadCount) {
-  const Dataset data = ContinuousData(400, 61);
+TEST_P(BlockSizeTest, BitIdenticalAroundBlockBoundsAtEveryThreadCount) {
+  const Dataset data = ContinuousData(static_cast<int>(GetParam()), 61);
   const auto forest = FitForest(data, SplitAlgorithm::kHistogram);
   ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
 
   ThreadPool pool(4, /*max_queued=*/64);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     FlatForest::BatchOptions options;
-    options.block_rows = GetParam();  // 0 = the autotuned size.
     options.pool = p;
     ExpectBitIdentical(forest, flat, data, options);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Blocks, BlockSizeTest, ::testing::Values<size_t>(0, 7, 64, 512, 4096),
-    [](const auto& info) { return "block" + std::to_string(info.param); });
+    Rows, BlockSizeTest,
+    ::testing::Values<size_t>(FlatForest::kBlockRows - 1,
+                              FlatForest::kBlockRows,
+                              FlatForest::kBlockRows + 1,
+                              3 * FlatForest::kBlockRows + 7),
+    [](const auto& info) { return "rows" + std::to_string(info.param); });
 
 TEST(FlatForestTest, EmptySingleRowAndRaggedTailBatches) {
   // The empty batch and every small n — fewer rows than lanes, so the
@@ -286,10 +267,7 @@ TEST(FlatForestTest, WideCodesBitIdentity) {
   ASSERT_OK(forest.Fit(data, params, /*seed=*/47));
   ASSERT_OK_AND_ASSIGN(const FlatForest flat, FlatForest::Compile(forest));
   EXPECT_OK(flat.SelfCheck());
-
-  FlatForest::BatchOptions options;
-  options.block_rows = 256;
-  ExpectBitIdentical(forest, flat, data, options);
+  ExpectBitIdentical(forest, flat, data, FlatForest::BatchOptions());
 }
 
 TEST(FlatForestTest, NonFiniteValuesRouteLikeTheTreeWalk) {
@@ -346,11 +324,13 @@ core::LongevityService TrainSmallService() {
   return *service;
 }
 
-std::vector<telemetry::DatabaseId> SomeIds(size_t limit) {
+// The store's first `count` database ids, cycling through the store
+// again when it holds fewer.
+std::vector<telemetry::DatabaseId> SomeIds(size_t count) {
+  const auto& records = SimStore().databases();
   std::vector<telemetry::DatabaseId> ids;
-  for (const auto& record : SimStore().databases()) {
-    if (ids.size() >= limit) break;
-    ids.push_back(record.id);
+  for (size_t i = 0; i < count; ++i) {
+    ids.push_back(records[i % records.size()].id);
   }
   return ids;
 }
@@ -418,12 +398,12 @@ TEST(FlatForestServiceTest, AssessMatchesRefitForestOracle) {
 TEST(FlatForestServiceTest, AssessManyMatchesPerIdAssess) {
   const core::LongevityService service = TrainSmallService();
 
-  std::vector<telemetry::DatabaseId> ids = SomeIds(200);
+  // Enough ids that some model slot's batch spans more than one block
+  // and ends in a ragged one (ids repeat; each is scored on its own).
+  std::vector<telemetry::DatabaseId> ids =
+      SomeIds(5 * FlatForest::kBlockRows + 9);
   ids.push_back(telemetry::DatabaseId{9999999});  // Unknown -> nullopt.
-  FlatForest::BatchOptions blocks;
-  blocks.block_rows = 16;
-  ASSERT_OK_AND_ASSIGN(const auto batch,
-                       service.AssessMany(SimStore(), ids, blocks));
+  ASSERT_OK_AND_ASSIGN(const auto batch, service.AssessMany(SimStore(), ids));
   ASSERT_EQ(batch.size(), ids.size());
   EXPECT_FALSE(batch.back().has_value());
 
@@ -438,6 +418,15 @@ TEST(FlatForestServiceTest, AssessManyMatchesPerIdAssess) {
     EXPECT_EQ(batch[i]->recommended_pool, single->recommended_pool);
     EXPECT_EQ(batch[i]->model_name, single->model_name);
   }
+  std::map<std::string, size_t> rows_per_slot;
+  for (const auto& assessment : batch) {
+    if (assessment.has_value()) ++rows_per_slot[assessment->model_name];
+  }
+  size_t largest = 0;
+  for (const auto& [name, rows] : rows_per_slot) {
+    largest = std::max(largest, rows);
+  }
+  EXPECT_GT(largest, FlatForest::kBlockRows);
 }
 
 // TSan-covered: readers batch-score through compiled snapshots while a
@@ -450,8 +439,6 @@ TEST(FlatForestConcurrencyTest, BatchScoringDuringRegistryHotSwap) {
     ASSERT_TRUE(registry.Publish("v-initial", std::move(initial)).ok());
   }
   const std::vector<telemetry::DatabaseId> ids = SomeIds(48);
-  FlatForest::BatchOptions blocks;
-  blocks.block_rows = 16;
 
   std::atomic<bool> stop{false};
   std::thread publisher([&] {
@@ -473,7 +460,7 @@ TEST(FlatForestConcurrencyTest, BatchScoringDuringRegistryHotSwap) {
         ++iterations;
         const auto model = registry.Current();
         ASSERT_NE(model, nullptr);
-        auto batch = model->AssessMany(SimStore(), ids, blocks);
+        auto batch = model->AssessMany(SimStore(), ids);
         EXPECT_TRUE(batch.ok());
         if (batch.ok()) {
           EXPECT_EQ(batch->size(), ids.size());

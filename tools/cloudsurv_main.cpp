@@ -206,9 +206,6 @@ int CmdTrain(const Flags& flags) {
   core::LongevityService::Options options;
   options.seed = flags.Uint64("--seed");
   options.forest_params.num_threads = static_cast<int>(flags.Int("--threads"));
-  options.forest_params.split_algorithm =
-      flags.Text("--split") == "exact" ? ml::SplitAlgorithm::kExact
-                                       : ml::SplitAlgorithm::kHistogram;
   auto service = core::LongevityService::Train(*store, options);
   if (!service.ok()) {
     return Fail(service.status(), "training failed");
@@ -304,10 +301,7 @@ Result<AssessedRegion> LoadAndAssess(const Flags& flags) {
   std::vector<telemetry::DatabaseId> ids;
   ids.reserve(store.databases().size());
   for (const auto& record : store.databases()) ids.push_back(record.id);
-  ml::FlatForest::BatchOptions batch;
-  batch.block_rows = static_cast<size_t>(flags.Int("--block-rows"));
-  CLOUDSURV_ASSIGN_OR_RETURN(auto assessments,
-                             service.AssessMany(store, ids, batch));
+  CLOUDSURV_ASSIGN_OR_RETURN(auto assessments, service.AssessMany(store, ids));
   return AssessedRegion{std::move(store), std::move(assessments)};
 }
 
@@ -600,8 +594,6 @@ int CmdServeSim(const Flags& flags) {
   options.num_threads = static_cast<size_t>(flags.Int("--threads"));
   options.num_shards = static_cast<size_t>(flags.Int("--shards"));
   options.observe_days = model->options().observe_days;
-  options.inference_block_rows =
-      static_cast<size_t>(flags.Int("--block-rows"));
   if (faults_active) {
     options.fault_injector = injector.get();
     options.batch_deadline_us = deadline_us;
@@ -660,16 +652,11 @@ int CmdServeSim(const Flags& flags) {
     run.next_metrics = run.config.window_start + metrics_interval;
   }
 
-  char block_desc[32] = "auto";
-  if (options.inference_block_rows != 0) {
-    std::snprintf(block_desc, sizeof(block_desc), "%zu",
-                  options.inference_block_rows);
-  }
   std::printf(
       "serve-sim: regions=%lld subs/region=%zu threads=%zu shards=%zu "
-      "flush_interval_days=%.2f block_rows=%s\n",
+      "flush_interval_days=%.2f\n",
       static_cast<long long>(regions), subs, options.num_threads,
-      options.num_shards, flush_days, block_desc);
+      options.num_shards, flush_days);
 
   const auto t0 = std::chrono::steady_clock::now();
   for (bool active = true; active;) {
@@ -966,8 +953,6 @@ constexpr FlagSpec kFlags[] = {
     {"--top", "assess", "", Kind::kInt, "N", "20", "assessments to print"},
     {"--threads", "train serve-sim", "", Kind::kInt, "N", "8",
      "worker threads", 1},
-    {"--split", "train", "", Kind::kEnum, "exact|histogram", "histogram",
-     "tree split search"},
     {"--catalog", "plan", "", Kind::kString, "FILE", nullptr,
      "architecture catalog spec (built-in four-tier catalog if omitted)"},
     {"--policies", "plan", "", Kind::kList, "naive,longevity,oracle",
@@ -979,8 +964,6 @@ constexpr FlagSpec kFlags[] = {
     {"--grace-days", "plan", "", Kind::kDouble, "DAYS", "45",
      "churn-tier grace period in days", kMinPeriodDays, false,
      kMaxPeriodDays},
-    {"--block-rows", "assess plan serve-sim", "", Kind::kInt, "N", nullptr,
-     "rows per traversal block (autotuned if omitted)", 1},
     {"--shards", "serve-sim", "", Kind::kInt, "N", "16",
      "ingest shards per engine", 1},
     {"--flush-interval", "serve-sim", "", Kind::kDouble, "DAYS", "1",
