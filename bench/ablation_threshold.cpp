@@ -21,9 +21,9 @@ void ScoreWithThreshold(const std::vector<core::PredictionOutcome>& outcomes,
   std::vector<int> y_true, y_pred;
   size_t confident = 0;
   for (const auto& o : outcomes) {
-    const bool is_confident = o.positive_probability >= threshold ||
-                              o.positive_probability <= 1.0 - threshold;
-    if (!is_confident) continue;
+    if (!core::DecideOnScore(o.positive_probability, threshold).confident) {
+      continue;
+    }
     ++confident;
     y_true.push_back(o.true_label);
     y_pred.push_back(o.predicted_label);

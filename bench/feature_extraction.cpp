@@ -1,13 +1,14 @@
-// Feature extraction benchmark: per-row scalar ExtractFeatures against
-// the compiled FeaturePlan batch path, on a synthetic store large
-// enough (>= 100k databases by default) that the batch path's
-// sibling-table sharing dominates: subscription sizes are skewed so a
-// handful of subscriptions hold hundreds of databases each, which is
-// exactly the regime where the scalar path's per-target re-scan of
-// every sibling goes quadratic.
+// Feature extraction benchmark: a per-id FindDatabase +
+// FeaturePlan::ExtractRow loop (the "scalar" mode, the path per-id
+// LongevityService::Assess takes) against the batch ExtractBatch, on a
+// synthetic store large enough (>= 100k databases by default) that the
+// batch path's sibling-table sharing dominates: subscription sizes are
+// skewed so a handful of subscriptions hold hundreds of databases each,
+// which is exactly the regime where the per-id loop's re-scan of every
+// sibling per target goes quadratic.
 //
 // Bit-identity is a hard gate, not a report: every batch matrix is
-// memcmp'd against the scalar one and any mismatch exits non-zero.
+// memcmp'd against the per-id one and any mismatch exits non-zero.
 //
 // Emits one JSON document on stdout, gated in CI by
 // tools/bench_check.py --baseline bench/baselines/feature_extraction.json:
@@ -182,7 +183,7 @@ int main() {
   const size_t width = plan->num_features();
   const size_t rows = cohort.size();
 
-  // Scalar reference: the exact per-row loop BuildDataset used to run.
+  // Per-id reference: one ExtractRow per cohort id.
   std::vector<double> scalar_matrix(rows * width);
   double scalar_ms = 0.0;
   for (size_t iter = 0; iter < iterations; ++iter) {
@@ -193,13 +194,12 @@ int main() {
         std::fprintf(stderr, "%s\n", record.status().ToString().c_str());
         return 1;
       }
-      auto row = features::ExtractFeatures(store, *record, config);
-      if (!row.ok()) {
-        std::fprintf(stderr, "%s\n", row.status().ToString().c_str());
+      const Status status = plan->ExtractRow(
+          store, *record, {scalar_matrix.data() + i * width, width});
+      if (!status.ok()) {
+        std::fprintf(stderr, "%s\n", status.ToString().c_str());
         return 1;
       }
-      std::memcpy(scalar_matrix.data() + i * width, row->data(),
-                  width * sizeof(double));
     }
     const double ms = MsSince(t0);
     if (iter == 0 || ms < scalar_ms) scalar_ms = ms;
@@ -239,7 +239,7 @@ int main() {
   }
   if (!bit_identical) {
     std::fprintf(stderr,
-                 "FATAL: batch extraction diverged from the scalar "
+                 "FATAL: batch extraction diverged from the per-id "
                  "reference\n");
     return 1;
   }

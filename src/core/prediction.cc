@@ -168,9 +168,9 @@ Result<SubgroupExperimentResult> RunPredictionExperimentOnDataset(
       outcome.id = cohort.ids[cohort_index];
       outcome.true_label = test.label(i);
       outcome.positive_probability = probs[i];
-      outcome.predicted_label = probs[i] > 0.5 ? 1 : 0;
-      outcome.confident =
-          probs[i] >= threshold || probs[i] <= 1.0 - threshold;
+      const ScoreDecision decision = DecideOnScore(probs[i], threshold);
+      outcome.predicted_label = decision.predicted_label;
+      outcome.confident = decision.confident;
       outcome.duration_days = cohort.durations[cohort_index];
       outcome.observed = cohort.observed[cohort_index];
       num_confident += outcome.confident ? 1 : 0;

@@ -52,6 +52,17 @@ enum class PredictionBucket {
   kUncertain,
 };
 
+/// The paper's decision on one score p = P(long) (section 5.3): label 1
+/// (long-lived) iff p > 0.5, confident (acted on) iff p >= t or
+/// p <= 1 - t, for the cohort threshold t = max(q, 1 - q).
+struct ScoreDecision {
+  int predicted_label = 0;
+  bool confident = false;
+};
+inline ScoreDecision DecideOnScore(double p, double t) {
+  return {p > 0.5 ? 1 : 0, p >= t || p <= 1.0 - t};
+}
+
 /// One scored test-set example from one repetition.
 struct PredictionOutcome {
   telemetry::DatabaseId id = 0;

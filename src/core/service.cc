@@ -6,7 +6,7 @@
 #include "artifact/format.h"
 #include "artifact/writer.h"
 #include "core/cohort.h"
-#include "features/feature_plan.h"
+#include "core/prediction.h"
 
 namespace cloudsurv::core {
 
@@ -27,11 +27,20 @@ namespace {
 using telemetry::Edition;
 using telemetry::TelemetryStore;
 
+/// The service's features: feature_config observed for observe_days.
+Result<features::FeaturePlan> CompilePlan(
+    const LongevityService::Options& options) {
+  features::FeatureConfig config = options.feature_config;
+  config.observation_days = options.observe_days;
+  return features::FeaturePlan::Compile(config);
+}
+
 /// Fits one slot's forest and returns its compiled form with the slot's
 /// confidence threshold; the trainable forest is dropped here.
 Result<std::pair<ml::FlatForest, double>> TrainOne(
     const TelemetryStore& history, std::optional<Edition> edition,
-    const LongevityService::Options& options) {
+    const LongevityService::Options& options,
+    const features::FeaturePlan& plan) {
   CLOUDSURV_ASSIGN_OR_RETURN(
       PredictionCohort cohort,
       BuildPredictionCohort(history, options.observe_days,
@@ -39,12 +48,9 @@ Result<std::pair<ml::FlatForest, double>> TrainOne(
   if (cohort.ids.size() < options.min_cohort_size) {
     return Status::FailedPrecondition("cohort too small");
   }
-  features::FeatureConfig feature_config = options.feature_config;
-  feature_config.observation_days = options.observe_days;
   CLOUDSURV_ASSIGN_OR_RETURN(
       ml::Dataset dataset,
-      features::BuildDataset(history, cohort.ids, cohort.labels,
-                             feature_config));
+      features::BuildDataset(history, cohort.ids, cohort.labels, plan));
   const double q = dataset.ClassFraction(1);
   if (q == 0.0 || q == 1.0) {
     return Status::FailedPrecondition("single-class cohort");
@@ -66,9 +72,10 @@ Result<LongevityService> LongevityService::Train(
   }
   LongevityService service;
   service.options_ = options;
+  CLOUDSURV_ASSIGN_OR_RETURN(service.plan_, CompilePlan(options));
 
   // Pooled fallback first; it must exist.
-  auto pooled = TrainOne(history, std::nullopt, options);
+  auto pooled = TrainOne(history, std::nullopt, options, service.plan_);
   if (!pooled.ok()) {
     return Status::FailedPrecondition(
         "cannot train pooled model: " + pooled.status().message());
@@ -78,7 +85,8 @@ Result<LongevityService> LongevityService::Train(
   service.pooled_model_.threshold = pooled->second;
 
   for (int e = 0; e < telemetry::kNumEditions; ++e) {
-    auto slot = TrainOne(history, static_cast<Edition>(e), options);
+    auto slot =
+        TrainOne(history, static_cast<Edition>(e), options, service.plan_);
     if (!slot.ok()) continue;  // fall back to pooled for this edition
     auto& model = service.edition_models_[static_cast<size_t>(e)];
     model.present = true;
@@ -99,6 +107,23 @@ bool LongevityService::HasEditionModel(Edition edition) const {
   return edition_models_[static_cast<size_t>(edition)].present;
 }
 
+LongevityService::Assessment LongevityService::Decide(const ModelSlot& slot,
+                                                      Edition edition,
+                                                      double p) const {
+  const ScoreDecision decision = DecideOnScore(p, slot.threshold);
+  return Assessment{
+      .predicted_label = decision.predicted_label,
+      .positive_probability = p,
+      .confident = decision.confident,
+      .confidence_threshold = slot.threshold,
+      .recommended_pool = !decision.confident ? Pool::kGeneral
+                          : decision.predicted_label == 1 ? Pool::kStable
+                                                          : Pool::kChurn,
+      .model_name = &slot == &pooled_model_
+                        ? "pooled"
+                        : telemetry::EditionToString(edition)};
+}
+
 Result<LongevityService::Assessment> LongevityService::Assess(
     const TelemetryStore& store, telemetry::DatabaseId id) const {
   if (!pooled_model_.present) {
@@ -106,32 +131,11 @@ Result<LongevityService::Assessment> LongevityService::Assess(
   }
   CLOUDSURV_ASSIGN_OR_RETURN(const telemetry::DatabaseRecord record,
                              store.FindDatabase(id));
-  features::FeatureConfig feature_config = options_.feature_config;
-  feature_config.observation_days = options_.observe_days;
-  CLOUDSURV_ASSIGN_OR_RETURN(
-      std::vector<double> row,
-      features::ExtractFeatures(store, record, feature_config));
-
+  std::vector<double> row(plan_.num_features());
+  CLOUDSURV_RETURN_NOT_OK(plan_.ExtractRow(store, record, row));
   const Edition edition = record.initial_edition();
   const ModelSlot& slot = SlotFor(edition);
-  Assessment assessment;
-  assessment.model_name =
-      &slot == &pooled_model_ ? "pooled"
-                              : telemetry::EditionToString(edition);
-  assessment.positive_probability = slot.flat.PredictPositive(row);
-  assessment.predicted_label =
-      assessment.positive_probability > 0.5 ? 1 : 0;
-  assessment.confidence_threshold = slot.threshold;
-  assessment.confident =
-      assessment.positive_probability >= slot.threshold ||
-      assessment.positive_probability <= 1.0 - slot.threshold;
-  if (assessment.confident) {
-    assessment.recommended_pool =
-        assessment.predicted_label == 1 ? Pool::kStable : Pool::kChurn;
-  } else {
-    assessment.recommended_pool = Pool::kGeneral;
-  }
-  return assessment;
+  return Decide(slot, edition, slot.flat.PredictPositive(row));
 }
 
 Result<std::vector<std::optional<LongevityService::Assessment>>>
@@ -142,16 +146,7 @@ LongevityService::AssessMany(const TelemetryStore& store,
     return Status::FailedPrecondition("service is not trained");
   }
   std::vector<std::optional<Assessment>> out(ids.size());
-  features::FeatureConfig feature_config = options_.feature_config;
-  feature_config.observation_days = options_.observe_days;
-  auto plan_or = features::FeaturePlan::Compile(feature_config);
-  if (!plan_or.ok()) {
-    // A config the plan rejects is one every per-id extraction would
-    // reject too, and per-id Assess maps that to nullopt.
-    return out;
-  }
-  const features::FeaturePlan& plan = *plan_or;
-  const size_t width = plan.num_features();
+  const size_t width = plan_.num_features();
 
   // Group ids by resolved model slot so every group is extracted and
   // scored in one fused batch (at most kNumEditions + 1 groups): one
@@ -159,7 +154,7 @@ LongevityService::AssessMany(const TelemetryStore& store,
   // forest directly — no per-row vectors, no intermediate Dataset.
   struct Group {
     const ModelSlot* slot = nullptr;
-    std::string model_name;
+    Edition edition = Edition::kBasic;  ///< The first id's; names the slot.
     std::vector<telemetry::DatabaseId> group_ids;
     std::vector<size_t> positions;  ///< Index into ids/out.
   };
@@ -180,9 +175,7 @@ LongevityService::AssessMany(const TelemetryStore& store,
       groups.emplace_back();
       group = &groups.back();
       group->slot = &slot;
-      group->model_name = &slot == &pooled_model_
-                              ? "pooled"
-                              : telemetry::EditionToString(edition);
+      group->edition = edition;
     }
     group->group_ids.push_back(ids[i]);
     group->positions.push_back(i);
@@ -198,7 +191,7 @@ LongevityService::AssessMany(const TelemetryStore& store,
     // No pool here: AssessMany runs inside the serving engine's own
     // pool workers, and nested submission into a bounded queue could
     // deadlock. The caller parallelizes across shard batches instead.
-    CLOUDSURV_RETURN_NOT_OK(plan.ExtractBatchPartial(
+    CLOUDSURV_RETURN_NOT_OK(plan_.ExtractBatchPartial(
         store, group.group_ids, matrix.data(), &row_ok, /*pool=*/nullptr));
     scored_positions.clear();
     size_t num_rows = 0;
@@ -212,30 +205,11 @@ LongevityService::AssessMany(const TelemetryStore& store,
       ++num_rows;
     }
     if (num_rows == 0) continue;
-    const ml::FlatForest& flat = group.slot->flat;
-    if (width != flat.num_features()) {
-      return Status::InvalidArgument("feature count mismatch");
-    }
     probs.resize(num_rows);
-    CLOUDSURV_RETURN_NOT_OK(
-        flat.PredictPositiveBatch(matrix.data(), num_rows, probs.data(), batch));
-    for (size_t k = 0; k < scored_positions.size(); ++k) {
-      Assessment assessment;
-      assessment.model_name = group.model_name;
-      assessment.positive_probability = probs[k];
-      assessment.predicted_label =
-          assessment.positive_probability > 0.5 ? 1 : 0;
-      assessment.confidence_threshold = group.slot->threshold;
-      assessment.confident =
-          assessment.positive_probability >= group.slot->threshold ||
-          assessment.positive_probability <= 1.0 - group.slot->threshold;
-      if (assessment.confident) {
-        assessment.recommended_pool =
-            assessment.predicted_label == 1 ? Pool::kStable : Pool::kChurn;
-      } else {
-        assessment.recommended_pool = Pool::kGeneral;
-      }
-      out[scored_positions[k]] = std::move(assessment);
+    CLOUDSURV_RETURN_NOT_OK(group.slot->flat.PredictPositiveBatch(
+        matrix.data(), num_rows, probs.data(), batch));
+    for (size_t k = 0; k < num_rows; ++k) {
+      out[scored_positions[k]] = Decide(*group.slot, group.edition, probs[k]);
     }
   }
   return out;
@@ -364,8 +338,12 @@ Result<LongevityService> LongevityService::LoadArtifact(
   service.options_.long_threshold_days = meta.long_threshold_days;
   CLOUDSURV_ASSIGN_OR_RETURN(service.options_.feature_config,
                              DecodeFeatureConfig(meta));
-  const size_t feature_width =
-      features::FeatureWidth(service.options_.feature_config);
+  auto plan = CompilePlan(service.options_);
+  if (!plan.ok()) {
+    return Status::InvalidArgument(path + ": service meta: " +
+                                   plan.status().message());
+  }
+  service.plan_ = std::move(plan).value();
 
   uint32_t loaded = 0;
   for (const artifact::SectionEntry& section : reader.sections()) {
@@ -408,12 +386,12 @@ Result<LongevityService> LongevityService::LoadArtifact(
     // FlatForest pins the mapping via its backing reference.
     CLOUDSURV_ASSIGN_OR_RETURN(slot->flat,
                                ml::FlatForest::FromView(reader, entry.slot));
-    if (slot->flat.num_features() != feature_width) {
+    if (slot->flat.num_features() != service.plan_.num_features()) {
       return Status::InvalidArgument(
           path + ": model '" + name + "' reads " +
           std::to_string(slot->flat.num_features()) +
           " features, but its feature configuration extracts " +
-          std::to_string(feature_width));
+          std::to_string(service.plan_.num_features()));
     }
     slot->threshold = entry.threshold;
     slot->present = true;

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "artifact/reader.h"
-#include "features/features.h"
+#include "features/feature_plan.h"
 #include "ml/flat_forest.h"
 #include "ml/random_forest.h"
 #include "telemetry/store.h"
@@ -66,13 +66,15 @@ class LongevityService {
   };
 
   /// Trains the per-edition and pooled models on `history`. Fails if
-  /// even the pooled cohort is too small or single-class.
+  /// the features do not compile or even the pooled cohort is too
+  /// small or single-class.
   static Result<LongevityService> Train(
       const telemetry::TelemetryStore& history, const Options& options =
           Options());
 
-  /// Scores one database of `store` (typically live telemetry). The
-  /// database must have survived the observation window; features are
+  /// Scores one database of `store` (typically live telemetry) with one
+  /// FeaturePlan::ExtractRow and one tree walk. The database must exist
+  /// and have survived the observation window; features are
   /// computed only from telemetry up to created_at + observe_days.
   Result<Assessment> Assess(const telemetry::TelemetryStore& store,
                             telemetry::DatabaseId id) const;
@@ -108,8 +110,9 @@ class LongevityService {
   /// Restores a service from a SaveArtifact() file. The compiled
   /// forests are bound directly to the (typically mmap'ed) file bytes —
   /// zero per-array copies. Corrupt, truncated or version-mismatched
-  /// files, and forests whose width disagrees with the stored feature
-  /// configuration, are rejected with a precise error.
+  /// files, a stored feature configuration FeaturePlan::Compile rejects,
+  /// and forests whose width disagrees with it are rejected with a
+  /// precise error.
   static Result<LongevityService> LoadArtifact(
       const std::string& path,
       const artifact::ArtifactReader::Options& reader_options);
@@ -128,7 +131,13 @@ class LongevityService {
 
   const ModelSlot& SlotFor(telemetry::Edition edition) const;
 
+  /// The section 5.3 Assessment of score `p` from `slot` (serving `edition`).
+  Assessment Decide(const ModelSlot& slot, telemetry::Edition edition,
+                    double p) const;
+
   Options options_;
+  /// feature_config observed for observe_days, compiled once.
+  features::FeaturePlan plan_;
   std::array<ModelSlot, telemetry::kNumEditions> edition_models_;
   ModelSlot pooled_model_;
 };

@@ -4,6 +4,7 @@
 #include <future>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -55,11 +56,24 @@ const Metrics& FeatureMetrics() {
   return *kMetrics;
 }
 
-Timestamp PredictionTime(const DatabaseRecord& record,
-                         const FeatureConfig& config) {
-  return record.created_at +
-         static_cast<Timestamp>(config.observation_days *
-                                static_cast<double>(kSecondsPerDay));
+/// The prediction time Tp = created_at + observation_days of a found
+/// record, after the per-id checks every extraction runs, in order.
+Result<Timestamp> PredictionTime(const TelemetryStore& store,
+                                 const DatabaseRecord& record,
+                                 const FeatureConfig& config) {
+  if (!store.readable()) {
+    return Status::FailedPrecondition("telemetry store is not readable");
+  }
+  const Timestamp tp =
+      record.created_at +
+      static_cast<Timestamp>(config.observation_days *
+                             static_cast<double>(kSecondsPerDay));
+  if (record.dropped_at.has_value() && *record.dropped_at < tp) {
+    return Status::FailedPrecondition(
+        "database did not survive the observation window; the prediction "
+        "task is undefined for it");
+  }
+  return tp;
 }
 
 void WriteSummary(const stats::RunningStats& acc, double* out) {
@@ -69,13 +83,15 @@ void WriteSummary(const stats::RunningStats& acc, double* out) {
   out[3] = acc.stddev();
 }
 
+}  // namespace
+
 /// One subscription's siblings flattened for shared reuse across every
 /// database of that subscription: creation/drop columns in creation
 /// order (so group boundaries are binary searches) and per-sibling size
 /// samples with running prefix maxima (so a sibling's peak size at any
 /// Tp is one binary search instead of a rescan). Built once per
 /// subscription; cleared, not deallocated, between groups.
-struct SiblingTable {
+struct FeaturePlan::SiblingTable {
   std::vector<Timestamp> created;
   std::vector<Timestamp> dropped;     ///< kNeverDropped when censored.
   std::vector<uint32_t> sample_off;   ///< created.size() + 1 offsets.
@@ -91,7 +107,7 @@ struct SiblingTable {
     sample_off.push_back(0);
     for (DatabaseId sid : store.DatabasesOfSubscription(sub)) {
       auto sibling = store.FindDatabase(sid);
-      if (!sibling.ok()) continue;  // mirrors the scalar path's skip
+      if (!sibling.ok()) continue;  // mirrors the re-scan's skip
       created.push_back(sibling->created_at);
       dropped.push_back(sibling->dropped_at.has_value()
                             ? *sibling->dropped_at
@@ -109,7 +125,7 @@ struct SiblingTable {
   }
 
   /// Peak observed size of sibling `k` over samples at or before `tp`.
-  /// max(0.0, prefix-max) equals the scalar left fold from 0.0 for the
+  /// max(0.0, prefix-max) equals the re-scan's left fold from 0.0 for the
   /// finite sizes telemetry carries.
   double PeakBefore(size_t k, Timestamp tp) const {
     const uint32_t begin = sample_off[k];
@@ -120,55 +136,59 @@ struct SiblingTable {
     if (it == first) return 0.0;
     return std::max(0.0, sample_peak[begin + (it - first) - 1]);
   }
+
+  /// Subscription-history features of one target created at `tc`.
+  /// Group membership comes from binary searches on the creation
+  /// column; the single pass over the created-before-Tc prefix feeds
+  /// the per-group Welford accumulators in creation order — the exact
+  /// value sequences SubscriptionHistoryFeaturesInto feeds them, so
+  /// every output double is bit-identical. The target itself sits in
+  /// the table but its created_at == Tc, so the strict comparisons
+  /// exclude it just as the re-scan's id check does.
+  void History(Timestamp tc, Timestamp tp, double* out) const {
+    const Timestamp* cb = created.data();
+    const Timestamp* ce = cb + created.size();
+    const size_t before_tc = std::lower_bound(cb, ce, tc) - cb;
+    const size_t through_tc = std::upper_bound(cb, ce, tc) - cb;
+    const size_t through_tp = std::upper_bound(cb, ce, tp) - cb;
+    const size_t g3_count =
+        through_tp > through_tc ? through_tp - through_tc : 0;
+
+    size_t g1_count = 0;
+    stats::RunningStats g1_size, g1_life, g2_size, g2_life;
+    for (size_t k = 0; k < before_tc; ++k) {
+      const double peak = PeakBefore(k, tp);
+      const Timestamp end = dropped[k] < tp ? dropped[k] : tp;
+      const double lifespan = static_cast<double>(end - created[k]) /
+                              static_cast<double>(kSecondsPerDay);
+      g2_size.Add(peak);
+      g2_life.Add(lifespan);
+      if (dropped[k] > tc) {  // alive at Tc
+        ++g1_count;
+        g1_size.Add(peak);
+        g1_life.Add(lifespan);
+      }
+    }
+    out[0] = static_cast<double>(g1_count);
+    out[1] = static_cast<double>(before_tc);
+    out[2] = static_cast<double>(g3_count);
+    WriteSummary(g1_size, out + 3);
+    WriteSummary(g1_life, out + 7);
+    WriteSummary(g2_size, out + 11);
+    WriteSummary(g2_life, out + 15);
+  }
 };
 
-/// Subscription-history features of one target against a prebuilt
-/// sibling table. Group membership comes from binary searches on the
-/// creation column; the single pass over the created-before-Tc prefix
-/// feeds the per-group Welford accumulators in creation order — the
-/// exact value sequences SubscriptionHistoryFeaturesInto feeds them, so
-/// every output double is bit-identical. The target itself sits in the
-/// table but its created_at == Tc, so the strict comparisons exclude it
-/// just as the scalar path's id check does.
-void HistoryFromTable(const SiblingTable& table, Timestamp tc, Timestamp tp,
-                      double* out) {
-  const Timestamp* cb = table.created.data();
-  const Timestamp* ce = cb + table.created.size();
-  const size_t before_tc = std::lower_bound(cb, ce, tc) - cb;
-  const size_t through_tc = std::upper_bound(cb, ce, tc) - cb;
-  const size_t through_tp = std::upper_bound(cb, ce, tp) - cb;
-  const size_t g3_count =
-      through_tp > through_tc ? through_tp - through_tc : 0;
-
-  size_t g1_count = 0;
-  stats::RunningStats g1_size, g1_life, g2_size, g2_life;
-  for (size_t k = 0; k < before_tc; ++k) {
-    const double peak = table.PeakBefore(k, tp);
-    const Timestamp end = table.dropped[k] < tp ? table.dropped[k] : tp;
-    const double lifespan = static_cast<double>(end - table.created[k]) /
-                            static_cast<double>(kSecondsPerDay);
-    g2_size.Add(peak);
-    g2_life.Add(lifespan);
-    if (table.dropped[k] > tc) {  // alive at Tc
-      ++g1_count;
-      g1_size.Add(peak);
-      g1_life.Add(lifespan);
-    }
-  }
-  out[0] = static_cast<double>(g1_count);
-  out[1] = static_cast<double>(before_tc);
-  out[2] = static_cast<double>(g3_count);
-  WriteSummary(g1_size, out + 3);
-  WriteSummary(g1_life, out + 7);
-  WriteSummary(g2_size, out + 11);
-  WriteSummary(g2_life, out + 15);
-}
-
-}  // namespace
-
 Result<FeaturePlan> FeaturePlan::Compile(const FeatureConfig& config) {
-  if (config.observation_days <= 0.0) {
-    return Status::InvalidArgument("observation_days must be positive");
+  if (!(config.observation_days > 0.0 &&  // NaN fails too
+        config.observation_days <= kMaxObservationDays)) {
+    return Status::InvalidArgument(
+        "observation_days must be a finite number of days in (0, " +
+        std::to_string(static_cast<int>(kMaxObservationDays)) + "]");
+  }
+  if (config.name_ngram_buckets > kMaxNameNgramBuckets) {
+    return Status::InvalidArgument("name_ngram_buckets must be at most " +
+                                   std::to_string(kMaxNameNgramBuckets));
   }
   FeaturePlan plan;
   plan.config_ = config;
@@ -195,6 +215,58 @@ Result<FeaturePlan> FeaturePlan::Compile(const FeatureConfig& config) {
   plan.width_ = offset;
   plan.compiled_ = true;
   return plan;
+}
+
+void FeaturePlan::FillRow(const TelemetryStore& store,
+                          const DatabaseRecord& record, Timestamp tp,
+                          const SiblingTable* siblings, double* row) const {
+  using F = FeatureFamily;
+  const auto slice = [this, row](F f) {
+    const FamilySlot& slot = family(f);
+    return std::span<double>(row + slot.offset, slot.width);
+  };
+  if (config_.include_creation_time) {
+    CreationTimeFeaturesInto(store, record, slice(F::kCreationTime));
+  }
+  if (config_.include_names) {
+    const std::span<double> names = slice(F::kNames);
+    NameShapeFeaturesInto(record.server_name, names.first(kNameShapeWidth));
+    NameShapeFeaturesInto(record.database_name, names.last(kNameShapeWidth));
+  }
+  if (config_.include_size) SizeFeaturesInto(record, tp, slice(F::kSize));
+  if (config_.include_slo) SloFeaturesInto(record, tp, slice(F::kSlo));
+  if (config_.include_subscription_type) {
+    SubscriptionTypeFeaturesInto(record, slice(F::kSubscriptionType));
+  }
+  if (config_.include_subscription_history) {
+    const std::span<double> history = slice(F::kSubscriptionHistory);
+    if (siblings != nullptr) {
+      siblings->History(record.created_at, tp, history.data());
+    } else {
+      SubscriptionHistoryFeaturesInto(store, record, tp, history);
+    }
+  }
+  if (config_.include_name_ngrams) {
+    NameNgramFeaturesInto(record.database_name, slice(F::kNameNgrams));
+  }
+}
+
+Status FeaturePlan::ExtractRow(const TelemetryStore& store,
+                               const DatabaseRecord& record,
+                               std::span<double> out) const {
+  if (!compiled_) {
+    return Status::FailedPrecondition("feature plan is not compiled");
+  }
+  if (out.size() != width_) {
+    return Status::InvalidArgument("row buffer holds " +
+                                   std::to_string(out.size()) +
+                                   " values, the plan extracts " +
+                                   std::to_string(width_));
+  }
+  CLOUDSURV_ASSIGN_OR_RETURN(const Timestamp tp,
+                             PredictionTime(store, record, config_));
+  FillRow(store, record, tp, /*siblings=*/nullptr, out.data());
+  return Status::OK();
 }
 
 Status FeaturePlan::ExtractBatch(const TelemetryStore& store,
@@ -228,9 +300,9 @@ Status FeaturePlan::ExtractImpl(const TelemetryStore& store,
   if (row_ok != nullptr) row_ok->assign(n, 1);
 
   // Phase A — resolve and validate every row in ids order, with the
-  // exact check sequence (and messages) of the scalar FindDatabase +
-  // ExtractFeatures loop, so strict mode fails identically and partial
-  // mode marks exactly the rows the scalar path would reject.
+  // exact check sequence (and messages) of a FindDatabase + ExtractRow
+  // loop, so strict mode fails identically and partial mode marks
+  // exactly the rows that loop would reject.
   std::vector<uint32_t> valid;    // index into ids (== output row)
   std::vector<DatabaseRecord> recs;
   std::vector<Timestamp> tps;
@@ -239,31 +311,17 @@ Status FeaturePlan::ExtractImpl(const TelemetryStore& store,
   tps.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     auto record = store.FindDatabase(ids[i]);
-    if (!record.ok()) {
-      if (strict) return record.status();
-      (*row_ok)[i] = 0;
-      continue;
-    }
-    if (!store.readable()) {
-      if (strict) {
-        return Status::FailedPrecondition("telemetry store is not readable");
-      }
-      (*row_ok)[i] = 0;
-      continue;
-    }
-    const Timestamp tp = PredictionTime(*record, config_);
-    if (record->dropped_at.has_value() && *record->dropped_at < tp) {
-      if (strict) {
-        return Status::FailedPrecondition(
-            "database did not survive the observation window; the "
-            "prediction task is undefined for it");
-      }
+    const Result<Timestamp> tp =
+        record.ok() ? PredictionTime(store, *record, config_)
+                    : Result<Timestamp>(record.status());
+    if (!tp.ok()) {
+      if (strict) return tp.status();
       (*row_ok)[i] = 0;
       continue;
     }
     valid.push_back(static_cast<uint32_t>(i));
     recs.push_back(std::move(*record));
-    tps.push_back(tp);
+    tps.push_back(*tp);
   }
 
   const size_t n_valid = valid.size();
@@ -297,65 +355,31 @@ Status FeaturePlan::ExtractImpl(const TelemetryStore& store,
     SiblingTable table;
     SubscriptionId table_sub = 0;
     bool have_table = false;
-    const FamilySlot& creation = family(FeatureFamily::kCreationTime);
-    const FamilySlot& names = family(FeatureFamily::kNames);
-    const FamilySlot& size = family(FeatureFamily::kSize);
-    const FamilySlot& slo = family(FeatureFamily::kSlo);
-    const FamilySlot& sub_type = family(FeatureFamily::kSubscriptionType);
-    const FamilySlot& ngrams = family(FeatureFamily::kNameNgrams);
     for (size_t k = range_begin; k < range_end; ++k) {
       const uint32_t v = ordered[k];
       const DatabaseRecord& rec = recs[v];
-      const Timestamp tp = tps[v];
-      double* row = out + static_cast<size_t>(valid[v]) * width_;
-      if (creation.enabled) {
-        CreationTimeFeaturesInto(store, rec,
-                                 {row + creation.offset, creation.width});
-      }
-      if (names.enabled) {
-        NameShapeFeaturesInto(rec.server_name,
-                              {row + names.offset, kNameShapeWidth});
-        NameShapeFeaturesInto(
-            rec.database_name,
-            {row + names.offset + kNameShapeWidth, kNameShapeWidth});
-      }
-      if (size.enabled) {
-        SizeFeaturesInto(rec, tp, {row + size.offset, size.width});
-      }
-      if (slo.enabled) {
-        SloFeaturesInto(rec, tp, {row + slo.offset, slo.width});
-      }
-      if (sub_type.enabled) {
-        SubscriptionTypeFeaturesInto(rec,
-                                     {row + sub_type.offset, sub_type.width});
-      }
-      if (history.enabled) {
-        // A subscription with a single target in this batch gains
-        // nothing from a shared table; the scalar kernel skips the
-        // table-build allocations (this is the common case for the
-        // serving engine's small shard batches). Both kernels are
-        // bit-identical, so the choice is invisible in the output.
-        const bool lone_target =
-            (k == range_begin || recs[ordered[k - 1]].subscription_id !=
-                                     rec.subscription_id) &&
-            (k + 1 == range_end || recs[ordered[k + 1]].subscription_id !=
-                                       rec.subscription_id);
-        if (lone_target) {
-          SubscriptionHistoryFeaturesInto(
-              store, rec, tp, {row + history.offset, history.width});
-        } else {
-          if (!have_table || rec.subscription_id != table_sub) {
-            table.Build(store, rec.subscription_id);
-            table_sub = rec.subscription_id;
-            have_table = true;
-          }
-          HistoryFromTable(table, rec.created_at, tp, row + history.offset);
+      // A subscription with a single target in this batch gains
+      // nothing from a shared table; the row kernel's re-scan skips the
+      // table-build allocations (this is the common case for the
+      // serving engine's small shard batches). Both are bit-identical,
+      // so the choice is invisible in the output.
+      const bool shared =
+          history.enabled &&
+          ((k > range_begin && recs[ordered[k - 1]].subscription_id ==
+                                   rec.subscription_id) ||
+           (k + 1 < range_end && recs[ordered[k + 1]].subscription_id ==
+                                     rec.subscription_id));
+      const SiblingTable* siblings = nullptr;
+      if (shared) {
+        if (!have_table || rec.subscription_id != table_sub) {
+          table.Build(store, rec.subscription_id);
+          table_sub = rec.subscription_id;
+          have_table = true;
         }
+        siblings = &table;
       }
-      if (ngrams.enabled) {
-        NameNgramFeaturesInto(rec.database_name, config_.name_ngram_buckets,
-                              {row + ngrams.offset, ngrams.width});
-      }
+      FillRow(store, rec, tps[v], siblings,
+              out + static_cast<size_t>(valid[v]) * width_);
     }
   };
 
@@ -409,9 +433,6 @@ Result<ml::Dataset> BuildDataset(const TelemetryStore& store,
   if (ids.size() != labels.size()) {
     return Status::InvalidArgument("ids and labels must be parallel");
   }
-  if (!plan.compiled()) {
-    return Status::FailedPrecondition("feature plan is not compiled");
-  }
   const size_t width = plan.num_features();
   std::vector<double> matrix(ids.size() * width);
   CLOUDSURV_RETURN_NOT_OK(plan.ExtractBatch(store, ids, matrix.data(), pool));
@@ -421,8 +442,8 @@ Result<ml::Dataset> BuildDataset(const TelemetryStore& store,
     rows.emplace_back(matrix.begin() + static_cast<ptrdiff_t>(i * width),
                       matrix.begin() + static_cast<ptrdiff_t>((i + 1) * width));
   }
-  return ml::Dataset::Make(plan.feature_names(), std::move(rows), labels,
-                           num_classes);
+  return ml::Dataset::Make(FeatureNames(plan.config()), std::move(rows),
+                           labels, num_classes);
 }
 
 }  // namespace cloudsurv::features

@@ -16,9 +16,8 @@
 
 namespace cloudsurv::features {
 
-/// Feature families in the exact column order ExtractFeatures emits
-/// them (the names family covers both the server and database name
-/// blocks).
+/// Feature families in row column order (the names family covers both
+/// the server and database name blocks).
 enum class FeatureFamily : uint8_t {
   kCreationTime = 0,
   kNames,
@@ -30,17 +29,15 @@ enum class FeatureFamily : uint8_t {
 };
 inline constexpr size_t kNumFeatureFamilies = 7;
 
-/// A FeatureConfig compiled once into a resolved column layout, plus a
-/// batch extraction engine over it.
+/// A FeatureConfig compiled once into a resolved column layout, and the
+/// one feature extractor: ExtractRow fills one row, ExtractBatch a
+/// matrix, both through one row kernel.
 ///
-/// The batch path is bit-identical to per-row ExtractFeatures — same
-/// arithmetic, same accumulation order — but amortizes the work the
-/// scalar path repeats per database: sibling subscriptions are scanned
-/// once per subscription (a sorted sibling table with per-sample peak
-/// prefix maxima, O(S log S) per subscription instead of the scalar
-/// path's O(S^2) re-scan), records are materialized once, and all
-/// output goes into one caller-provided row-major matrix with scratch
-/// reused across rows.
+/// The batch path is bit-identical to per-row ExtractRow but scans a
+/// subscription's siblings once for all its targets in the batch (a
+/// sorted sibling table with per-sample peak prefix maxima, O(S log S)
+/// per subscription instead of an O(S) re-scan per target), and writes
+/// into one caller-provided row-major matrix.
 class FeaturePlan {
  public:
   /// One family's slice of the output row.
@@ -53,9 +50,8 @@ class FeaturePlan {
   FeaturePlan() = default;
 
   /// Compiles `config` into a plan. Cheap (no allocation beyond the
-  /// fixed slot table) — callers may compile per batch. Fails on a
-  /// config every extraction would reject (non-positive
-  /// observation_days), with the same message the scalar path returns.
+  /// fixed slot table). Fails with InvalidArgument naming the field on
+  /// an observation_days or name_ngram_buckets out of its bounds.
   static Result<FeaturePlan> Compile(const FeatureConfig& config);
 
   bool compiled() const { return compiled_; }
@@ -68,17 +64,20 @@ class FeaturePlan {
     return slots_[static_cast<size_t>(f)];
   }
 
-  /// Column names of the compiled layout (built on demand).
-  std::vector<std::string> feature_names() const {
-    return FeatureNames(config_);
-  }
+  /// Extracts one database of `store` into `out` (num_features()
+  /// values). Fails as strict ExtractBatch does when the store is not
+  /// readable or the database was dropped inside the observation
+  /// window. Records no metrics.
+  Status ExtractRow(const telemetry::TelemetryStore& store,
+                    const telemetry::DatabaseRecord& record,
+                    std::span<double> out) const;
 
   /// Extracts features for every id into `out`, a caller-provided
   /// row-major matrix of ids.size() x num_features() doubles; row i
   /// holds ids[i]. Strict: returns the first per-id failure (unknown
   /// id, store not readable, database dropped inside the observation
-  /// window) exactly as a scalar FindDatabase + ExtractFeatures loop
-  /// would, in ids order.
+  /// window) exactly as a FindDatabase + ExtractRow loop would, in ids
+  /// order.
   ///
   /// `pool` optionally fans the sweep out over whole subscription
   /// groups; rows land in disjoint slices, so results are identical at
@@ -89,7 +88,7 @@ class FeaturePlan {
                       double* out, ThreadPool* pool = nullptr) const;
 
   /// Like ExtractBatch but per-row: row_ok[i] is 1 when row i was
-  /// extracted and 0 when the scalar path would have failed for ids[i]
+  /// extracted and 0 when FindDatabase + ExtractRow would fail for ids[i]
   /// (that row's output slice is left untouched). Only misuse (an
   /// uncompiled plan) returns a non-OK status.
   Status ExtractBatchPartial(const telemetry::TelemetryStore& store,
@@ -98,6 +97,8 @@ class FeaturePlan {
                              ThreadPool* pool = nullptr) const;
 
  private:
+  struct SiblingTable;  ///< One subscription's siblings, for a batch.
+
   FeatureConfig config_;
   std::array<FamilySlot, kNumFeatureFamilies> slots_;
   size_t width_ = 0;
@@ -106,6 +107,13 @@ class FeaturePlan {
   Status ExtractImpl(const telemetry::TelemetryStore& store,
                      std::span<const telemetry::DatabaseId> ids, double* out,
                      std::vector<uint8_t>* row_ok, ThreadPool* pool) const;
+
+  /// The row kernel. The history family reads `siblings` when given
+  /// and re-scans the subscription otherwise; both are bit-identical.
+  void FillRow(const telemetry::TelemetryStore& store,
+               const telemetry::DatabaseRecord& record,
+               telemetry::Timestamp tp, const SiblingTable* siblings,
+               double* row) const;
 };
 
 /// BuildDataset through a compiled plan: one batch extraction into a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bitset>
 #include <cctype>
-#include <cmath>
 
 #include "features/feature_plan.h"
 #include "stats/descriptive.h"
@@ -15,7 +14,6 @@ namespace cloudsurv::features {
 namespace {
 
 using telemetry::DatabaseRecord;
-using telemetry::Edition;
 using telemetry::kSecondsPerDay;
 using telemetry::SloLadder;
 using telemetry::TelemetryStore;
@@ -49,13 +47,6 @@ static_assert(kSizeWidth == std::size(kSizeNames));
 static_assert(kSloWidth == std::size(kSloNames));
 static_assert(kSubscriptionTypeWidth ==
               static_cast<size_t>(telemetry::kNumSubscriptionTypes));
-
-Timestamp PredictionTime(const DatabaseRecord& record,
-                         const FeatureConfig& config) {
-  return record.created_at +
-         static_cast<Timestamp>(config.observation_days *
-                                static_cast<double>(kSecondsPerDay));
-}
 
 // Writes a RunningStats accumulator in the paper's summary order
 // (max, min, avg, std), matching what AppendSummary produced from
@@ -273,8 +264,7 @@ std::vector<double> SubscriptionHistoryFeatures(
   return out;
 }
 
-void NameNgramFeaturesInto(std::string_view name, int buckets,
-                           std::span<double> out) {
+void NameNgramFeaturesInto(std::string_view name, std::span<double> out) {
   std::fill(out.begin(), out.end(), 0.0);
   if (name.size() < 2) return;
   for (size_t i = 0; i + 1 < name.size(); ++i) {
@@ -285,34 +275,16 @@ void NameNgramFeaturesInto(std::string_view name, int buckets,
                            static_cast<unsigned char>(name[i + 1]));
     out[h % out.size()] += 1.0;
   }
-  (void)buckets;
 }
 
 std::vector<double> NameNgramFeatures(std::string_view name, int buckets) {
   std::vector<double> out(static_cast<size_t>(std::max(1, buckets)), 0.0);
-  NameNgramFeaturesInto(name, buckets, out);
+  NameNgramFeaturesInto(name, out);
   return out;
-}
-
-size_t FeatureWidth(const FeatureConfig& config) {
-  size_t width = 0;
-  if (config.include_creation_time) width += kCreationTimeWidth;
-  if (config.include_names) width += 2 * kNameShapeWidth;
-  if (config.include_size) width += kSizeWidth;
-  if (config.include_slo) width += kSloWidth;
-  if (config.include_subscription_type) width += kSubscriptionTypeWidth;
-  if (config.include_subscription_history) {
-    width += kSubscriptionHistoryWidth;
-  }
-  if (config.include_name_ngrams) {
-    width += static_cast<size_t>(std::max(1, config.name_ngram_buckets));
-  }
-  return width;
 }
 
 std::vector<std::string> FeatureNames(const FeatureConfig& config) {
   std::vector<std::string> names;
-  names.reserve(FeatureWidth(config));
   if (config.include_creation_time) {
     for (const char* n : kCreationTimeNames) names.emplace_back(n);
   }
@@ -356,60 +328,6 @@ std::vector<std::string> FeatureNames(const FeatureConfig& config) {
     }
   }
   return names;
-}
-
-Result<std::vector<double>> ExtractFeatures(const TelemetryStore& store,
-                                            const DatabaseRecord& record,
-                                            const FeatureConfig& config) {
-  if (!store.readable()) {
-    return Status::FailedPrecondition("telemetry store is not readable");
-  }
-  if (config.observation_days <= 0.0) {
-    return Status::InvalidArgument("observation_days must be positive");
-  }
-  const Timestamp tp = PredictionTime(record, config);
-  if (record.dropped_at.has_value() && *record.dropped_at < tp) {
-    return Status::FailedPrecondition(
-        "database did not survive the observation window; the prediction "
-        "task is undefined for it");
-  }
-  std::vector<double> out(FeatureWidth(config));
-  double* cursor = out.data();
-  if (config.include_creation_time) {
-    CreationTimeFeaturesInto(store, record, {cursor, kCreationTimeWidth});
-    cursor += kCreationTimeWidth;
-  }
-  if (config.include_names) {
-    NameShapeFeaturesInto(record.server_name, {cursor, kNameShapeWidth});
-    cursor += kNameShapeWidth;
-    NameShapeFeaturesInto(record.database_name, {cursor, kNameShapeWidth});
-    cursor += kNameShapeWidth;
-  }
-  if (config.include_size) {
-    SizeFeaturesInto(record, tp, {cursor, kSizeWidth});
-    cursor += kSizeWidth;
-  }
-  if (config.include_slo) {
-    SloFeaturesInto(record, tp, {cursor, kSloWidth});
-    cursor += kSloWidth;
-  }
-  if (config.include_subscription_type) {
-    SubscriptionTypeFeaturesInto(record, {cursor, kSubscriptionTypeWidth});
-    cursor += kSubscriptionTypeWidth;
-  }
-  if (config.include_subscription_history) {
-    SubscriptionHistoryFeaturesInto(store, record, tp,
-                                    {cursor, kSubscriptionHistoryWidth});
-    cursor += kSubscriptionHistoryWidth;
-  }
-  if (config.include_name_ngrams) {
-    const size_t ngram_width =
-        static_cast<size_t>(std::max(1, config.name_ngram_buckets));
-    NameNgramFeaturesInto(record.database_name, config.name_ngram_buckets,
-                          {cursor, ngram_width});
-    cursor += ngram_width;
-  }
-  return out;
 }
 
 Result<ml::Dataset> BuildDataset(const TelemetryStore& store,

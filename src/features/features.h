@@ -13,11 +13,18 @@
 
 namespace cloudsurv::features {
 
+/// Bounds FeaturePlan::Compile enforces: ten years of observation (past
+/// any telemetry window, far inside a Timestamp), and n-gram buckets
+/// few enough that a count read from a file cannot inflate every row.
+inline constexpr double kMaxObservationDays = 3650.0;
+inline constexpr int kMaxNameNgramBuckets = 1024;
+
 /// Which feature families to extract (paper section 4.2). Families can
 /// be toggled off for the ablation experiments of section 5.4.
 struct FeatureConfig {
   /// The observation span x, in days: features may only use telemetry
   /// with timestamp <= created_at + observation_days (no leakage).
+  /// Must lie in (0, kMaxObservationDays].
   double observation_days = 2.0;
   bool include_creation_time = true;
   bool include_names = true;
@@ -28,6 +35,7 @@ struct FeatureConfig {
   /// Hashed character-bigram counts of the database name (the paper's
   /// n-gram experiment; found not to help — off by default).
   bool include_name_ngrams = false;
+  /// At most kMaxNameNgramBuckets; values below 1 mean one bucket.
   int name_ngram_buckets = 8;
 };
 
@@ -40,21 +48,9 @@ inline constexpr size_t kSloWidth = 11;
 inline constexpr size_t kSubscriptionTypeWidth = 6;
 inline constexpr size_t kSubscriptionHistoryWidth = 19;
 
-/// Total number of columns ExtractFeatures emits under `config`.
-/// Equals FeatureNames(config).size() without building the strings.
-size_t FeatureWidth(const FeatureConfig& config);
-
 /// Ordered names of the features produced under `config`; matches the
-/// layout of ExtractFeatures exactly.
+/// row layout of FeaturePlan (features/feature_plan.h) exactly.
 std::vector<std::string> FeatureNames(const FeatureConfig& config);
-
-/// Extracts the full feature vector for one database. The record must
-/// belong to `store`. Requires the database to have been alive for the
-/// whole observation window (the paper only predicts for databases that
-/// survived x days).
-Result<std::vector<double>> ExtractFeatures(
-    const telemetry::TelemetryStore& store,
-    const telemetry::DatabaseRecord& record, const FeatureConfig& config);
 
 /// --- Per-family extractors (exposed for unit testing) ---
 ///
@@ -119,10 +115,9 @@ std::vector<double> SubscriptionHistoryFeatures(
     const telemetry::DatabaseRecord& record,
     telemetry::Timestamp prediction_time);
 
-/// Hashed character-bigram counts of the database name. The span form
-/// requires out.size() == max(1, buckets).
-void NameNgramFeaturesInto(std::string_view name, int buckets,
-                           std::span<double> out);
+/// Hashed character-bigram counts of the database name, one bucket per
+/// element of `out` (the vector form has max(1, buckets)).
+void NameNgramFeaturesInto(std::string_view name, std::span<double> out);
 std::vector<double> NameNgramFeatures(std::string_view name, int buckets);
 
 /// Builds an ml::Dataset for the given databases and labels. The

@@ -22,6 +22,7 @@
 #include "artifact/writer.h"
 #include "common/rng.h"
 #include "core/service.h"
+#include "features/features.h"
 #include "gtest/gtest.h"
 #include "ml/dataset.h"
 #include "ml/flat_forest.h"
@@ -687,6 +688,77 @@ TEST(ServiceArtifactTest, ForestWidthMismatchRejected) {
   loaded = core::LongevityService::LoadArtifact(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+// Writes a checksum-valid service artifact whose only model is a pooled
+// one-leaf forest `width` features wide, under `meta`'s observation and
+// feature fields.
+void WriteOneLeafService(const std::string& path, artifact::ServiceMeta meta,
+                         uint64_t width) {
+  ArtifactWriter writer(PayloadKind::kService);
+  meta.long_threshold_days = 30.0;
+  meta.num_models = 1;
+  writer.AddStruct(SectionId::kServiceMeta, 0, meta);
+  artifact::ModelEntry entry{};
+  entry.name_len = 6;
+  entry.threshold = 0.6;
+  std::memcpy(entry.name, "pooled", 6);
+  writer.AddStruct(SectionId::kModelEntry, 0, entry);
+  artifact::ForestMeta forest_meta{};
+  forest_meta.num_features = width;
+  writer.AddStruct(SectionId::kForestMeta, 0, forest_meta);
+  const artifact::ForestNode leaf{0.5, static_cast<int32_t>(width), 0};
+  writer.AddArray(SectionId::kForestNodes, 0, &leaf, 1);
+  const artifact::ForestTree tree{0, 0};
+  writer.AddArray(SectionId::kForestTrees, 0, &tree, 1);
+  EXPECT_OK(writer.WriteFile(path));
+}
+
+TEST(ServiceArtifactTest, HostileFeatureMetaRejected) {
+  const std::string path = TempPath("service_hostile_meta.csrv");
+  const uint64_t default_width =
+      features::FeatureNames(features::FeatureConfig()).size();
+
+  // Control: the same file with a sane meta loads.
+  artifact::ServiceMeta meta{};
+  meta.observe_days = 2.0;
+  WriteOneLeafService(path, meta, default_width);
+  ASSERT_OK_AND_ASSIGN(const core::LongevityService control,
+                       core::LongevityService::LoadArtifact(path));
+  EXPECT_EQ(control.options().observe_days, 2.0);
+
+  // observe_days that would make the prediction time an out-of-range
+  // cast, or every extraction fail.
+  for (const double days : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), 1e300,
+                            0.0, -1.0}) {
+    meta.observe_days = days;
+    WriteOneLeafService(path, meta, default_width);
+    const auto loaded = core::LongevityService::LoadArtifact(path);
+    ASSERT_FALSE(loaded.ok()) << days;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << days;
+    EXPECT_NE(loaded.status().message().find("observation_days"),
+              std::string::npos)
+        << loaded.status();
+  }
+
+  // The n-gram family switched on with a bucket count that makes rows
+  // 2^31 - 2 features wide, beside a forest of exactly that width.
+  constexpr uint64_t kWidth = (uint64_t{1} << 31) - 2;
+  const features::FeatureConfig defaults;
+  meta.observe_days = 2.0;
+  meta.feature_flags = 1u << 6;  // include_name_ngrams
+  meta.ngram_buckets_delta =
+      static_cast<int32_t>(kWidth - default_width -
+                           static_cast<uint64_t>(defaults.name_ngram_buckets));
+  WriteOneLeafService(path, meta, kWidth);
+  const auto loaded = core::LongevityService::LoadArtifact(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("name_ngram_buckets"),
+            std::string::npos)
+      << loaded.status();
   std::remove(path.c_str());
 }
 

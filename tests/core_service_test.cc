@@ -109,15 +109,30 @@ TEST(LongevityServiceTest, ConfidenceDrivesPoolRecommendation) {
 TEST(LongevityServiceTest, AssessRejectsYoungOrUnknownDatabases) {
   const auto& service = TrainedService();
   const auto& store = HistoryStore();
-  EXPECT_FALSE(service.Assess(store, 99999999).ok());
-  // Find a database that died before the observation window closed.
+  const auto unknown = service.Assess(store, 99999999);
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound)
+      << unknown.status();
+  // A database that died before the observation window closed fails
+  // with the feature plan's own status.
+  features::FeatureConfig config = service.options().feature_config;
+  config.observation_days = service.options().observe_days;
+  auto plan = features::FeaturePlan::Compile(config);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  std::vector<double> row(plan->num_features());
+  bool found = false;
   for (const auto& record : store.databases()) {
     if (record.ObservedLifespanDays(store.window_end()) < 1.0 &&
         record.dropped_at.has_value()) {
-      EXPECT_FALSE(service.Assess(store, record.id).ok());
+      const Status expected = plan->ExtractRow(store, record, row);
+      ASSERT_EQ(expected.code(), StatusCode::kFailedPrecondition);
+      const auto young = service.Assess(store, record.id);
+      EXPECT_EQ(young.status().code(), expected.code());
+      EXPECT_EQ(young.status().message(), expected.message());
+      found = true;
       break;
     }
   }
+  EXPECT_TRUE(found);
 }
 
 TEST(LongevityServiceTest, GeneralizesToAnotherRegion) {

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -14,6 +16,26 @@ namespace {
 
 using cloudsurv::testing::StoreBuilder;
 using telemetry::SloIndexByName;
+
+// One row through FeaturePlan::ExtractRow, the per-id reference the
+// batch sweeps are compared against. Its history family always re-scans
+// the subscription, while a batch with several targets of one
+// subscription reads a shared sibling table.
+Result<std::vector<double>> RowOf(const FeaturePlan& plan,
+                                  const telemetry::TelemetryStore& store,
+                                  const telemetry::DatabaseRecord& record) {
+  std::vector<double> row(plan.num_features());
+  CLOUDSURV_RETURN_NOT_OK(plan.ExtractRow(store, record, row));
+  return row;
+}
+
+Result<std::vector<double>> RowOf(const FeatureConfig& config,
+                                  const telemetry::TelemetryStore& store,
+                                  const telemetry::DatabaseRecord& record) {
+  CLOUDSURV_ASSIGN_OR_RETURN(const FeaturePlan plan,
+                             FeaturePlan::Compile(config));
+  return RowOf(plan, store, record);
+}
 
 TEST(NameShapeTest, HumanStyleName) {
   const auto f = NameShapeFeatures("testtest");
@@ -183,18 +205,25 @@ TEST(SubscriptionHistoryTest, LonelyDatabaseIsAllZero) {
   for (double v : f) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-TEST(ExtractFeaturesTest, VectorMatchesNamesLayout) {
+TEST(ExtractRowTest, RowMatchesNamesLayout) {
   StoreBuilder b;
   const auto id = b.AddDatabase(1, 0.0, -1.0);
   b.AddSizeSample(id, 1, 0.5, 10.0);
   auto store = b.Finish();
   FeatureConfig config;
-  auto features = ExtractFeatures(store, store.databases()[0], config);
+  auto plan = FeaturePlan::Compile(config);
+  ASSERT_OK(plan.status());
+  auto features = RowOf(*plan, store, store.databases()[0]);
   ASSERT_TRUE(features.ok()) << features.status();
   EXPECT_EQ(features->size(), FeatureNames(config).size());
+  // A buffer of the wrong width is refused, not overrun.
+  std::vector<double> short_row(plan->num_features() - 1);
+  const Status status =
+      plan->ExtractRow(store, store.databases()[0], short_row);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
 }
 
-TEST(ExtractFeaturesTest, ConfigTogglesChangeLayout) {
+TEST(FeatureNamesTest, ConfigTogglesChangeLayout) {
   FeatureConfig all;
   FeatureConfig minimal;
   minimal.include_names = false;
@@ -206,22 +235,13 @@ TEST(ExtractFeaturesTest, ConfigTogglesChangeLayout) {
             FeatureNames(all).size() + 8);
 }
 
-TEST(ExtractFeaturesTest, RejectsDatabaseDroppedInsideWindow) {
+TEST(ExtractRowTest, RejectsDatabaseDroppedInsideWindow) {
   StoreBuilder b;
   b.AddDatabase(1, 0.0, 1.0);  // dropped after 1 day
   auto store = b.Finish();
   FeatureConfig config;  // 2-day observation
-  auto features = ExtractFeatures(store, store.databases()[0], config);
-  EXPECT_FALSE(features.ok());
-}
-
-TEST(ExtractFeaturesTest, RejectsInvalidObservationDays) {
-  StoreBuilder b;
-  b.AddDatabase(1, 0.0, -1.0);
-  auto store = b.Finish();
-  FeatureConfig config;
-  config.observation_days = 0.0;
-  EXPECT_FALSE(ExtractFeatures(store, store.databases()[0], config).ok());
+  auto features = RowOf(config, store, store.databases()[0]);
+  EXPECT_EQ(features.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(BuildDatasetTest, ParallelArraysAndLabels) {
@@ -254,7 +274,7 @@ TEST(BuildDatasetTest, MulticlassLabels) {
   EXPECT_FALSE(BuildDataset(store, {a}, {2}, config, 2).ok());
 }
 
-TEST(ExtractFeaturesTest, BirthHorizonSeesNoTelemetry) {
+TEST(ExtractRowTest, BirthHorizonSeesNoTelemetry) {
   StoreBuilder b;
   const auto id = b.AddDatabase(1, 0.0, -1.0, "db", "s",
                                 SloIndexByName("S0"));
@@ -263,7 +283,7 @@ TEST(ExtractFeaturesTest, BirthHorizonSeesNoTelemetry) {
   auto store = b.Finish();
   FeatureConfig config;
   config.observation_days = 1.0 / 86400.0;  // one second after creation
-  auto features = ExtractFeatures(store, store.databases()[0], config);
+  auto features = RowOf(config, store, store.databases()[0]);
   ASSERT_TRUE(features.ok()) << features.status();
   const auto names = FeatureNames(config);
   // Size features must be all zero (no samples visible yet) and the SLO
@@ -298,7 +318,7 @@ TEST(FeatureFamilyNamesTest, PartitionCoversAllFeatures) {
 }
 
 // ---------------------------------------------------------------------------
-// FeaturePlan batch extraction: bit-identity against the scalar path.
+// FeaturePlan batch extraction: bit-identity against per-id ExtractRow.
 // ---------------------------------------------------------------------------
 
 // A store that exercises every sibling-table edge the batch path
@@ -307,7 +327,7 @@ TEST(FeatureFamilyNamesTest, PartitionCoversAllFeatures) {
 // at a target's creation time, plus a lonely database (empty sibling
 // context), a single-database subscription, and an all-censored
 // subscription. `eligible` collects ids that survive the default 2-day
-// window; `dropped_in_window` is one id the scalar path rejects.
+// window; `dropped_in_window` is one id ExtractRow rejects.
 struct EdgeCaseStore {
   telemetry::TelemetryStore store;
   std::vector<telemetry::DatabaseId> eligible;
@@ -388,21 +408,57 @@ TEST(FeaturePlanTest, CompileLayoutMatchesFeatureNames) {
 }
 
 TEST(FeaturePlanTest, CompileRejectsInvalidObservationDays) {
+  for (const double days :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), 1e300,
+        std::nextafter(kMaxObservationDays, 1e9)}) {
+    FeatureConfig config;
+    config.observation_days = days;
+    const auto plan = FeaturePlan::Compile(config);
+    ASSERT_FALSE(plan.ok()) << days;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << days;
+    EXPECT_NE(plan.status().message().find("observation_days"),
+              std::string::npos)
+        << plan.status();
+  }
+  for (const double days : {1.0 / 86400.0, kMaxObservationDays}) {
+    FeatureConfig config;
+    config.observation_days = days;
+    EXPECT_TRUE(FeaturePlan::Compile(config).ok()) << days;
+  }
+
   FeatureConfig config;
-  config.observation_days = 0.0;
-  const auto plan = FeaturePlan::Compile(config);
-  ASSERT_FALSE(plan.ok());
+  config.name_ngram_buckets = kMaxNameNgramBuckets + 1;
+  const auto too_wide = FeaturePlan::Compile(config);
+  ASSERT_FALSE(too_wide.ok());
+  EXPECT_NE(too_wide.status().message().find("name_ngram_buckets"),
+            std::string::npos)
+      << too_wide.status();
+  config.name_ngram_buckets = kMaxNameNgramBuckets;
+  config.include_name_ngrams = true;
+  ASSERT_OK_AND_ASSIGN(const FeaturePlan widest, FeaturePlan::Compile(config));
+  EXPECT_EQ(widest.family(FeatureFamily::kNameNgrams).width,
+            static_cast<size_t>(kMaxNameNgramBuckets));
+
+  // An uncompiled plan refuses the per-id call as the batch call does.
   StoreBuilder b;
   b.AddDatabase(1, 0.0, -1.0);
   auto store = b.Finish();
-  const auto scalar = ExtractFeatures(store, store.databases()[0], config);
-  ASSERT_FALSE(scalar.ok());
-  EXPECT_EQ(plan.status().message(), scalar.status().message());
+  const FeaturePlan uncompiled;
+  std::vector<double> row;
+  const Status row_status =
+      uncompiled.ExtractRow(store, store.databases()[0], row);
+  const Status batch_status = uncompiled.ExtractBatch(
+      store, std::vector<telemetry::DatabaseId>{store.databases()[0].id},
+      row.data());
+  EXPECT_EQ(row_status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(row_status.message(), batch_status.message());
 }
 
 // The core acceptance test: every toggle combination, every edge-case
 // target, EXPECT_EQ on raw doubles between the batch matrix and the
-// scalar per-row extractor.
+// per-id ExtractRow.
 TEST(FeaturePlanTest, BatchBitIdenticalToScalarForAllToggles) {
   const EdgeCaseStore ecs = MakeEdgeCaseStore();
   for (unsigned mask = 0; mask < 128; ++mask) {
@@ -415,11 +471,11 @@ TEST(FeaturePlanTest, BatchBitIdenticalToScalarForAllToggles) {
     for (size_t i = 0; i < ecs.eligible.size(); ++i) {
       auto record = ecs.store.FindDatabase(ecs.eligible[i]);
       ASSERT_TRUE(record.ok());
-      auto scalar = ExtractFeatures(ecs.store, *record, config);
-      ASSERT_TRUE(scalar.ok()) << scalar.status();
-      ASSERT_EQ(scalar->size(), width);
+      auto reference = RowOf(*plan, ecs.store, *record);
+      ASSERT_TRUE(reference.ok()) << reference.status();
+      ASSERT_EQ(reference->size(), width);
       for (size_t c = 0; c < width; ++c) {
-        EXPECT_EQ(matrix[i * width + c], (*scalar)[c])
+        EXPECT_EQ(matrix[i * width + c], (*reference)[c])
             << "mask " << mask << " id " << ecs.eligible[i] << " col " << c;
       }
     }
@@ -442,17 +498,17 @@ TEST(FeaturePlanTest, StrictModeReturnsScalarErrorsInIdsOrder) {
   EXPECT_EQ(unknown_status.message(),
             ecs.store.FindDatabase(9999).status().message());
 
-  // Dropped inside the window: same message as scalar ExtractFeatures,
-  // and it is the FIRST failure in ids order that surfaces.
+  // Dropped inside the window: same message as per-id ExtractRow, and
+  // it is the FIRST failure in ids order that surfaces.
   const std::vector<telemetry::DatabaseId> dropped = {
       ecs.eligible[0], ecs.dropped_in_window, 9999};
   const Status dropped_status =
       plan->ExtractBatch(ecs.store, dropped, matrix.data());
   ASSERT_FALSE(dropped_status.ok());
-  const auto scalar = ExtractFeatures(
-      ecs.store, *ecs.store.FindDatabase(ecs.dropped_in_window), config);
-  ASSERT_FALSE(scalar.ok());
-  EXPECT_EQ(dropped_status.message(), scalar.status().message());
+  const auto reference = RowOf(
+      *plan, ecs.store, *ecs.store.FindDatabase(ecs.dropped_in_window));
+  ASSERT_FALSE(reference.ok());
+  EXPECT_EQ(dropped_status.message(), reference.status().message());
 }
 
 TEST(FeaturePlanTest, PartialMarksFailedRowsAndLeavesThemUntouched) {
@@ -477,13 +533,12 @@ TEST(FeaturePlanTest, PartialMarksFailedRowsAndLeavesThemUntouched) {
     EXPECT_EQ(matrix[1 * width + c], 7.5);
     EXPECT_EQ(matrix[2 * width + c], 7.5);
   }
-  // Extracted rows are bit-identical to scalar.
+  // Extracted rows are bit-identical to per-id ExtractRow.
   for (const size_t row : {size_t{0}, size_t{3}}) {
-    auto scalar = ExtractFeatures(
-        ecs.store, *ecs.store.FindDatabase(ids[row]), config);
-    ASSERT_OK(scalar.status());
+    auto reference = RowOf(*plan, ecs.store, *ecs.store.FindDatabase(ids[row]));
+    ASSERT_OK(reference.status());
     for (size_t c = 0; c < width; ++c) {
-      EXPECT_EQ(matrix[row * width + c], (*scalar)[c]) << row << "," << c;
+      EXPECT_EQ(matrix[row * width + c], (*reference)[c]) << row << "," << c;
     }
   }
 }
@@ -531,12 +586,12 @@ TEST(FeaturePlanTest, ThreadPoolFanoutIsBitIdenticalToSerial) {
   EXPECT_EQ(std::memcmp(serial.data(), pooled.data(),
                         serial.size() * sizeof(double)),
             0);
-  // And both match the scalar reference row-by-row.
+  // And both match per-id ExtractRow row by row.
   for (size_t i = 0; i < ids.size(); ++i) {
-    auto scalar = ExtractFeatures(store, *store.FindDatabase(ids[i]), config);
-    ASSERT_OK(scalar.status());
+    auto reference = RowOf(*plan, store, *store.FindDatabase(ids[i]));
+    ASSERT_OK(reference.status());
     for (size_t c = 0; c < width; ++c) {
-      EXPECT_EQ(serial[i * width + c], (*scalar)[c]) << i << "," << c;
+      EXPECT_EQ(serial[i * width + c], (*reference)[c]) << i << "," << c;
     }
   }
 }
@@ -593,7 +648,7 @@ TEST(FeaturePlanTest, SpanOverloadsMatchVectorOverloads) {
   EXPECT_EQ(buf, SubscriptionHistoryFeatures(ecs.store, record, tp));
 
   buf.assign(8, 0.0);
-  NameNgramFeaturesInto(record.database_name, 8, buf);
+  NameNgramFeaturesInto(record.database_name, buf);
   EXPECT_EQ(buf, NameNgramFeatures(record.database_name, 8));
 }
 

@@ -14,7 +14,7 @@
 #include "common/thread_pool.h"
 #include "core/cohort.h"
 #include "core/service.h"
-#include "features/features.h"
+#include "features/feature_plan.h"
 #include "gtest/gtest.h"
 #include "ml/dataset.h"
 #include "ml/random_forest.h"
@@ -373,19 +373,22 @@ TEST(FlatForestServiceTest, AssessMatchesRefitForestOracle) {
   }
   features::FeatureConfig config = options.feature_config;
   config.observation_days = options.observe_days;
+  ASSERT_OK_AND_ASSIGN(const features::FeaturePlan plan,
+                       features::FeaturePlan::Compile(config));
 
   size_t assessed = 0;
+  std::vector<double> row(plan.num_features());
   for (const auto& record : SimStore().databases()) {
-    auto row = features::ExtractFeatures(SimStore(), record, config);
+    const Status extracted = plan.ExtractRow(SimStore(), record, row);
     auto got = service.Assess(SimStore(), record.id);
-    ASSERT_EQ(row.ok(), got.ok()) << "db " << record.id;
-    if (!row.ok()) continue;
+    ASSERT_EQ(extracted.ok(), got.ok()) << "db " << record.id;
+    if (!extracted.ok()) continue;
     ++assessed;
     const auto& edition_forest =
         editions[static_cast<size_t>(record.initial_edition())];
     const ml::RandomForestClassifier& forest =
         edition_forest.has_value() ? *edition_forest : pooled;
-    EXPECT_EQ(got->positive_probability, forest.PredictProba(*row)[1])
+    EXPECT_EQ(got->positive_probability, forest.PredictProba(row)[1])
         << "db " << record.id;
     EXPECT_EQ(got->model_name,
               edition_forest.has_value()

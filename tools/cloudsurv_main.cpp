@@ -817,8 +817,8 @@ int CmdServeSim(const Flags& flags) {
 
   // Verification: batch-simulate each region (the stream is
   // byte-identical to it by construction), one batch store alive at a
-  // time, and re-score every database with per-id Assess (scalar
-  // extraction, one tree walk per row). Strict
+  // time, and re-score every database with per-id Assess (one
+  // FeaturePlan::ExtractRow, one tree walk per row). Strict
   // bit-identity is only claimable when nothing in the run can change
   // outputs: no faults at all, or a plan whose every rule is
   // output-neutral with shedding and deadlines off.
