@@ -109,6 +109,7 @@ Result<PredictionCohort> BuildPredictionCohort(
     }
     cohort.ids.push_back(record.id);
     cohort.labels.push_back(label);
+    cohort.editions.push_back(record.initial_edition());
     cohort.durations.push_back(observed);
     cohort.observed.push_back(dropped);
   }

@@ -75,6 +75,8 @@ Result<survival::SurvivalData> SurvivalDataForIds(
 struct PredictionCohort {
   std::vector<telemetry::DatabaseId> ids;
   std::vector<int> labels;  ///< 1 = long-lived (> y days), 0 otherwise.
+  /// Creation edition (record.initial_edition()) of each database.
+  std::vector<telemetry::Edition> editions;
   /// Observed lifespan (days) and drop indicator, for KM curves of
   /// classified groups.
   std::vector<double> durations;

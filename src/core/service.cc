@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "artifact/format.h"
 #include "artifact/writer.h"
@@ -35,32 +36,24 @@ Result<features::FeaturePlan> CompilePlan(
   return features::FeaturePlan::Compile(config);
 }
 
-/// Fits one slot's forest and returns its compiled form with the slot's
-/// confidence threshold; the trainable forest is dropped here.
-Result<std::pair<ml::FlatForest, double>> TrainOne(
-    const TelemetryStore& history, std::optional<Edition> edition,
-    const LongevityService::Options& options,
-    const features::FeaturePlan& plan) {
-  CLOUDSURV_ASSIGN_OR_RETURN(
-      PredictionCohort cohort,
-      BuildPredictionCohort(history, options.observe_days,
-                            options.long_threshold_days, edition));
-  if (cohort.ids.size() < options.min_cohort_size) {
+/// The confidence threshold max(q, 1-q) of a slot trained on the
+/// `rows` of a cohort labelled `labels` (q = the long-lived share), or
+/// why the slot cannot be trained.
+Result<double> SlotThreshold(const std::vector<size_t>& rows,
+                             const std::vector<int>& labels,
+                             size_t min_cohort_size) {
+  if (rows.size() < min_cohort_size) {
     return Status::FailedPrecondition("cohort too small");
   }
-  CLOUDSURV_ASSIGN_OR_RETURN(
-      ml::Dataset dataset,
-      features::BuildDataset(history, cohort.ids, cohort.labels, plan));
-  const double q = dataset.ClassFraction(1);
+  size_t positives = 0;
+  for (size_t r : rows) positives += labels[r] == 1 ? 1 : 0;
+  const double q = rows.empty() ? 0.0
+                                : static_cast<double>(positives) /
+                                      static_cast<double>(rows.size());
   if (q == 0.0 || q == 1.0) {
     return Status::FailedPrecondition("single-class cohort");
   }
-  ml::RandomForestClassifier forest;
-  CLOUDSURV_RETURN_NOT_OK(
-      forest.Fit(dataset, options.forest_params, options.seed));
-  CLOUDSURV_ASSIGN_OR_RETURN(ml::FlatForest flat,
-                             ml::FlatForest::Compile(forest));
-  return std::make_pair(std::move(flat), std::max(q, 1.0 - q));
+  return std::max(q, 1.0 - q);
 }
 
 }  // namespace
@@ -73,25 +66,69 @@ Result<LongevityService> LongevityService::Train(
   LongevityService service;
   service.options_ = options;
   CLOUDSURV_ASSIGN_OR_RETURN(service.plan_, CompilePlan(options));
+  auto pooled_failure = [](const Status& status) {
+    return Status::FailedPrecondition("cannot train pooled model: " +
+                                      status.message());
+  };
 
-  // Pooled fallback first; it must exist.
-  auto pooled = TrainOne(history, std::nullopt, options, service.plan_);
-  if (!pooled.ok()) {
-    return Status::FailedPrecondition(
-        "cannot train pooled model: " + pooled.status().message());
+  // One cohort and one feature extraction. An edition's cohort is
+  // exactly the pooled cohort filtered by creation edition, in the same
+  // order, so every slot trains on a row view of one dataset.
+  auto cohort = BuildPredictionCohort(history, options.observe_days,
+                                      options.long_threshold_days);
+  if (!cohort.ok()) return pooled_failure(cohort.status());
+  if (cohort->ids.size() < options.min_cohort_size) {
+    return pooled_failure(Status::FailedPrecondition("cohort too small"));
   }
-  service.pooled_model_.present = true;
-  service.pooled_model_.flat = std::move(pooled->first);
-  service.pooled_model_.threshold = pooled->second;
+  auto dataset = features::BuildDataset(history, cohort->ids,
+                                        cohort->labels, service.plan_);
+  if (!dataset.ok()) return pooled_failure(dataset.status());
 
-  for (int e = 0; e < telemetry::kNumEditions; ++e) {
-    auto slot =
-        TrainOne(history, static_cast<Edition>(e), options, service.plan_);
-    if (!slot.ok()) continue;  // fall back to pooled for this edition
-    auto& model = service.edition_models_[static_cast<size_t>(e)];
-    model.present = true;
-    model.flat = std::move(slot->first);
-    model.threshold = slot->second;
+  // Slot s views its rows: 0 is the pooled fallback (every row), 1 + e
+  // the dedicated model for edition e.
+  constexpr size_t kSlots = telemetry::kNumEditions + 1;
+  std::array<std::vector<size_t>, kSlots> views;
+  views[0].resize(cohort->ids.size());
+  std::iota(views[0].begin(), views[0].end(), 0);
+  for (size_t i = 0; i < cohort->editions.size(); ++i) {
+    views[1 + static_cast<size_t>(cohort->editions[i])].push_back(i);
+  }
+  std::array<ModelSlot*, kSlots> slots;
+  slots[0] = &service.pooled_model_;
+  for (size_t s = 1; s < kSlots; ++s) {
+    slots[s] = &service.edition_models_[s - 1];
+  }
+
+  // Every trainable slot's forest is fit in one task set; an edition
+  // that is too small or single-class falls back to the pooled model.
+  std::array<ml::RandomForestClassifier, kSlots> forests;
+  std::array<double, kSlots> thresholds{};
+  std::vector<ml::ForestJob> jobs;
+  for (size_t s = 0; s < kSlots; ++s) {
+    auto threshold =
+        SlotThreshold(views[s], cohort->labels, options.min_cohort_size);
+    if (!threshold.ok()) {
+      if (s == 0) return pooled_failure(threshold.status());
+      continue;
+    }
+    thresholds[s] = *threshold;
+    jobs.push_back({&views[s], options.seed, &forests[s]});
+  }
+  const Status fitted = ml::RandomForestClassifier::FitForests(
+      *dataset, options.forest_params, jobs);
+  if (!fitted.ok()) return pooled_failure(fitted);
+
+  // Keep only the compiled forests.
+  for (size_t s = 0; s < kSlots; ++s) {
+    if (!forests[s].fitted()) continue;  // falls back to pooled
+    auto flat = ml::FlatForest::Compile(forests[s]);
+    if (!flat.ok()) {
+      if (s == 0) return pooled_failure(flat.status());
+      continue;
+    }
+    slots[s]->present = true;
+    slots[s]->flat = std::move(flat).value();
+    slots[s]->threshold = thresholds[s];
   }
   return service;
 }

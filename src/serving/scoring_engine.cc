@@ -6,7 +6,10 @@
 #include <future>
 #include <iterator>
 #include <optional>
+#include <string>
 #include <utility>
+
+#include "features/features.h"
 
 namespace cloudsurv::serving {
 
@@ -16,6 +19,20 @@ using telemetry::Event;
 using telemetry::EventKind;
 using telemetry::kSecondsPerDay;
 using telemetry::Timestamp;
+
+/// Why `options` cannot drive an engine, or OK. observe_days must be
+/// checked before MaturityOf casts it to whole seconds.
+Status ValidateOptions(const ScoringEngine::Options& options) {
+  if (!(options.observe_days > 0.0 &&  // NaN fails too
+        options.observe_days <= features::kMaxObservationDays)) {
+    return Status::InvalidArgument(
+        "ScoringEngine::Options::observe_days must be a finite number of "
+        "days in (0, " +
+        std::to_string(static_cast<int>(features::kMaxObservationDays)) +
+        "]");
+  }
+  return Status::OK();
+}
 
 Timestamp MaturityOf(Timestamp created_at, double observe_days) {
   return created_at + static_cast<Timestamp>(
@@ -152,6 +169,7 @@ ScoringEngine::EngineSeries ScoringEngine::MakeEngineSeries() {
 ScoringEngine::ScoringEngine(RegionContext region, Options options)
     : region_(std::move(region)),
       options_(options),
+      options_status_(ValidateOptions(options)),
       ingest_(options.num_shards, options.fault_injector),
       registry_(options.fault_injector),
       pool_(options.num_threads, options.queue_capacity,
@@ -179,6 +197,7 @@ ScoringEngine::ScoringEngine(RegionContext region, Options options)
 ScoringEngine::~ScoringEngine() { pool_.Shutdown(); }
 
 Status ScoringEngine::Ingest(telemetry::Event event) {
+  CLOUDSURV_RETURN_NOT_OK(options_status_);
   // Fast path: no injector and no watermarks means no retry loop, no
   // shedding check — identical to the pre-fault-layer engine except for
   // the per-reason rejection counter.
@@ -626,6 +645,7 @@ Result<std::vector<ScoredDatabase>> ScoringEngine::RunCycle(
 }
 
 Result<std::vector<ScoredDatabase>> ScoringEngine::Poll(Timestamp now) {
+  CLOUDSURV_RETURN_NOT_OK(options_status_);
   series_.polls->Increment();
   if (options_.fault_injector != nullptr) {
     // A skewed poll clock. Negative skew (clock behind) is output-
@@ -641,6 +661,7 @@ Result<std::vector<ScoredDatabase>> ScoringEngine::Poll(Timestamp now) {
 }
 
 Result<std::vector<ScoredDatabase>> ScoringEngine::Drain() {
+  CLOUDSURV_RETURN_NOT_OK(options_status_);
   series_.polls->Increment();
   std::vector<std::vector<Event>> staged = AbsorbStagedEvents();
   return RunCycle(std::move(staged), tracker_.TakeAll());

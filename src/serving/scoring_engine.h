@@ -154,7 +154,9 @@ class ScoringEngine {
     /// the pool falls behind.
     size_t queue_capacity = 64;
     /// Observation span x in days; must match the published models'
-    /// observe_days for assessments to be meaningful.
+    /// observe_days for assessments to be meaningful. Must be finite and
+    /// in (0, features::kMaxObservationDays]; otherwise Ingest(), Poll()
+    /// and Drain() return InvalidArgument.
     double observe_days = 2.0;
 
     // --- Fault injection & graceful degradation -------------------
@@ -313,6 +315,9 @@ class ScoringEngine {
 
   RegionContext region_;
   Options options_;
+  /// Why options_ are unusable (OK when they are usable); checked by
+  /// Ingest(), Poll() and Drain() before anything else.
+  Status options_status_;
   EventIngestBuffer ingest_;
   MaturityTracker tracker_;
   ModelRegistry registry_;

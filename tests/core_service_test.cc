@@ -1,4 +1,14 @@
 #include "core/service.h"
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+
+#include "core/cohort.h"
 #include "gtest/gtest.h"
 #include "ml/metrics.h"
 #include "simulator/region.h"
@@ -164,6 +174,66 @@ TEST(LongevityServiceTest, GeneralizesToAnotherRegion) {
   ASSERT_GT(total, 500u);
   EXPECT_GT(static_cast<double>(correct) / static_cast<double>(total),
             0.7);
+}
+
+// The bytes SaveArtifact writes for `service`.
+std::string ArtifactBytes(const LongevityService& service,
+                          const std::string& name) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("core_service_test_" + std::to_string(::getpid()) + "_" + name);
+  EXPECT_TRUE(service.SaveArtifact(path.string()).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  return bytes;
+}
+
+TEST(LongevityServiceTest, ArtifactBytesIndependentOfThreadCount) {
+  const std::string hardware = ArtifactBytes(TrainedService(), "hw.csrv");
+  ASSERT_FALSE(hardware.empty());
+  for (int threads : {1, 3}) {
+    LongevityService::Options options = FastOptions();
+    options.forest_params.num_threads = threads;
+    auto service = LongevityService::Train(HistoryStore(), options);
+    ASSERT_TRUE(service.ok()) << service.status();
+    EXPECT_TRUE(ArtifactBytes(*service, std::to_string(threads) +
+                                            "threads.csrv") == hardware)
+        << threads << " threads";
+  }
+}
+
+TEST(LongevityServiceTest, EditionFallsBackExactlyWhenItsCohortIsUnusable) {
+  auto config = simulator::MakeRegionPreset(1, 300, 5);
+  auto store = simulator::SimulateRegion(*config);
+  ASSERT_TRUE(store.ok()) << store.status();
+  const LongevityService::Options options = FastOptions();
+  auto service = LongevityService::Train(*store, options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  size_t fallbacks = 0;
+  for (int e = 0; e < telemetry::kNumEditions; ++e) {
+    const auto edition = static_cast<telemetry::Edition>(e);
+    // The edition's own cohort, built as a per-edition training would.
+    auto cohort = BuildPredictionCohort(*store, options.observe_days,
+                                        options.long_threshold_days, edition);
+    ASSERT_TRUE(cohort.ok()) << cohort.status();
+    const size_t size = cohort->ids.size();
+    const size_t positives = static_cast<size_t>(
+        std::count(cohort->labels.begin(), cohort->labels.end(), 1));
+    const bool trainable = size >= options.min_cohort_size &&
+                           positives > 0 && positives < size;
+    EXPECT_EQ(service->HasEditionModel(edition), trainable)
+        << telemetry::EditionToString(edition);
+    if (trainable) continue;
+    ++fallbacks;
+    for (telemetry::DatabaseId id : cohort->ids) {
+      auto assessment = service->Assess(*store, id);
+      ASSERT_TRUE(assessment.ok()) << assessment.status();
+      EXPECT_EQ(assessment->model_name, "pooled");
+    }
+  }
+  EXPECT_GT(fallbacks, 0u);
 }
 
 }  // namespace

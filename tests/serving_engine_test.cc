@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -12,6 +14,7 @@
 
 #include "common/rng.h"
 #include "fault/fault.h"
+#include "features/features.h"
 #include "gtest/gtest.h"
 #include "ml/baseline.h"
 #include "obs/export.h"
@@ -167,6 +170,33 @@ TEST(ScoringEngineTest, PollWithoutModelFails) {
   auto result = engine.Drain();
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(ScoringEngineTest, RejectsUnusableObserveDays) {
+  for (double days : {std::nan(""), std::numeric_limits<double>::infinity(),
+                      1e300, 0.0, -1.0}) {
+    ScoringEngine::Options options;
+    options.num_threads = 1;
+    options.observe_days = days;
+    ScoringEngine engine(RegionContext::FromStore(Store()), options);
+    ASSERT_TRUE(engine.registry().Publish("model", Service()).ok());
+    const Status ingested = engine.Ingest(Store().events().front());
+    EXPECT_EQ(ingested.code(), StatusCode::kInvalidArgument) << days;
+    EXPECT_NE(ingested.message().find("observe_days"), std::string::npos)
+        << ingested;
+    for (const auto& result :
+         {engine.Poll(Store().window_end()), engine.Drain()}) {
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << days;
+      EXPECT_NE(result.status().message().find("observe_days"),
+                std::string::npos);
+    }
+  }
+  ScoringEngine::Options longest;
+  longest.num_threads = 1;
+  longest.observe_days = features::kMaxObservationDays;
+  ScoringEngine engine(RegionContext::FromStore(Store()), longest);
+  EXPECT_TRUE(engine.Ingest(Store().events().front()).ok());
 }
 
 TEST(ScoringEngineTest, MetricsWellDefinedBeforeAnyScoring) {

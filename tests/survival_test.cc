@@ -564,7 +564,8 @@ TEST(KnownAnswerTest, LogRankNullPValuesAreUniform) {
   std::sort(p.begin(), p.end());
   double d = 0.0;
   for (int i = 0; i < kDraws; ++i) {
-    d = std::max({d, (i + 1.0) / kDraws - p[i], p[i] - double{i} / kDraws});
+    d = std::max({d, (i + 1.0) / kDraws - p[i],
+                  p[i] - static_cast<double>(i) / kDraws});
   }
   EXPECT_LT(d, 1.63 / std::sqrt(double{kDraws}));
 }
