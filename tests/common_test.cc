@@ -1,5 +1,9 @@
+#include <atomic>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -186,6 +190,44 @@ TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(1.0, 0), "1");
   EXPECT_EQ(FormatDouble(-0.5, 3), "-0.500");
+}
+
+TEST(RunTasksTest, RunsEveryTaskOnce) {
+  for (unsigned threads : {1u, 3u}) {
+    std::vector<std::atomic<int>> runs(1000);
+    const Status s = RunTasks(runs.size(), threads, [&](size_t i) {
+      runs[i].fetch_add(1);
+      return Status::OK();
+    });
+    EXPECT_TRUE(s.ok());
+    for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+  }
+  EXPECT_TRUE(RunTasks(0, 4, [](size_t) { return Status::OK(); }).ok());
+}
+
+// Task 5 fails, and so does every task after it with its own message:
+// whatever the schedule, task 5's failure comes back, every task up to
+// it ran, and no task ran twice.
+TEST(RunTasksTest, ReturnsTheLowestFailureForAnySchedule) {
+  constexpr size_t kCount = 64;
+  for (unsigned threads : {1u, 2u, 5u, 8u}) {
+    for (int round = 0; round < 50; ++round) {
+      std::vector<std::atomic<int>> runs(kCount);
+      const Status s = RunTasks(kCount, threads, [&](size_t i) {
+        runs[i].fetch_add(1);
+        if (i == 5) return Status::Internal("task 5");
+        if (i > 5) return Status::OutOfRange("task " + std::to_string(i));
+        return Status::OK();
+      });
+      ASSERT_EQ(s, Status::Internal("task 5")) << threads;
+      for (size_t i = 0; i < kCount; ++i) {
+        if (i <= 5) {
+          ASSERT_EQ(runs[i].load(), 1) << i;
+        }
+        ASSERT_LE(runs[i].load(), 1) << i;
+      }
+    }
+  }
 }
 
 }  // namespace
