@@ -185,22 +185,28 @@ LongevityService::AssessMany(const TelemetryStore& store,
   std::vector<std::optional<Assessment>> out(ids.size());
   const size_t width = plan_.num_features();
 
-  // Group ids by resolved model slot so every group is extracted and
-  // scored in one fused batch (at most kNumEditions + 1 groups): one
-  // pass fills a reused row-major matrix, which feeds the compiled
-  // forest directly — no per-row vectors, no intermediate Dataset.
+  // One extraction resolves every id once and hands back each row's
+  // creation edition; a row it cannot extract stays nullopt, as per-id
+  // Assess would fail. No pool here: AssessMany runs inside the serving
+  // engine's own pool workers, and nested submission into a bounded
+  // queue could deadlock. The caller parallelizes across shard batches.
+  std::vector<double> matrix(ids.size() * width);
+  std::vector<uint8_t> row_ok;
+  std::vector<Edition> editions;
+  CLOUDSURV_RETURN_NOT_OK(plan_.ExtractBatchPartial(
+      store, ids, matrix.data(), &row_ok, /*pool=*/nullptr, &editions));
+
+  // Group the extracted rows by resolved model slot (at most
+  // kNumEditions + 1 groups) so each group is scored in one batch.
   struct Group {
     const ModelSlot* slot = nullptr;
     Edition edition = Edition::kBasic;  ///< The first id's; names the slot.
-    std::vector<telemetry::DatabaseId> group_ids;
     std::vector<size_t> positions;  ///< Index into ids/out.
   };
   std::vector<Group> groups;
   for (size_t i = 0; i < ids.size(); ++i) {
-    auto record = store.FindDatabase(ids[i]);
-    if (!record.ok()) continue;  // nullopt, as per-id Assess would fail
-    const Edition edition = (*record).initial_edition();
-    const ModelSlot& slot = SlotFor(edition);
+    if (!row_ok[i]) continue;
+    const ModelSlot& slot = SlotFor(editions[i]);
     Group* group = nullptr;
     for (auto& g : groups) {
       if (g.slot == &slot) {
@@ -212,41 +218,34 @@ LongevityService::AssessMany(const TelemetryStore& store,
       groups.emplace_back();
       group = &groups.back();
       group->slot = &slot;
-      group->edition = edition;
+      group->edition = editions[i];
     }
-    group->group_ids.push_back(ids[i]);
     group->positions.push_back(i);
   }
 
-  std::vector<double> matrix;
-  std::vector<uint8_t> row_ok;
+  // A group's rows are gathered into one row-major block, which feeds
+  // the compiled forest directly; a group of every row in ids order
+  // reads the extracted matrix in place.
+  std::vector<double> block;
   std::vector<double> probs;
-  std::vector<size_t> scored_positions;
-  for (auto& group : groups) {
-    const size_t group_size = group.group_ids.size();
-    matrix.assign(group_size * width, 0.0);
-    // No pool here: AssessMany runs inside the serving engine's own
-    // pool workers, and nested submission into a bounded queue could
-    // deadlock. The caller parallelizes across shard batches instead.
-    CLOUDSURV_RETURN_NOT_OK(plan_.ExtractBatchPartial(
-        store, group.group_ids, matrix.data(), &row_ok, /*pool=*/nullptr));
-    scored_positions.clear();
-    size_t num_rows = 0;
-    for (size_t k = 0; k < group_size; ++k) {
-      if (!row_ok[k]) continue;  // nullopt, as per-id Assess would fail
-      if (num_rows != k) {
-        std::memcpy(matrix.data() + num_rows * width,
-                    matrix.data() + k * width, width * sizeof(double));
+  for (const auto& group : groups) {
+    const size_t num_rows = group.positions.size();
+    const double* rows = matrix.data();
+    if (num_rows != ids.size()) {
+      block.resize(num_rows * width);
+      for (size_t k = 0; k < num_rows; ++k) {
+        std::memcpy(block.data() + k * width,
+                    matrix.data() + group.positions[k] * width,
+                    width * sizeof(double));
       }
-      scored_positions.push_back(group.positions[k]);
-      ++num_rows;
+      rows = block.data();
     }
-    if (num_rows == 0) continue;
     probs.resize(num_rows);
     CLOUDSURV_RETURN_NOT_OK(group.slot->flat.PredictPositiveBatch(
-        matrix.data(), num_rows, probs.data(), batch));
+        rows, num_rows, probs.data(), batch));
     for (size_t k = 0; k < num_rows; ++k) {
-      out[scored_positions[k]] = Decide(*group.slot, group.edition, probs[k]);
+      out[group.positions[k]] =
+          Decide(*group.slot, group.edition, probs[k]);
     }
   }
   return out;

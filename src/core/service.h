@@ -79,8 +79,9 @@ class LongevityService {
   Result<Assessment> Assess(const telemetry::TelemetryStore& store,
                             telemetry::DatabaseId id) const;
 
-  /// Scores many databases of `store` in one pass: feature rows are
-  /// grouped per resolved model slot and pushed through the compiled
+  /// Scores many databases of `store` in one pass: one extraction
+  /// resolves each id once, and the feature rows are grouped per
+  /// resolved model slot and pushed through the compiled
   /// `ml::FlatForest` with `batch` (block size, thread pool).
   /// `out[i]` is nullopt exactly when per-id Assess(ids[i]) would fail
   /// (unknown id, too little telemetry); every produced Assessment is

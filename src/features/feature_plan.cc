@@ -18,6 +18,7 @@ namespace {
 
 using telemetry::DatabaseId;
 using telemetry::DatabaseRecord;
+using telemetry::Edition;
 using telemetry::kSecondsPerDay;
 using telemetry::SubscriptionId;
 using telemetry::TelemetryStore;
@@ -272,23 +273,26 @@ Status FeaturePlan::ExtractRow(const TelemetryStore& store,
 Status FeaturePlan::ExtractBatch(const TelemetryStore& store,
                                  std::span<const DatabaseId> ids, double* out,
                                  ThreadPool* pool) const {
-  return ExtractImpl(store, ids, out, /*row_ok=*/nullptr, pool);
+  return ExtractImpl(store, ids, out, /*row_ok=*/nullptr,
+                     /*editions=*/nullptr, pool);
 }
 
 Status FeaturePlan::ExtractBatchPartial(const TelemetryStore& store,
                                         std::span<const DatabaseId> ids,
                                         double* out,
                                         std::vector<uint8_t>* row_ok,
-                                        ThreadPool* pool) const {
+                                        ThreadPool* pool,
+                                        std::vector<Edition>* editions) const {
   if (row_ok == nullptr) {
     return Status::InvalidArgument("row_ok must not be null");
   }
-  return ExtractImpl(store, ids, out, row_ok, pool);
+  return ExtractImpl(store, ids, out, row_ok, editions, pool);
 }
 
 Status FeaturePlan::ExtractImpl(const TelemetryStore& store,
                                 std::span<const DatabaseId> ids, double* out,
                                 std::vector<uint8_t>* row_ok,
+                                std::vector<Edition>* editions,
                                 ThreadPool* pool) const {
   if (!compiled_) {
     return Status::FailedPrecondition("feature plan is not compiled");
@@ -298,6 +302,7 @@ Status FeaturePlan::ExtractImpl(const TelemetryStore& store,
   const size_t n = ids.size();
   const bool strict = row_ok == nullptr;
   if (row_ok != nullptr) row_ok->assign(n, 1);
+  if (editions != nullptr) editions->assign(n, Edition::kBasic);
 
   // Phase A — resolve and validate every row in ids order, with the
   // exact check sequence (and messages) of a FindDatabase + ExtractRow
@@ -320,6 +325,7 @@ Status FeaturePlan::ExtractImpl(const TelemetryStore& store,
       continue;
     }
     valid.push_back(static_cast<uint32_t>(i));
+    if (editions != nullptr) (*editions)[i] = record->initial_edition();
     recs.push_back(std::move(*record));
     tps.push_back(*tp);
   }

@@ -89,12 +89,16 @@ class FeaturePlan {
 
   /// Like ExtractBatch but per-row: row_ok[i] is 1 when row i was
   /// extracted and 0 when FindDatabase + ExtractRow would fail for ids[i]
-  /// (that row's output slice is left untouched). Only misuse (an
-  /// uncompiled plan) returns a non-OK status.
-  Status ExtractBatchPartial(const telemetry::TelemetryStore& store,
-                             std::span<const telemetry::DatabaseId> ids,
-                             double* out, std::vector<uint8_t>* row_ok,
-                             ThreadPool* pool = nullptr) const;
+  /// (that row's output slice is left untouched). When `editions` is
+  /// given, (*editions)[i] is the creation edition of every extracted
+  /// row i, read from the record the extraction resolved (unspecified
+  /// where row_ok[i] is 0). Only misuse (an uncompiled plan) returns a
+  /// non-OK status.
+  Status ExtractBatchPartial(
+      const telemetry::TelemetryStore& store,
+      std::span<const telemetry::DatabaseId> ids, double* out,
+      std::vector<uint8_t>* row_ok, ThreadPool* pool = nullptr,
+      std::vector<telemetry::Edition>* editions = nullptr) const;
 
  private:
   struct SiblingTable;  ///< One subscription's siblings, for a batch.
@@ -106,7 +110,9 @@ class FeaturePlan {
 
   Status ExtractImpl(const telemetry::TelemetryStore& store,
                      std::span<const telemetry::DatabaseId> ids, double* out,
-                     std::vector<uint8_t>* row_ok, ThreadPool* pool) const;
+                     std::vector<uint8_t>* row_ok,
+                     std::vector<telemetry::Edition>* editions,
+                     ThreadPool* pool) const;
 
   /// The row kernel. The history family reads `siblings` when given
   /// and re-scans the subscription otherwise; both are bit-identical.

@@ -72,16 +72,17 @@ Status DecisionTreeClassifier::FitSubset(
   if (params.split_algorithm == SplitAlgorithm::kHistogram) {
     // Standalone binned fit: bin the full dataset once (ensembles skip
     // this by sharing a BinnedDataset through FitBinned directly).
-    if (data.num_rows() > UINT32_MAX) {
+    if (data.num_rows() > UINT32_MAX || sample_indices.size() > UINT32_MAX) {
       return Status::InvalidArgument(
-          "a histogram tree fit supports at most 2^32 - 1 rows");
+          "a histogram tree fit supports at most 2^32 - 1 rows and draws");
     }
     CLOUDSURV_ASSIGN_OR_RETURN(BinnedDataset binned,
                                BinnedDataset::FromDataset(data));
-    return FitBinned(binned, data.labels(), data.num_classes(),
-                     std::vector<uint32_t>(sample_indices.begin(),
-                                           sample_indices.end()),
-                     params, seed);
+    return FitBinned(
+        binned, data.labels(), data.num_classes(),
+        TallyRows(data.num_rows(), sample_indices.size(),
+                  [&sample_indices](size_t i) { return sample_indices[i]; }),
+        params, seed);
   }
   obs::ScopedTimer timer(TreeFitHistogram());
   nodes_.clear();
@@ -243,8 +244,8 @@ int DecisionTreeClassifier::BuildNode(const Dataset& data,
 }
 
 // Shared state of one FitBinned call. Histograms store RAW (unweighted)
-// per-class counts; class weights are applied by multiplication only when
-// a gini is evaluated.
+// per-class counts, each sampled row adding its draw count; class weights
+// are applied by multiplication only when a gini is evaluated.
 struct DecisionTreeClassifier::BinnedBuildContext {
   const BinnedDataset* binned = nullptr;
   const std::vector<int>* labels = nullptr;
@@ -260,16 +261,17 @@ struct DecisionTreeClassifier::BinnedBuildContext {
   size_t slot_size = 0;
   std::vector<uint32_t> hist;
   /// Per candidate, a bitmap of the bins the node's rows occupy; filled
-  /// only when the node holds fewer rows than the feature has bins.
+  /// only when the node holds fewer distinct rows than the feature has
+  /// bins.
   std::vector<uint64_t> occupied;
   std::vector<int> features;  ///< candidate-draw buffer
 };
 
 Status DecisionTreeClassifier::FitBinned(
     const BinnedDataset& binned, const std::vector<int>& labels,
-    int num_classes, std::vector<uint32_t> sample_positions,
+    int num_classes, std::vector<WeightedRow> sample,
     const TreeParams& params, uint64_t seed) {
-  if (binned.empty() || sample_positions.empty()) {
+  if (binned.empty() || sample.empty()) {
     return Status::InvalidArgument("cannot fit a tree on empty data");
   }
   if (params.max_depth < 0 || params.min_samples_leaf == 0) {
@@ -281,13 +283,22 @@ Status DecisionTreeClassifier::FitBinned(
   if (labels.size() != binned.num_rows()) {
     return Status::InvalidArgument("labels must cover every binned row");
   }
-  for (uint32_t p : sample_positions) {
-    if (p >= binned.num_rows()) {
+  size_t total_weight = 0;
+  for (const WeightedRow& s : sample) {
+    if (s.row >= binned.num_rows()) {
       return Status::OutOfRange("sample index out of range");
     }
-    if (labels[p] < 0 || labels[p] >= num_classes) {
+    if (labels[s.row] < 0 || labels[s.row] >= num_classes) {
       return Status::InvalidArgument("label out of range [0, num_classes)");
     }
+    if (s.weight == 0) {
+      return Status::InvalidArgument("sample weights must be positive");
+    }
+    total_weight += s.weight;
+  }
+  if (total_weight > UINT32_MAX) {
+    return Status::InvalidArgument(
+        "a tree sample holds at most 2^32 - 1 draws");
   }
   if (!params.class_weights.empty() &&
       params.class_weights.size() != static_cast<size_t>(num_classes)) {
@@ -310,7 +321,7 @@ Status DecisionTreeClassifier::FitBinned(
   ctx.binned = &binned;
   ctx.labels = &labels;
   ctx.params = &params;
-  ctx.total_samples = sample_positions.size();
+  ctx.total_samples = total_weight;
   ctx.num_classes = static_cast<size_t>(num_classes);
   int max_bins = 1;
   for (size_t f = 0; f < num_features_; ++f) {
@@ -326,8 +337,7 @@ Status DecisionTreeClassifier::FitBinned(
   ctx.features.resize(num_features_);
 
   Rng rng(seed);
-  BuildNodeBinned(ctx, sample_positions, 0, sample_positions.size(), 0,
-                  rng);
+  BuildNodeBinned(ctx, sample, 0, sample.size(), 0, rng);
 
   const double total =
       std::accumulate(importances_.begin(), importances_.end(), 0.0);
@@ -338,19 +348,23 @@ Status DecisionTreeClassifier::FitBinned(
 }
 
 int DecisionTreeClassifier::BuildNodeBinned(BinnedBuildContext& ctx,
-                                            std::vector<uint32_t>& positions,
+                                            std::vector<WeightedRow>& sample,
                                             size_t begin, size_t end,
                                             int depth, Rng& rng) {
   const TreeParams& params = *ctx.params;
-  const size_t n = end - begin;
   const size_t C = ctx.num_classes;
   const std::vector<int>& label = *ctx.labels;
   auto class_weight = [&](size_t cls) {
     return params.class_weights.empty() ? 1.0 : params.class_weights[cls];
   };
+  // `n` counts draws (what min_samples_*, the sweep and importances
+  // read), `distinct` the sample entries the loops below visit.
+  const size_t distinct = end - begin;
+  size_t n = 0;
   std::vector<double> raw(C, 0.0);  // unweighted per-class counts
   for (size_t i = begin; i < end; ++i) {
-    raw[static_cast<size_t>(label[positions[i]])] += 1.0;
+    raw[static_cast<size_t>(label[sample[i].row])] += sample[i].weight;
+    n += sample[i].weight;
   }
   std::vector<double> counts(C);  // weighted, as the exact path sees them
   double n_d = 0.0;
@@ -403,23 +417,23 @@ int DecisionTreeClassifier::BuildNodeBinned(BinnedBuildContext& ctx,
     uint32_t* h = ctx.hist.data() + static_cast<size_t>(fi) * ctx.slot_size;
     uint64_t* occupied =
         ctx.occupied.data() + static_cast<size_t>(fi) * kOccupiedWords;
-    // A node with fewer rows than bins marks the bins it occupies and
-    // later sweeps and zeroes only those; a larger node skips the
-    // per-row marking, which costs more than it saves there.
-    const bool sparse = n < static_cast<size_t>(num_bins);
+    // A node with fewer distinct rows than bins marks the bins it
+    // occupies and later sweeps and zeroes only those; a larger node
+    // skips the per-row marking, which costs more than it saves there.
+    const bool sparse = distinct < static_cast<size_t>(num_bins);
     const uint8_t* column = ctx.binned->column(static_cast<size_t>(f));
     if (sparse) {
       for (size_t i = begin; i < end; ++i) {
-        const uint32_t row = positions[i];
-        const unsigned code = column[row];
-        ++h[code * C + static_cast<size_t>(label[row])];
+        const WeightedRow s = sample[i];
+        const unsigned code = column[s.row];
+        h[code * C + static_cast<size_t>(label[s.row])] += s.weight;
         occupied[code >> 6] |= uint64_t{1} << (code & 63);
       }
     } else {
       for (size_t i = begin; i < end; ++i) {
-        const uint32_t row = positions[i];
-        ++h[static_cast<size_t>(column[row]) * C +
-            static_cast<size_t>(label[row])];
+        const WeightedRow s = sample[i];
+        h[static_cast<size_t>(column[s.row]) * C +
+          static_cast<size_t>(label[s.row])] += s.weight;
       }
     }
     std::fill(left_raw.begin(), left_raw.end(), 0.0);
@@ -511,7 +525,7 @@ int DecisionTreeClassifier::BuildNodeBinned(BinnedBuildContext& ctx,
         static_cast<size_t>(features[static_cast<size_t>(fi)]));
     if (num_bins < 2) continue;
     uint32_t* h = ctx.hist.data() + static_cast<size_t>(fi) * ctx.slot_size;
-    if (n >= static_cast<size_t>(num_bins)) {
+    if (distinct >= static_cast<size_t>(num_bins)) {
       std::fill(h, h + static_cast<size_t>(num_bins) * C, 0u);
       continue;
     }
@@ -532,13 +546,14 @@ int DecisionTreeClassifier::BuildNodeBinned(BinnedBuildContext& ctx,
 
   const uint8_t* best_column =
       ctx.binned->column(static_cast<size_t>(best_feature));
+  // A row's draws share its codes, so they all go to one child.
   auto mid_it = std::partition(
-      positions.begin() + static_cast<std::ptrdiff_t>(begin),
-      positions.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](uint32_t row) {
-        return static_cast<int>(best_column[row]) <= best_bin;
+      sample.begin() + static_cast<std::ptrdiff_t>(begin),
+      sample.begin() + static_cast<std::ptrdiff_t>(end),
+      [&](const WeightedRow& s) {
+        return static_cast<int>(best_column[s.row]) <= best_bin;
       });
-  const size_t mid = static_cast<size_t>(mid_it - positions.begin());
+  const size_t mid = static_cast<size_t>(mid_it - sample.begin());
   if (mid == begin || mid == end) {
     return make_leaf();  // cannot happen when histogram counts are exact
   }
@@ -554,10 +569,8 @@ int DecisionTreeClassifier::BuildNodeBinned(BinnedBuildContext& ctx,
       ctx.binned->refined_threshold(static_cast<size_t>(best_feature),
                                     best_bin, next_bin);
 
-  const int left =
-      BuildNodeBinned(ctx, positions, begin, mid, depth + 1, rng);
-  const int right =
-      BuildNodeBinned(ctx, positions, mid, end, depth + 1, rng);
+  const int left = BuildNodeBinned(ctx, sample, begin, mid, depth + 1, rng);
+  const int right = BuildNodeBinned(ctx, sample, mid, end, depth + 1, rng);
   nodes_[static_cast<size_t>(node_index)].left = left;
   nodes_[static_cast<size_t>(node_index)].right = right;
   return node_index;

@@ -31,6 +31,34 @@ struct TreeParams {
   SplitAlgorithm split_algorithm = SplitAlgorithm::kHistogram;
 };
 
+/// One distinct row of a tree's sample: its position in the binned rows
+/// and how many times the sample holds it.
+struct WeightedRow {
+  uint32_t row;
+  uint32_t weight;
+};
+
+/// Tallies the `num_draws` row positions `draw(0)`, `draw(1)`, ... (called
+/// in that order, each in [0, num_rows), num_draws <= 2^32 - 1) into the
+/// sample's weighted rows, ascending by row. A bootstrap of n draws from
+/// n rows holds about 63% of them, so a tree's histogram counts and node
+/// partitions visit each distinct row once instead of once per draw.
+template <typename Draw>
+std::vector<WeightedRow> TallyRows(size_t num_rows, size_t num_draws,
+                                   Draw&& draw) {
+  std::vector<uint32_t> counts(num_rows, 0);
+  size_t distinct = 0;
+  for (size_t i = 0; i < num_draws; ++i) {
+    distinct += counts[static_cast<size_t>(draw(i))]++ == 0 ? 1 : 0;
+  }
+  std::vector<WeightedRow> sample;
+  sample.reserve(distinct);
+  for (size_t r = 0; r < num_rows; ++r) {
+    if (counts[r] > 0) sample.push_back({static_cast<uint32_t>(r), counts[r]});
+  }
+  return sample;
+}
+
 /// CART decision-tree classifier with gini impurity, the base learner of
 /// the paper's random forest (section 2, ref [10]). Leaves store class
 /// frequencies, so PredictProba yields the per-leaf class distribution
@@ -49,18 +77,19 @@ class DecisionTreeClassifier {
                    const std::vector<size_t>& sample_indices,
                    const TreeParams& params, uint64_t seed);
 
-  /// Learns a tree from a pre-binned dataset over the multiset of binned
-  /// row positions `sample_positions` (positions index binned rows, not
-  /// original dataset rows; the node partition reorders them in place,
-  /// so a caller done with its sample moves it in). `labels[i]` is the
-  /// class of binned row i; a sampled row whose label is outside
-  /// [0, num_classes) is rejected.
+  /// Learns a tree from a pre-binned dataset over `sample`, binned rows
+  /// (not original dataset rows) each counted `weight` times, as
+  /// TallyRows builds it: the tree equals one fit on the multiset that
+  /// repeats each row `weight` times. The node partition reorders the
+  /// sample in place, so a caller done with it moves it in.
+  /// `labels[i]` is the class of binned row i; a sampled row whose label
+  /// is outside [0, num_classes), a zero weight, or weights summing past
+  /// 2^32 - 1 are rejected.
   /// Ensembles use this to share one BinnedDataset across all trees
   /// instead of re-binning per tree. Ignores params.split_algorithm
   /// (this IS the histogram path).
   Status FitBinned(const BinnedDataset& binned, const std::vector<int>& labels,
-                   int num_classes,
-                   std::vector<uint32_t> sample_positions,
+                   int num_classes, std::vector<WeightedRow> sample,
                    const TreeParams& params, uint64_t seed);
 
   bool fitted() const { return !nodes_.empty(); }
@@ -128,7 +157,7 @@ class DecisionTreeClassifier {
 
   struct BinnedBuildContext;  // defined in decision_tree.cc
   int BuildNodeBinned(BinnedBuildContext& ctx,
-                      std::vector<uint32_t>& positions, size_t begin,
+                      std::vector<WeightedRow>& sample, size_t begin,
                       size_t end, int depth, Rng& rng);
 
   std::vector<Node> nodes_;

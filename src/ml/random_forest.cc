@@ -194,14 +194,17 @@ Status RandomForestClassifier::FitTrees(
   // the view's own distribution (what training on a materialized subset
   // would see), shared by all its trees. All per-tree randomness comes
   // from the job's own seed, drawn up front, so the trees are
-  // independent of the schedule. Samples are 32-bit POSITIONS into the
-  // job's rows (the binned view's row space); the histogram path moves
-  // each into its tree fit, the exact path maps them to dataset rows.
+  // independent of the schedule. A tree's n draws are POSITIONS into
+  // the job's rows (the binned view's row space), tallied into weighted
+  // rows; the histogram path moves each sample into its tree fit. The
+  // exact search sums a node's class weights in sample order, so it
+  // keeps the draws in draw order and maps them to dataset rows.
   struct JobInputs {
     BinnedDataset binned;
     std::vector<int> labels;
     std::vector<uint64_t> tree_seeds;
-    std::vector<std::vector<uint32_t>> samples;
+    std::vector<std::vector<WeightedRow>> samples;
+    std::vector<std::vector<uint32_t>> exact_draws;
   };
   for (ForestJob& job : jobs) {
     RandomForestClassifier& forest = *job.forest;
@@ -229,24 +232,31 @@ Status RandomForestClassifier::FitTrees(
         Rng seeder(jobs[j].seed);
         in.tree_seeds.resize(t);
         in.samples.resize(t);
+        if (!histogram) in.exact_draws.resize(t);
+        std::vector<uint32_t> draws(n);
         for (size_t ti = 0; ti < t; ++ti) {
           in.tree_seeds[ti] = static_cast<uint64_t>(
               seeder.UniformInt(0, std::numeric_limits<int64_t>::max()));
-          std::vector<uint32_t>& sample = in.samples[ti];
-          sample.resize(n);
           if (params.bootstrap) {
-            for (size_t i = 0; i < n; ++i) {
-              sample[i] = static_cast<uint32_t>(
+            for (uint32_t& draw : draws) {
+              draw = static_cast<uint32_t>(
                   seeder.UniformInt(0, static_cast<int64_t>(n) - 1));
             }
           } else {
-            std::iota(sample.begin(), sample.end(), 0u);
+            std::iota(draws.begin(), draws.end(), 0u);
           }
+          in.samples[ti] =
+              TallyRows(n, n, [&draws](size_t i) { return draws[i]; });
+          if (!histogram) in.exact_draws[ti] = draws;
         }
         if (in_bag != nullptr) {
+          // A row is in a tree's bag when its tally is positive, that
+          // is, when it has a sample entry.
           in_bag->assign(t, std::vector<char>(n, 0));
           for (size_t ti = 0; ti < t; ++ti) {
-            for (uint32_t pick : in.samples[ti]) (*in_bag)[ti][pick] = 1;
+            for (const WeightedRow& s : in.samples[ti]) {
+              (*in_bag)[ti][s.row] = 1;
+            }
           }
         }
         return Status::OK();
@@ -268,7 +278,7 @@ Status RandomForestClassifier::FitTrees(
         const std::vector<size_t>& rows = *jobs[j].rows;
         std::vector<size_t> sample_rows(rows.size());
         for (size_t i = 0; i < rows.size(); ++i) {
-          sample_rows[i] = rows[in.samples[ti][i]];
+          sample_rows[i] = rows[in.exact_draws[ti][i]];
         }
         return tree.FitSubset(data, sample_rows, tree_params,
                               in.tree_seeds[ti]);

@@ -543,6 +543,26 @@ TEST(FeaturePlanTest, PartialMarksFailedRowsAndLeavesThemUntouched) {
   }
 }
 
+TEST(FeaturePlanTest, PartialHandsBackEachExtractedRowsEdition) {
+  const EdgeCaseStore ecs = MakeEdgeCaseStore();
+  auto plan = FeaturePlan::Compile(FeatureConfig{});
+  ASSERT_OK(plan.status());
+  const std::vector<telemetry::DatabaseId> ids = {
+      ecs.eligible[1], 9999, ecs.eligible[0], ecs.dropped_in_window};
+  std::vector<double> matrix(ids.size() * plan->num_features());
+  std::vector<uint8_t> row_ok;
+  std::vector<telemetry::Edition> editions;
+  ASSERT_OK(plan->ExtractBatchPartial(ecs.store, ids, matrix.data(), &row_ok,
+                                      /*pool=*/nullptr, &editions));
+  ASSERT_EQ(editions.size(), ids.size());
+  EXPECT_EQ(row_ok, (std::vector<uint8_t>{1, 0, 1, 0}));
+  for (const size_t row : {size_t{0}, size_t{2}}) {
+    EXPECT_EQ(editions[row],
+              ecs.store.FindDatabase(ids[row])->initial_edition())
+        << row;
+  }
+}
+
 TEST(FeaturePlanTest, ThreadPoolFanoutIsBitIdenticalToSerial) {
   // Large enough cohort to cross the fan-out threshold, with skewed
   // subscription sizes so chunk cuts land on real group boundaries.

@@ -373,19 +373,48 @@ TEST(FitOnRowsTest, PredictRowsMatchesBatchOnView) {
   EXPECT_FALSE(forest.PredictRows(d, {999}).ok());
 }
 
+// The sample entries of the multiset `draws` over `num_rows` rows.
+std::vector<WeightedRow> Tally(size_t num_rows,
+                               const std::vector<uint32_t>& draws) {
+  return TallyRows(num_rows, draws.size(),
+                   [&draws](size_t i) { return draws[i]; });
+}
+
+TEST(TallyRowsTest, CountsEachDistinctRowOnceInAscendingOrder) {
+  const std::vector<WeightedRow> sample = Tally(6, {4, 1, 4, 0, 4, 1});
+  ASSERT_EQ(sample.size(), 3u);
+  EXPECT_EQ(sample[0].row, 0u);
+  EXPECT_EQ(sample[0].weight, 1u);
+  EXPECT_EQ(sample[1].row, 1u);
+  EXPECT_EQ(sample[1].weight, 2u);
+  EXPECT_EQ(sample[2].row, 4u);
+  EXPECT_EQ(sample[2].weight, 3u);
+  EXPECT_TRUE(Tally(3, {}).empty());
+}
+
 TEST(FitBinnedTest, RejectsInvalidArguments) {
   const Dataset d = ContinuousData(50, 60);
   auto binned = BinnedDataset::FromDataset(d);
   ASSERT_TRUE(binned.ok());
   DecisionTreeClassifier tree;
-  std::vector<uint32_t> all(d.num_rows());
-  for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+  const std::vector<WeightedRow> all =
+      TallyRows(d.num_rows(), d.num_rows(), [](size_t i) { return i; });
   // Wrong label arity.
   EXPECT_FALSE(
       tree.FitBinned(*binned, {0, 1}, 2, all, TreeParams{}, 1).ok());
   // Position out of range.
-  EXPECT_FALSE(
-      tree.FitBinned(*binned, d.labels(), 2, {999}, TreeParams{}, 1).ok());
+  EXPECT_EQ(tree.FitBinned(*binned, d.labels(), 2, {{999, 1}}, TreeParams{},
+                           1)
+                .code(),
+            StatusCode::kOutOfRange);
+  // A zero weight, and weights summing past 2^32 - 1.
+  EXPECT_EQ(tree.FitBinned(*binned, d.labels(), 2, {{0, 2}, {1, 0}},
+                           TreeParams{}, 1),
+            Status::InvalidArgument("sample weights must be positive"));
+  EXPECT_EQ(tree.FitBinned(*binned, d.labels(), 2, {{0, UINT32_MAX}, {1, 1}},
+                           TreeParams{}, 1),
+            Status::InvalidArgument(
+                "a tree sample holds at most 2^32 - 1 draws"));
   // Bad params.
   TreeParams bad;
   bad.min_samples_leaf = 0;
@@ -475,8 +504,9 @@ TEST(HistogramGoldenTest, StandaloneTreeDigestIsPinned) {
   TreeParams params;
   params.max_features = 6;
   DecisionTreeClassifier tree;
-  ASSERT_TRUE(
-      tree.FitBinned(*binned, d.labels(), 3, positions, params, 62).ok());
+  ASSERT_TRUE(tree.FitBinned(*binned, d.labels(), 3,
+                             Tally(d.num_rows(), positions), params, 62)
+                  .ok());
   EXPECT_EQ(Fnv1a(tree.Serialize()), 0xdc59754958a198feull);
 }
 
@@ -499,10 +529,129 @@ TEST(HistogramGoldenTest, RootsAroundTheBinCountArePinned) {
     std::vector<uint32_t> positions(root_rows);
     for (uint32_t i = 0; i < root_rows; ++i) positions[i] = (i * 5) % 1500;
     DecisionTreeClassifier tree;
-    ASSERT_TRUE(
-        tree.FitBinned(*binned, d.labels(), 3, positions, params, 63).ok());
+    ASSERT_TRUE(tree.FitBinned(*binned, d.labels(), 3,
+                               Tally(d.num_rows(), positions), params, 63)
+                    .ok());
     EXPECT_EQ(Fnv1a(tree.Serialize()), digest) << root_rows;
   }
+}
+
+// WideData relabelled into two classes (class 2 against the rest).
+Dataset TwoClassWideData(int n, uint64_t seed) {
+  const Dataset wide = WideData(n, seed);
+  std::vector<int> labels = wide.labels();
+  for (int& label : labels) label = label == 2 ? 1 : 0;
+  auto d = Dataset::Make(wide.feature_names(), wide.rows(),
+                         std::move(labels));
+  EXPECT_TRUE(d.ok());
+  return *d;
+}
+
+// Serialize() digest of a FitBinned tree over the multiset `draws` of
+// binned row positions. The same tree must come from one weight-1 entry
+// per draw, as if every draw were a row of its own.
+uint64_t DrawnTreeDigest(const BinnedDataset& binned,
+                         const std::vector<int>& labels,
+                         const std::vector<uint32_t>& draws,
+                         const TreeParams& params, uint64_t seed) {
+  DecisionTreeClassifier tree;
+  EXPECT_TRUE(tree.FitBinned(binned, labels, 2,
+                             Tally(binned.num_rows(), draws), params, seed)
+                  .ok());
+  std::vector<WeightedRow> unit_rows;
+  for (uint32_t draw : draws) unit_rows.push_back({draw, 1});
+  DecisionTreeClassifier unit_tree;
+  EXPECT_TRUE(
+      unit_tree.FitBinned(binned, labels, 2, unit_rows, params, seed).ok());
+  EXPECT_EQ(tree.Serialize(), unit_tree.Serialize());
+  return Fnv1a(tree.Serialize());
+}
+
+// Samples where rows repeat many times: one row drawn 1,200 times next
+// to 150 or 400 uniform draws (so a node can hold fewer distinct rows
+// than bins but more draws than bins), with and without unequal class
+// weights and a leaf minimum the draws must reach.
+TEST(HistogramGoldenTest, HeavyMultiplicityTreeDigestsArePinned) {
+  const Dataset d = TwoClassWideData(1500, 67);
+  auto binned = BinnedDataset::FromDataset(d);
+  ASSERT_TRUE(binned.ok());
+  TreeParams plain;
+  plain.max_features = 6;
+  TreeParams weighted = plain;
+  weighted.class_weights = {0.3, 0.7};
+  weighted.min_samples_leaf = 5;
+  const std::pair<size_t, std::pair<uint64_t, uint64_t>> cases[] = {
+      {150, {0xd8ce0774e4122ca9ull, 0x082b2846a7b41945ull}},
+      {400, {0xa1042854a5375411ull, 0x74b02fedb63ef83bull}}};
+  for (const auto& [uniform_draws, digests] : cases) {
+    std::vector<uint32_t> draws(1200, 11);
+    Rng rng(67);
+    for (size_t i = 0; i < uniform_draws; ++i) {
+      draws.push_back(static_cast<uint32_t>(rng.UniformInt(0, 1499)));
+    }
+    EXPECT_EQ(DrawnTreeDigest(*binned, d.labels(), draws, plain, 67),
+              digests.first)
+        << uniform_draws;
+    EXPECT_EQ(DrawnTreeDigest(*binned, d.labels(), draws, weighted, 67),
+              digests.second)
+        << uniform_draws;
+  }
+}
+
+// A 300-row view drawn with replacement, 300 times (a bootstrap) and
+// 3,000 times (every row about ten times), under class weights
+// {0.3, 0.7}.
+TEST(HistogramGoldenTest, ViewBootstrapTreeDigestsArePinned) {
+  const Dataset d = TwoClassWideData(1500, 68);
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < d.num_rows(); i += 5) rows.push_back(i);
+  auto binned = BinnedDataset::FromDatasetRows(d, rows);
+  ASSERT_TRUE(binned.ok());
+  std::vector<int> labels;
+  for (size_t r : rows) labels.push_back(d.label(r));
+  TreeParams params;
+  params.max_features = 6;
+  params.class_weights = {0.3, 0.7};
+  const std::pair<size_t, uint64_t> cases[] = {{300, 0x04b91a85c7993789ull},
+                                               {3000, 0xd1026baf05e510b3ull}};
+  for (const auto& [num_draws, digest] : cases) {
+    Rng rng(68);
+    std::vector<uint32_t> draws(num_draws);
+    for (uint32_t& draw : draws) {
+      draw = static_cast<uint32_t>(rng.UniformInt(0, 299));
+    }
+    EXPECT_EQ(DrawnTreeDigest(*binned, labels, draws, params, 68), digest)
+        << num_draws;
+  }
+}
+
+// The exact split search under unequal class weights sums each node's
+// weight in sample order, so this pins the order its bootstrap rows
+// arrive in as well as its splits.
+TEST(ExactGoldenTest, ClassWeightedForestDigestIsPinned) {
+  const Dataset d = TwoClassWideData(600, 69);
+  ForestParams params = GoldenForestParams(MaxFeaturesRule::kSqrt);
+  params.num_trees = 8;
+  params.max_depth = 10;
+  params.split_algorithm = SplitAlgorithm::kExact;
+  params.class_weights = {0.3, 0.7};
+  RandomForestClassifier forest;
+  ASSERT_TRUE(forest.Fit(d, params, 69).ok());
+  EXPECT_EQ(Fnv1a(forest.Serialize()), 0xb189f0adb49b928eull);
+}
+
+// FitOnRows' out-of-bag accuracy, which reads each tree's in-bag mask.
+TEST(FitOnRowsTest, OobAccuracyIsPinned) {
+  const Dataset d = WideData(900, 70);
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < d.num_rows(); ++i) {
+    if (i % 3 != 1) rows.push_back(i);
+  }
+  ForestParams params = GoldenForestParams(MaxFeaturesRule::kSqrt);
+  params.num_trees = 9;
+  RandomForestClassifier forest;
+  ASSERT_TRUE(forest.FitOnRows(d, rows, params, 70).ok());
+  EXPECT_EQ(forest.oob_accuracy(), 0.49403747870528109);
 }
 
 // Views shaped like the service's model slots: every row, then three
