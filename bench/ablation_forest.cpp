@@ -44,9 +44,10 @@ int main() {
     params.max_depth = 14;
     ml::RandomForestClassifier forest;
     if (!forest.Fit(*train, params, 7).ok()) continue;
-    auto preds = forest.PredictBatch(*test);
-    if (!preds.ok()) continue;
-    auto scores = ml::ComputeScores(test->labels(), *preds);
+    auto probs = bench::ForestScores(forest, *dataset, split->test);
+    if (!probs.ok()) continue;
+    auto scores =
+        ml::ComputeScores(test->labels(), bench::LabelsOf(*probs));
     if (!scores.ok()) continue;
     std::printf("  %6d %10.3f %10.3f\n", trees, scores->accuracy,
                 forest.oob_accuracy());
@@ -66,9 +67,10 @@ int main() {
     params.max_features = rule;
     ml::RandomForestClassifier forest;
     if (!forest.Fit(*train, params, 7).ok()) continue;
-    auto preds = forest.PredictBatch(*test);
-    if (!preds.ok()) continue;
-    auto scores = ml::ComputeScores(test->labels(), *preds);
+    auto probs = bench::ForestScores(forest, *dataset, split->test);
+    if (!probs.ok()) continue;
+    auto scores =
+        ml::ComputeScores(test->labels(), bench::LabelsOf(*probs));
     if (!scores.ok()) continue;
     std::printf("  %6s %10.3f %10.3f\n", name, scores->accuracy,
                 forest.oob_accuracy());
@@ -101,9 +103,10 @@ int main() {
           }
           ml::RandomForestClassifier forest;
           if (!forest.Fit(*ptrain, params, 7).ok()) continue;
-          auto preds = forest.PredictBatch(*ptest);
-          if (!preds.ok()) continue;
-          auto scores = ml::ComputeScores(ptest->labels(), *preds);
+          auto probs = bench::ForestScores(forest, *pd, psplit->test);
+          if (!probs.ok()) continue;
+          auto scores =
+              ml::ComputeScores(ptest->labels(), bench::LabelsOf(*probs));
           if (!scores.ok()) continue;
           std::printf("  %-10s %10.3f %10.3f %10.3f\n",
                       balanced ? "balanced" : "uniform", scores->accuracy,
@@ -121,9 +124,10 @@ int main() {
     params.max_depth = depth;
     ml::RandomForestClassifier forest;
     if (!forest.Fit(*train, params, 7).ok()) continue;
-    auto preds = forest.PredictBatch(*test);
-    if (!preds.ok()) continue;
-    auto scores = ml::ComputeScores(test->labels(), *preds);
+    auto probs = bench::ForestScores(forest, *dataset, split->test);
+    if (!probs.ok()) continue;
+    auto scores =
+        ml::ComputeScores(test->labels(), bench::LabelsOf(*probs));
     if (!scores.ok()) continue;
     std::printf("  %6d %10.3f %10.3f\n", depth, scores->accuracy,
                 forest.oob_accuracy());

@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "core/prediction.h"
+#include "ml/flat_forest.h"
+#include "ml/random_forest.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "simulator/region.h"
@@ -118,6 +120,24 @@ inline void EmitRegistrySnapshot() {
   }
   out << obs::ExportJson(obs::Registry::Default());
   std::fprintf(stderr, "metrics snapshot written to %s\n", path);
+}
+
+/// P(long) of each row of the view `data[rows]`, scored through the
+/// compiled forest as every reported prediction is.
+inline Result<std::vector<double>> ForestScores(
+    const ml::RandomForestClassifier& forest, const ml::Dataset& data,
+    const std::vector<size_t>& rows) {
+  CLOUDSURV_ASSIGN_OR_RETURN(ml::FlatForest flat,
+                             ml::FlatForest::Compile(forest));
+  return flat.PredictPositiveProbaBatch(data, rows);
+}
+
+/// Predicted labels of `scores`: 1 iff P(long) > 0.5.
+inline std::vector<int> LabelsOf(const std::vector<double>& scores) {
+  std::vector<int> labels;
+  labels.reserve(scores.size());
+  for (double p : scores) labels.push_back(p > 0.5 ? 1 : 0);
+  return labels;
 }
 
 inline void PrintHeader(const std::string& title) {

@@ -74,11 +74,17 @@ int main() {
   params.num_trees = 100;
   params.max_depth = 14;
   if (!forest.Fit(*train, params, 11).ok()) return 1;
-  auto preds = forest.PredictBatch(*test);
-  if (!preds.ok()) return 1;
+  // Three classes: the most probable class of the reference PredictProba.
+  std::vector<int> preds;
+  preds.reserve(test->num_rows());
+  for (size_t i = 0; i < test->num_rows(); ++i) {
+    const std::vector<double> probs = forest.PredictProba(test->row(i));
+    preds.push_back(static_cast<int>(
+        std::max_element(probs.begin(), probs.end()) - probs.begin()));
+  }
 
   auto confusion =
-      ml::ComputeMulticlassConfusion(test->labels(), *preds, 3);
+      ml::ComputeMulticlassConfusion(test->labels(), preds, 3);
   if (!confusion.ok()) return 1;
   std::printf("%s\n",
               ml::MulticlassConfusionToText(

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 
 #include "bench/bench_util.h"
 #include "core/cohort.h"
@@ -56,17 +57,16 @@ int main() {
       ml::WeightedRandomClassifier baseline;
       if (!baseline.Fit(*train).ok()) continue;
 
-      auto f_pred = forest.PredictBatch(*test);
+      auto f_prob = bench::ForestScores(forest, *dataset, split->test);
       auto g_pred = gbdt.PredictBatch(*test);
       auto b_pred = baseline.PredictBatch(*test, 17);
-      auto f_prob = forest.PredictPositiveProba(*test);
       auto g_prob = gbdt.PredictPositiveProba(*test);
-      if (!f_pred.ok() || !g_pred.ok() || !b_pred.ok() || !f_prob.ok() ||
-          !g_prob.ok()) {
+      if (!f_prob.ok() || !g_pred.ok() || !b_pred.ok() || !g_prob.ok()) {
         continue;
       }
       const double f_acc =
-          ml::ComputeScores(test->labels(), *f_pred)->accuracy;
+          ml::ComputeScores(test->labels(), bench::LabelsOf(*f_prob))
+              ->accuracy;
       const double g_acc =
           ml::ComputeScores(test->labels(), *g_pred)->accuracy;
       const double b_acc =
@@ -99,12 +99,16 @@ int main() {
     fp.num_trees = 60;
     fp.max_depth = 12;
     if (forest.Fit(*train, fp, 5).ok()) {
+      std::vector<size_t> all_rows(test->num_rows());
+      std::iota(all_rows.begin(), all_rows.end(), size_t{0});
       ml::ModelScorer scorer = [&](const ml::Dataset& d)
           -> Result<double> {
-        CLOUDSURV_ASSIGN_OR_RETURN(std::vector<int> preds,
-                                   forest.PredictBatch(d));
-        CLOUDSURV_ASSIGN_OR_RETURN(ml::ClassificationScores scores,
-                                   ml::ComputeScores(d.labels(), preds));
+        CLOUDSURV_ASSIGN_OR_RETURN(
+            std::vector<double> probs,
+            bench::ForestScores(forest, d, all_rows));
+        CLOUDSURV_ASSIGN_OR_RETURN(
+            ml::ClassificationScores scores,
+            ml::ComputeScores(d.labels(), bench::LabelsOf(probs)));
         return scores.accuracy;
       };
       auto perm = ml::ComputePermutationImportance(*test, scorer, 3, 5);

@@ -145,12 +145,11 @@ Result<SubgroupExperimentResult> RunPredictionExperimentOnDataset(
 
     ml::RandomForestClassifier forest;
     CLOUDSURV_RETURN_NOT_OK(forest.Fit(train, params, rep_seed));
-    // Scoring the held-out fold goes through the compiled flat layout —
-    // bit-identical to forest.PredictPositiveProba(test), just blocked.
     CLOUDSURV_ASSIGN_OR_RETURN(ml::FlatForest flat,
                                ml::FlatForest::Compile(forest));
-    CLOUDSURV_ASSIGN_OR_RETURN(std::vector<double> probs,
-                               flat.PredictPositiveProbaBatch(test));
+    CLOUDSURV_ASSIGN_OR_RETURN(
+        std::vector<double> probs,
+        flat.PredictPositiveProbaBatch(dataset, split.test));
 
     // Confidence threshold from the training class distribution
     // (section 5.3): t = max(q, 1 - q).

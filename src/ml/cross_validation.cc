@@ -1,12 +1,12 @@
 #include "ml/cross_validation.h"
 
 #include <algorithm>
-#include <future>
 #include <numeric>
 #include <utility>
 
+#include "common/parallel.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
+#include "ml/flat_forest.h"
 #include "ml/metrics.h"
 #include "obs/metrics.h"
 
@@ -124,101 +124,88 @@ obs::Histogram* GridPointHistogram() {
 }
 
 // One (grid-point × fold) work item: train on the fold's train view,
-// return validation accuracy. Views throughout — no Subset copies.
-// `duration_us` (optional) receives the item's measured time.
+// compile the forest and score the validation view through it, labelling
+// a row 1 iff P(long) > 0.5 — the rule every reported prediction uses.
+// Views throughout — no Subset copies. `duration_us` receives the
+// item's measured time.
 Result<double> EvaluateFold(const Dataset& data, const Fold& fold,
                             const ForestParams& params, uint64_t fold_seed,
-                            double* duration_us = nullptr) {
+                            double& duration_us) {
   obs::ScopedTimer timer(CvItemHistogram());
   RandomForestClassifier forest;
   CLOUDSURV_RETURN_NOT_OK(
       forest.FitOnRows(data, fold.train, params, fold_seed));
-  CLOUDSURV_ASSIGN_OR_RETURN(std::vector<int> preds,
-                             forest.PredictRows(data, fold.validation));
+  CLOUDSURV_ASSIGN_OR_RETURN(FlatForest flat, FlatForest::Compile(forest));
+  CLOUDSURV_ASSIGN_OR_RETURN(
+      std::vector<double> probs,
+      flat.PredictPositiveProbaBatch(data, fold.validation));
   std::vector<int> truth;
+  std::vector<int> preds;
   truth.reserve(fold.validation.size());
+  preds.reserve(probs.size());
   for (size_t r : fold.validation) truth.push_back(data.label(r));
+  for (double p : probs) preds.push_back(p > 0.5 ? 1 : 0);
   CLOUDSURV_ASSIGN_OR_RETURN(ClassificationScores scores,
                              ComputeScores(truth, preds));
-  const double elapsed_us = timer.Stop();
-  if (duration_us != nullptr) *duration_us = elapsed_us;
+  duration_us = timer.Stop();
   return scores.accuracy;
 }
 
-// Runs every (fold set × fold) item — sequentially or on a pool — and
-// fills accuracies[i][j]. Item seeds come in pre-derived; the first
-// error in flattened (i, j) order wins, so failures are deterministic
-// too. When the pool is on, inner forest fits are forced single-
-// threaded (forests are seed-deterministic, so this cannot change any
-// score — it only stops the thread count from multiplying).
+// Runs every (fold set × fold) item, flattened in (i, j) order, from one
+// task queue on up to `num_threads` workers and fills accuracies[i][j].
+// Item seeds come in pre-derived, and the queue returns the failure of
+// the lowest flattened index, so scores and failures are the same for
+// any thread count. With more than one worker, inner forest fits are
+// forced single-threaded (forests are seed-deterministic, so this
+// cannot change any score — it only stops the thread count from
+// multiplying).
 Status RunFoldItems(const Dataset& data,
                     const std::vector<ForestParams>& configs,
                     const std::vector<std::vector<Fold>>& fold_sets,
                     const std::vector<std::vector<uint64_t>>& item_seeds,
                     int num_threads,
                     std::vector<std::vector<double>>& accuracies) {
-  accuracies.assign(configs.size(), {});
-  // Measured item durations (slot per item: workers write disjoint
-  // elements, futures synchronize the reads below). Summed per tuning
-  // point into the grid-point histogram after the harvest.
+  // Checked before any fold is fitted: a fold's compiled forest scores
+  // P(long), and FlatForest::Compile would refuse any other class count
+  // only after the fit.
+  if (data.num_classes() != 2) {
+    return Status::InvalidArgument(
+        "cross-validation scores P(long) and needs a two-class dataset");
+  }
+  struct Item {
+    size_t i;
+    size_t j;
+  };
+  std::vector<Item> items;
+  // Measured item durations, one slot per item (workers write disjoint
+  // elements), summed per tuning point into the grid-point histogram.
   std::vector<std::vector<double>> item_durations_us(configs.size());
+  accuracies.assign(configs.size(), {});
   for (size_t i = 0; i < configs.size(); ++i) {
     accuracies[i].assign(fold_sets[i].size(), 0.0);
     item_durations_us[i].assign(fold_sets[i].size(), 0.0);
+    for (size_t j = 0; j < fold_sets[i].size(); ++j) items.push_back({i, j});
   }
-  auto observe_point_totals = [&item_durations_us]() {
-    for (const std::vector<double>& point : item_durations_us) {
-      double total_us = 0.0;
-      for (double d : point) total_us += d;
-      GridPointHistogram()->Observe(total_us);
-    }
-  };
-  if (num_threads <= 1) {
-    for (size_t i = 0; i < configs.size(); ++i) {
-      for (size_t j = 0; j < fold_sets[i].size(); ++j) {
+  const unsigned workers = static_cast<unsigned>(std::max(1, num_threads));
+  std::vector<ForestParams> item_params = configs;
+  if (workers > 1) {
+    for (ForestParams& p : item_params) p.num_threads = 1;
+  }
+  CLOUDSURV_RETURN_NOT_OK(
+      RunTasks(items.size(), workers, [&](size_t task) -> Status {
+        const auto [i, j] = items[task];
         CLOUDSURV_ASSIGN_OR_RETURN(
             accuracies[i][j],
-            EvaluateFold(data, fold_sets[i][j], configs[i],
-                         item_seeds[i][j], &item_durations_us[i][j]));
-      }
-    }
-    observe_point_totals();
-    return Status::OK();
-  }
-
-  std::vector<ForestParams> worker_params = configs;
-  for (ForestParams& p : worker_params) p.num_threads = 1;
-  std::vector<std::vector<std::future<Result<double>>>> futures(
-      configs.size());
-  size_t total_items = 0;
-  for (size_t i = 0; i < configs.size(); ++i) {
-    total_items += fold_sets[i].size();
-  }
-  ThreadPool pool(static_cast<size_t>(num_threads), total_items);
-  for (size_t i = 0; i < configs.size(); ++i) {
-    futures[i].reserve(fold_sets[i].size());
-    for (size_t j = 0; j < fold_sets[i].size(); ++j) {
-      futures[i].push_back(pool.Submit([&data, &fold_sets, &worker_params,
-                                        &item_seeds, &item_durations_us, i,
-                                        j]() {
-        return EvaluateFold(data, fold_sets[i][j], worker_params[i],
-                            item_seeds[i][j], &item_durations_us[i][j]);
+            EvaluateFold(data, fold_sets[i][j], item_params[i],
+                         item_seeds[i][j], item_durations_us[i][j]));
+        return Status::OK();
       }));
-    }
+  for (const std::vector<double>& point : item_durations_us) {
+    double total_us = 0.0;
+    for (double d : point) total_us += d;
+    GridPointHistogram()->Observe(total_us);
   }
-  Status first_error = Status::OK();
-  for (size_t i = 0; i < configs.size(); ++i) {
-    for (size_t j = 0; j < fold_sets[i].size(); ++j) {
-      Result<double> r = futures[i][j].get();
-      if (!r.ok()) {
-        if (first_error.ok()) first_error = r.status();
-        continue;
-      }
-      accuracies[i][j] = r.value();
-    }
-  }
-  observe_point_totals();
-  return first_error;
+  return Status::OK();
 }
 
 }  // namespace

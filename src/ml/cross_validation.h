@@ -37,10 +37,14 @@ Result<std::vector<Fold>> KFoldSplit(const Dataset& data, int k,
                                      uint64_t seed, bool stratified = true);
 
 /// Mean validation accuracy of a forest configuration over k folds.
-/// Folds are trained on index views of `data` (no subset copies).
-/// `num_threads` > 1 evaluates folds on a thread pool; per-fold seeds
-/// are pre-derived, so the result is bit-identical for any thread
-/// count (inner forest fits run single-threaded when the pool is on).
+/// Folds are trained on index views of `data` (no subset copies); each
+/// fold's forest is compiled to a `FlatForest` that scores the validation
+/// view and labels a row 1 iff P(long) > 0.5, so `data` must be binary
+/// (any other class count is InvalidArgument). `num_threads` > 1 runs
+/// the folds from one task queue on that many workers; per-fold seeds
+/// are pre-derived, so the result is bit-identical for any thread count
+/// (inner forest fits run single-threaded when more than one worker
+/// runs).
 Result<double> CrossValidateForest(const Dataset& data,
                                    const ForestParams& params, int k,
                                    uint64_t seed, int num_threads = 1);
@@ -55,11 +59,12 @@ struct GridSearchResult {
   std::vector<std::pair<ForestParams, double>> all_scores;
 };
 
-/// `num_threads` > 1 fans the (grid-point × fold) work items out over a
-/// thread pool. Every item's seed is derived up front from (seed, grid
-/// index, fold index) alone, and per-item results are aggregated in a
-/// fixed order, so scores and best_params are bit-identical regardless
-/// of thread count.
+/// `num_threads` > 1 runs the (grid-point × fold) work items from one
+/// task queue on that many workers. Every item's seed is derived up
+/// front from (seed, grid index, fold index) alone, per-item results are
+/// aggregated in a fixed order, and a failure reports the first failing
+/// item in (grid index, fold index) order, so scores, best_params and
+/// errors are the same for any thread count.
 Result<GridSearchResult> GridSearchForest(
     const Dataset& data, const std::vector<ForestParams>& grid, int k,
     uint64_t seed, int num_threads = 1);

@@ -588,34 +588,6 @@ const std::vector<double>& DecisionTreeClassifier::LeafDistribution(
   return node->probabilities;
 }
 
-std::vector<double> DecisionTreeClassifier::PredictProba(
-    const std::vector<double>& row) const {
-  return LeafDistribution(row);
-}
-
-int DecisionTreeClassifier::Predict(const std::vector<double>& row) const {
-  const auto probs = PredictProba(row);
-  return static_cast<int>(std::max_element(probs.begin(), probs.end()) -
-                          probs.begin());
-}
-
-Result<std::vector<int>> DecisionTreeClassifier::PredictBatch(
-    const Dataset& data) const {
-  if (!fitted()) {
-    return Status::FailedPrecondition("tree is not fitted");
-  }
-  if (data.num_features() != num_features_) {
-    return Status::InvalidArgument("feature count mismatch");
-  }
-  std::vector<int> out;
-  out.reserve(data.num_rows());
-  for (size_t i = 0; i < data.num_rows(); ++i) {
-    out.push_back(Predict(data.row(i)));
-  }
-  return out;
-}
-
-
 namespace {
 
 std::string FullPrecision(double v) {

@@ -61,8 +61,8 @@ std::vector<WeightedRow> TallyRows(size_t num_rows, size_t num_draws,
 
 /// CART decision-tree classifier with gini impurity, the base learner of
 /// the paper's random forest (section 2, ref [10]). Leaves store class
-/// frequencies, so PredictProba yields the per-leaf class distribution
-/// the paper uses as its prediction confidence (section 5.3).
+/// frequencies, so LeafDistribution yields the per-leaf class
+/// distribution the paper uses as its prediction confidence (section 5.3).
 class DecisionTreeClassifier {
  public:
   DecisionTreeClassifier() = default;
@@ -94,16 +94,6 @@ class DecisionTreeClassifier {
 
   bool fitted() const { return !nodes_.empty(); }
 
-  /// Class-probability vector for one feature row.
-  std::vector<double> PredictProba(const std::vector<double>& row) const;
-
-  /// Most probable class for one feature row.
-  int Predict(const std::vector<double>& row) const;
-
-  /// Predicted classes for every row of `data` (feature count must match
-  /// the training data).
-  Result<std::vector<int>> PredictBatch(const Dataset& data) const;
-
   /// Gini feature importances: total impurity decrease contributed by
   /// each feature, weighted by node size and normalized to sum to 1
   /// (all-zero if the tree is a single leaf).
@@ -132,8 +122,9 @@ class DecisionTreeClassifier {
     return {n.feature, n.threshold, n.left, n.right, &n.probabilities};
   }
 
-  /// Leaf class distribution for one feature row, by reference — the
-  /// allocation-free core of PredictProba (valid as long as the tree).
+  /// Leaf class distribution for one feature row, by reference (valid as
+  /// long as the tree). The forest's reference PredictProba and its
+  /// out-of-bag pass average these.
   const std::vector<double>& LeafDistribution(
       const std::vector<double>& row) const;
 

@@ -390,16 +390,22 @@ Status FlatForest::PredictPositiveBatch(const double* rows, size_t n,
 }
 
 Result<std::vector<double>> FlatForest::PredictPositiveProbaBatch(
-    const Dataset& data, const BatchOptions& options) const {
+    const Dataset& data, const std::vector<size_t>& rows,
+    const BatchOptions& options) const {
   if (!compiled()) {
     return Status::FailedPrecondition("forest is not compiled");
   }
   if (data.num_features() != num_features_) {
     return Status::InvalidArgument("feature count mismatch");
   }
-  const size_t n = data.num_rows();
+  const size_t n = rows.size();
   std::vector<const double*> ptrs(n);
-  for (size_t i = 0; i < n; ++i) ptrs[i] = data.row(i).data();
+  for (size_t i = 0; i < n; ++i) {
+    if (rows[i] >= data.num_rows()) {
+      return Status::OutOfRange("prediction row index out of range");
+    }
+    ptrs[i] = data.row(rows[i]).data();
+  }
   std::vector<double> out(n);
   CLOUDSURV_RETURN_NOT_OK(ScorePtrs(ptrs.data(), n, out.data(), options));
   return out;

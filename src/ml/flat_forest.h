@@ -223,13 +223,16 @@ class FlatForest {
     return PredictPositiveBatch(rows, n, out, BatchOptions());
   }
 
-  /// P(long) per dataset row; bit-identical to
-  /// `RandomForestClassifier::PredictPositiveProba`.
+  /// P(long) for the view `data[rows]` (no subset copy; indices may
+  /// repeat and come in any order), out[i] for row rows[i]. An index
+  /// past the dataset is OutOfRange, a width other than num_features()
+  /// InvalidArgument.
   Result<std::vector<double>> PredictPositiveProbaBatch(
-      const Dataset& data, const BatchOptions& options) const;
+      const Dataset& data, const std::vector<size_t>& rows,
+      const BatchOptions& options) const;
   Result<std::vector<double>> PredictPositiveProbaBatch(
-      const Dataset& data) const {
-    return PredictPositiveProbaBatch(data, BatchOptions());
+      const Dataset& data, const std::vector<size_t>& rows) const {
+    return PredictPositiveProbaBatch(data, rows, BatchOptions());
   }
 
  private:

@@ -300,92 +300,16 @@ Status RandomForestClassifier::FitTrees(
   return Status::OK();
 }
 
-void RandomForestClassifier::AccumulateProbaInto(
-    const std::vector<double>& row, std::vector<double>& acc) const {
-  acc.assign(static_cast<size_t>(num_classes_), 0.0);
+std::vector<double> RandomForestClassifier::PredictProba(
+    const std::vector<double>& row) const {
+  std::vector<double> acc(static_cast<size_t>(num_classes_), 0.0);
   for (const auto& tree : trees_) {
     const auto& probs = tree.LeafDistribution(row);
     for (size_t c = 0; c < acc.size(); ++c) acc[c] += probs[c];
   }
   const double t = static_cast<double>(trees_.size());
   for (double& v : acc) v /= t;
-}
-
-std::vector<double> RandomForestClassifier::PredictProba(
-    const std::vector<double>& row) const {
-  std::vector<double> acc;
-  AccumulateProbaInto(row, acc);
   return acc;
-}
-
-int RandomForestClassifier::Predict(const std::vector<double>& row) const {
-  std::vector<double> acc;
-  AccumulateProbaInto(row, acc);
-  return static_cast<int>(std::max_element(acc.begin(), acc.end()) -
-                          acc.begin());
-}
-
-Result<std::vector<int>> RandomForestClassifier::PredictBatch(
-    const Dataset& data) const {
-  if (!fitted()) {
-    return Status::FailedPrecondition("forest is not fitted");
-  }
-  if (data.num_features() != num_features_) {
-    return Status::InvalidArgument("feature count mismatch");
-  }
-  std::vector<int> out;
-  out.reserve(data.num_rows());
-  std::vector<double> scratch;
-  for (size_t i = 0; i < data.num_rows(); ++i) {
-    AccumulateProbaInto(data.row(i), scratch);
-    out.push_back(static_cast<int>(
-        std::max_element(scratch.begin(), scratch.end()) - scratch.begin()));
-  }
-  return out;
-}
-
-Result<std::vector<int>> RandomForestClassifier::PredictRows(
-    const Dataset& data, const std::vector<size_t>& rows) const {
-  if (!fitted()) {
-    return Status::FailedPrecondition("forest is not fitted");
-  }
-  if (data.num_features() != num_features_) {
-    return Status::InvalidArgument("feature count mismatch");
-  }
-  std::vector<int> out;
-  out.reserve(rows.size());
-  std::vector<double> scratch;
-  for (size_t r : rows) {
-    if (r >= data.num_rows()) {
-      return Status::OutOfRange("prediction row index out of range");
-    }
-    AccumulateProbaInto(data.row(r), scratch);
-    out.push_back(static_cast<int>(
-        std::max_element(scratch.begin(), scratch.end()) - scratch.begin()));
-  }
-  return out;
-}
-
-Result<std::vector<double>> RandomForestClassifier::PredictPositiveProba(
-    const Dataset& data) const {
-  if (!fitted()) {
-    return Status::FailedPrecondition("forest is not fitted");
-  }
-  if (num_classes_ != 2) {
-    return Status::FailedPrecondition(
-        "positive-class probabilities require a binary problem");
-  }
-  if (data.num_features() != num_features_) {
-    return Status::InvalidArgument("feature count mismatch");
-  }
-  std::vector<double> out;
-  out.reserve(data.num_rows());
-  std::vector<double> scratch;
-  for (size_t i = 0; i < data.num_rows(); ++i) {
-    AccumulateProbaInto(data.row(i), scratch);
-    out.push_back(scratch[1]);
-  }
-  return out;
 }
 
 std::string RandomForestClassifier::Serialize() const {

@@ -82,22 +82,10 @@ class RandomForestClassifier {
 
   bool fitted() const { return !trees_.empty(); }
 
-  /// Averaged class-probability vector for one feature row.
+  /// Averaged class-probability vector for one feature row: the per-row,
+  /// multi-class reference walk. Production scoring goes through the
+  /// compiled `FlatForest`, which is bit-identical to PredictProba(row)[1].
   std::vector<double> PredictProba(const std::vector<double>& row) const;
-
-  /// argmax of PredictProba.
-  int Predict(const std::vector<double>& row) const;
-
-  /// Predictions for every row of `data`.
-  Result<std::vector<int>> PredictBatch(const Dataset& data) const;
-
-  /// Predictions for the view `data[rows]` (no subset copy).
-  Result<std::vector<int>> PredictRows(const Dataset& data,
-                                       const std::vector<size_t>& rows) const;
-
-  /// Positive-class (class 1) probability for every row of `data`;
-  /// requires a binary problem.
-  Result<std::vector<double>> PredictPositiveProba(const Dataset& data) const;
 
   /// Gini importances averaged over trees; sums to ~1.
   const std::vector<double>& feature_importances() const {
@@ -125,14 +113,6 @@ class RandomForestClassifier {
   static Status FitTrees(const Dataset& data, const ForestParams& params,
                          std::vector<ForestJob>& jobs,
                          std::vector<std::vector<char>>* in_bag);
-
-  /// Sums the per-tree leaf distributions for `row` into `acc`
-  /// (assigned/zeroed here) and divides by the tree count — the
-  /// allocation-free core of PredictProba. Batch predictors reuse one
-  /// scratch buffer across rows instead of constructing a fresh vector
-  /// per row and per tree.
-  void AccumulateProbaInto(const std::vector<double>& row,
-                           std::vector<double>& acc) const;
 
   std::vector<DecisionTreeClassifier> trees_;
   std::vector<double> importances_;

@@ -11,6 +11,7 @@
 #include "ml/decision_tree.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
+#include "tests/ml_test_util.h"
 
 namespace cloudsurv::ml {
 namespace {
@@ -171,10 +172,7 @@ void ExpectStructurallyEqual(const DecisionTreeClassifier& exact,
   for (size_t f = 0; f < ie.size(); ++f) {
     EXPECT_DOUBLE_EQ(ie[f], ih[f]) << "feature " << f;
   }
-  auto pe = exact.PredictBatch(d);
-  auto ph = hist.PredictBatch(d);
-  ASSERT_TRUE(pe.ok() && ph.ok());
-  EXPECT_EQ(*pe, *ph);
+  EXPECT_EQ(testing::TreeLabels(exact, d), testing::TreeLabels(hist, d));
 }
 
 TEST(HistogramEquivalenceTest, RootSplitSerializesIdentically) {
@@ -240,14 +238,13 @@ TEST(HistogramEquivalenceTest, ForestMatchesExactOnFewDistinctValues) {
     EXPECT_DOUBLE_EQ(ie[f], ih[f]);
   }
   EXPECT_NEAR(fe.oob_accuracy(), fh.oob_accuracy(), 0.01);
-  auto pe = fe.PredictBatch(d);
-  auto ph = fh.PredictBatch(d);
-  ASSERT_TRUE(pe.ok() && ph.ok());
+  const std::vector<int> pe = testing::ForestLabels(fe, d);
+  const std::vector<int> ph = testing::ForestLabels(fh, d);
   size_t agree = 0;
-  for (size_t i = 0; i < pe->size(); ++i) {
-    agree += (*pe)[i] == (*ph)[i] ? 1 : 0;
+  for (size_t i = 0; i < pe.size(); ++i) {
+    agree += pe[i] == ph[i] ? 1 : 0;
   }
-  EXPECT_GE(static_cast<double>(agree) / static_cast<double>(pe->size()),
+  EXPECT_GE(static_cast<double>(agree) / static_cast<double>(pe.size()),
             0.99);
 }
 
@@ -285,14 +282,13 @@ TEST(HistogramEquivalenceTest, AgreesWithExactOnContinuousData) {
   RandomForestClassifier fe, fh;
   ASSERT_TRUE(fe.Fit(train, exact, 54).ok());
   ASSERT_TRUE(fh.Fit(train, hist, 54).ok());
-  auto pe = fe.PredictBatch(test);
-  auto ph = fh.PredictBatch(test);
-  ASSERT_TRUE(pe.ok() && ph.ok());
+  const std::vector<int> pe = testing::ForestLabels(fe, test);
+  const std::vector<int> ph = testing::ForestLabels(fh, test);
   size_t agree = 0;
-  for (size_t i = 0; i < pe->size(); ++i) {
-    agree += (*pe)[i] == (*ph)[i] ? 1 : 0;
+  for (size_t i = 0; i < pe.size(); ++i) {
+    agree += pe[i] == ph[i] ? 1 : 0;
   }
-  EXPECT_GT(static_cast<double>(agree) / static_cast<double>(pe->size()),
+  EXPECT_GT(static_cast<double>(agree) / static_cast<double>(pe.size()),
             0.9);
 }
 
@@ -305,7 +301,7 @@ TEST(HistogramDegenerateTest, SingleClassDataIsOneLeaf) {
   DecisionTreeClassifier tree;
   ASSERT_TRUE(tree.Fit(*d, hist, 1).ok());
   EXPECT_EQ(tree.num_nodes(), 1u);
-  EXPECT_EQ(tree.Predict({2.5}), 0);
+  EXPECT_EQ(testing::Argmax(tree.LeafDistribution({2.5})), 0);
 }
 
 TEST(HistogramDegenerateTest, AllConstantFeaturesIsOneLeaf) {
@@ -318,7 +314,8 @@ TEST(HistogramDegenerateTest, AllConstantFeaturesIsOneLeaf) {
   DecisionTreeClassifier tree;
   ASSERT_TRUE(tree.Fit(*d, hist, 1).ok());
   EXPECT_EQ(tree.num_nodes(), 1u);
-  EXPECT_EQ(tree.Predict({5.0, 9.0}), 1);  // majority
+  EXPECT_EQ(testing::Argmax(tree.LeafDistribution({5.0, 9.0})),
+            1);  // majority
 }
 
 TEST(HistogramDegenerateTest, ConstantFeatureNeverChosen) {
@@ -356,21 +353,6 @@ TEST(FitOnRowsTest, ViewTrainingMatchesSubsetCopy) {
   ASSERT_TRUE(subset.ok());
   ASSERT_TRUE(on_copy.Fit(*subset, params, 58).ok());
   EXPECT_EQ(on_view.Serialize(), on_copy.Serialize());
-}
-
-TEST(FitOnRowsTest, PredictRowsMatchesBatchOnView) {
-  const Dataset d = ContinuousData(300, 59);
-  ForestParams params;
-  params.num_trees = 6;
-  RandomForestClassifier forest;
-  ASSERT_TRUE(forest.Fit(d, params, 59).ok());
-  std::vector<size_t> rows = {5, 17, 42, 99, 250};
-  auto via_rows = forest.PredictRows(d, rows);
-  ASSERT_TRUE(via_rows.ok());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ((*via_rows)[i], forest.Predict(d.row(rows[i])));
-  }
-  EXPECT_FALSE(forest.PredictRows(d, {999}).ok());
 }
 
 // The sample entries of the multiset `draws` over `num_rows` rows.

@@ -8,6 +8,39 @@
 namespace cloudsurv::ml {
 namespace {
 
+// Two overlapping features and a 35% positive class, so fold accuracies
+// sit well below 1 and move with any change to a split or a vote.
+Dataset TwoFeatureData(int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> rows;
+  std::vector<int> labels;
+  for (int i = 0; i < n; ++i) {
+    const int label = rng.Bernoulli(0.35) ? 1 : 0;
+    const double a = rng.Normal(label * 1.2, 1.0);
+    const double b = rng.Normal(label * 0.6, 1.5) + 0.3 * a;
+    rows.push_back({a, b});
+    labels.push_back(label);
+  }
+  auto d = Dataset::Make({"a", "b"}, std::move(rows), std::move(labels));
+  EXPECT_TRUE(d.ok());
+  return *d;
+}
+
+// The pinned grid: a shallow cell, a deep min-leaf cell and a
+// class-weighted cell.
+std::vector<ForestParams> GoldenGrid() {
+  std::vector<ForestParams> grid(3);
+  grid[0].num_trees = 9;
+  grid[0].max_depth = 3;
+  grid[1].num_trees = 11;
+  grid[1].max_depth = 12;
+  grid[1].min_samples_leaf = 3;
+  grid[2].num_trees = 10;
+  grid[2].max_depth = 8;
+  grid[2].class_weights = {1.0, 1.8};
+  return grid;
+}
+
 Dataset LabeledData(int n, double positive_fraction, uint64_t seed) {
   Rng rng(seed);
   std::vector<std::vector<double>> rows;
@@ -191,6 +224,53 @@ TEST(GridSearchTest, PropagatesFoldErrorsFromPool) {
   // Deterministic error selection: the pool reports the same (first in
   // flattened order) failure the sequential path does.
   EXPECT_EQ(sequential.status().message(), pooled.status().message());
+}
+
+// Golden scores: every cell's mean fold accuracy, pinned exactly, so a
+// change to fold training or to the validation decision rule shows.
+TEST(GridSearchTest, ScoresMatchGoldenValues) {
+  const Dataset d = TwoFeatureData(360, 21);
+  for (int threads : {1, 3}) {
+    auto result = GridSearchForest(d, GoldenGrid(), 4, 21, threads);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->all_scores.size(), 3u);
+    EXPECT_EQ(result->all_scores[0].second, 0.73055555555555562);
+    EXPECT_EQ(result->all_scores[1].second, 0.70555555555555549);
+    EXPECT_EQ(result->all_scores[2].second, 0.69444444444444442);
+    EXPECT_EQ(result->best_score, 0.73055555555555562);
+    EXPECT_EQ(result->best_params.ToString(), GoldenGrid()[0].ToString());
+    EXPECT_EQ(result->best_params.class_weights,
+              GoldenGrid()[0].class_weights);
+  }
+}
+
+TEST(CrossValidateTest, ClassWeightedScoreMatchesGoldenValue) {
+  const Dataset d = TwoFeatureData(300, 22);
+  auto score = CrossValidateForest(d, GoldenGrid()[2], 5, 22);
+  ASSERT_TRUE(score.ok()) << score.status().ToString();
+  EXPECT_EQ(*score, 0.69666666666666666);
+}
+
+TEST(CrossValidateTest, RejectsMultiClassData) {
+  Rng rng(23);
+  std::vector<std::vector<double>> rows;
+  std::vector<int> labels;
+  for (int i = 0; i < 90; ++i) {
+    const int label = i % 3;
+    rows.push_back({rng.Normal(label, 1.0), rng.Normal(0.0, 1.0)});
+    labels.push_back(label);
+  }
+  auto d = Dataset::Make({"a", "b"}, std::move(rows), std::move(labels));
+  ASSERT_TRUE(d.ok());
+  ForestParams params;
+  params.num_trees = 4;
+  for (int threads : {1, 3}) {
+    auto score = CrossValidateForest(*d, params, 3, 23, threads);
+    ASSERT_FALSE(score.ok());
+    EXPECT_EQ(score.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(score.status().message().find("two-class"), std::string::npos)
+        << score.status().ToString();
+  }
 }
 
 TEST(GridSearchTest, DefaultGridIsNonTrivial) {

@@ -6,6 +6,7 @@
 #include "ml/metrics.h"
 #include "ml/permutation_importance.h"
 #include "ml/random_forest.h"
+#include "tests/ml_test_util.h"
 
 namespace cloudsurv::ml {
 namespace {
@@ -173,10 +174,11 @@ TEST(GbdtTest, ComparableToForestOnNoisyTask) {
   fparams.num_trees = 80;
   ASSERT_TRUE(forest.Fit(train, fparams, 10).ok());
   auto gp = gbdt.PredictBatch(test);
-  auto fp = forest.PredictBatch(test);
-  ASSERT_TRUE(gp.ok() && fp.ok());
+  ASSERT_TRUE(gp.ok());
   const double ga = ComputeScores(test.labels(), *gp)->accuracy;
-  const double fa = ComputeScores(test.labels(), *fp)->accuracy;
+  const double fa =
+      ComputeScores(test.labels(), testing::ForestLabels(forest, test))
+          ->accuracy;
   // Both close to the Bayes limit; neither collapses.
   EXPECT_GT(ga, 0.60);
   EXPECT_GT(fa, 0.60);
@@ -192,10 +194,9 @@ TEST(PermutationImportanceTest, SignalOutranksNoise) {
   ASSERT_TRUE(forest.Fit(train, params, 12).ok());
 
   ModelScorer scorer = [&](const Dataset& d) -> Result<double> {
-    CLOUDSURV_ASSIGN_OR_RETURN(std::vector<int> preds,
-                               forest.PredictBatch(d));
-    CLOUDSURV_ASSIGN_OR_RETURN(ClassificationScores scores,
-                               ComputeScores(d.labels(), preds));
+    CLOUDSURV_ASSIGN_OR_RETURN(
+        ClassificationScores scores,
+        ComputeScores(d.labels(), testing::ForestLabels(forest, d)));
     return scores.accuracy;
   };
   auto result = ComputePermutationImportance(test, scorer, 3, 99);

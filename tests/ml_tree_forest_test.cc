@@ -4,11 +4,17 @@
 #include "gtest/gtest.h"
 #include "ml/cross_validation.h"
 #include "ml/decision_tree.h"
+#include "ml/flat_forest.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
+#include "tests/ml_test_util.h"
 
 namespace cloudsurv::ml {
 namespace {
+
+using testing::Argmax;
+using testing::ForestLabels;
+using testing::TreeLabels;
 
 // Axis-aligned separable data: label = x0 > 3.
 Dataset ThresholdData(int n, uint64_t seed) {
@@ -63,9 +69,8 @@ TEST(DecisionTreeTest, LearnsAxisThresholdPerfectly) {
   const Dataset d = ThresholdData(500, 1);
   DecisionTreeClassifier tree;
   ASSERT_TRUE(tree.Fit(d, TreeParams{}, 1).ok());
-  auto preds = tree.PredictBatch(d);
-  ASSERT_TRUE(preds.ok());
-  auto scores = ComputeScores(d.labels(), *preds);
+  const std::vector<int> preds = TreeLabels(tree, d);
+  auto scores = ComputeScores(d.labels(), preds);
   ASSERT_TRUE(scores.ok());
   EXPECT_DOUBLE_EQ(scores->accuracy, 1.0);
 }
@@ -76,9 +81,8 @@ TEST(DecisionTreeTest, LearnsXorWithDepthTwo) {
   TreeParams params;
   params.max_depth = 4;
   ASSERT_TRUE(tree.Fit(d, params, 2).ok());
-  auto preds = tree.PredictBatch(d);
-  ASSERT_TRUE(preds.ok());
-  auto scores = ComputeScores(d.labels(), *preds);
+  const std::vector<int> preds = TreeLabels(tree, d);
+  auto scores = ComputeScores(d.labels(), preds);
   ASSERT_TRUE(scores.ok());
   EXPECT_GT(scores->accuracy, 0.97);
 }
@@ -91,7 +95,7 @@ TEST(DecisionTreeTest, DepthZeroIsMajorityLeaf) {
   ASSERT_TRUE(tree.Fit(d, params, 3).ok());
   EXPECT_EQ(tree.num_nodes(), 1u);
   EXPECT_EQ(tree.depth(), 0);
-  const auto probs = tree.PredictProba({0.0, 0.0});
+  const auto probs = tree.LeafDistribution({0.0, 0.0});
   EXPECT_NEAR(probs[0] + probs[1], 1.0, 1e-12);
 }
 
@@ -122,7 +126,7 @@ TEST(DecisionTreeTest, ProbabilitiesSumToOne) {
   params.max_depth = 3;
   ASSERT_TRUE(tree.Fit(d, params, 6).ok());
   for (size_t i = 0; i < 50; ++i) {
-    const auto probs = tree.PredictProba(d.row(i));
+    const auto probs = tree.LeafDistribution(d.row(i));
     double total = 0.0;
     for (double p : probs) {
       EXPECT_GE(p, 0.0);
@@ -140,10 +144,7 @@ TEST(DecisionTreeTest, DeterministicForSeed) {
   ASSERT_TRUE(t1.Fit(d, params, 99).ok());
   ASSERT_TRUE(t2.Fit(d, params, 99).ok());
   EXPECT_EQ(t1.num_nodes(), t2.num_nodes());
-  auto p1 = t1.PredictBatch(d);
-  auto p2 = t2.PredictBatch(d);
-  ASSERT_TRUE(p1.ok() && p2.ok());
-  EXPECT_EQ(*p1, *p2);
+  EXPECT_EQ(TreeLabels(t1, d), TreeLabels(t2, d));
 }
 
 TEST(DecisionTreeTest, RejectsInvalidInputs) {
@@ -154,7 +155,7 @@ TEST(DecisionTreeTest, RejectsInvalidInputs) {
   bad.min_samples_leaf = 0;
   EXPECT_FALSE(tree.Fit(d, bad, 1).ok());
   EXPECT_FALSE(tree.FitSubset(d, {999}, TreeParams{}, 1).ok());
-  EXPECT_FALSE(tree.PredictBatch(d).ok());  // not fitted
+  EXPECT_FALSE(tree.fitted());
 }
 
 TEST(DecisionTreeTest, MulticlassLeaves) {
@@ -164,9 +165,9 @@ TEST(DecisionTreeTest, MulticlassLeaves) {
   ASSERT_TRUE(d.ok());
   DecisionTreeClassifier tree;
   ASSERT_TRUE(tree.Fit(*d, TreeParams{}, 1).ok());
-  EXPECT_EQ(tree.Predict({0.05}), 0);
-  EXPECT_EQ(tree.Predict({1.05}), 1);
-  EXPECT_EQ(tree.Predict({2.05}), 2);
+  EXPECT_EQ(Argmax(tree.LeafDistribution({0.05})), 0);
+  EXPECT_EQ(Argmax(tree.LeafDistribution({1.05})), 1);
+  EXPECT_EQ(Argmax(tree.LeafDistribution({2.05})), 2);
 }
 
 TEST(RandomForestTest, BeatsSingleTreeOnNoisyData) {
@@ -177,9 +178,8 @@ TEST(RandomForestTest, BeatsSingleTreeOnNoisyData) {
   params.max_depth = 10;
   RandomForestClassifier forest;
   ASSERT_TRUE(forest.Fit(train, params, 10).ok());
-  auto preds = forest.PredictBatch(test);
-  ASSERT_TRUE(preds.ok());
-  auto scores = ComputeScores(test.labels(), *preds);
+  const std::vector<int> preds = ForestLabels(forest, test);
+  auto scores = ComputeScores(test.labels(), preds);
   ASSERT_TRUE(scores.ok());
   // Bayes accuracy here is Phi(0.5) ~= 0.69.
   EXPECT_GT(scores->accuracy, 0.60);
@@ -191,9 +191,8 @@ TEST(RandomForestTest, PerfectOnSeparableData) {
   params.num_trees = 20;
   RandomForestClassifier forest;
   ASSERT_TRUE(forest.Fit(d, params, 12).ok());
-  auto preds = forest.PredictBatch(d);
-  ASSERT_TRUE(preds.ok());
-  auto scores = ComputeScores(d.labels(), *preds);
+  const std::vector<int> preds = ForestLabels(forest, d);
+  auto scores = ComputeScores(d.labels(), preds);
   ASSERT_TRUE(scores.ok());
   EXPECT_GT(scores->accuracy, 0.99);
 }
@@ -207,7 +206,7 @@ TEST(RandomForestTest, ProbabilitiesAreAverages) {
   const auto row = d.row(0);
   std::vector<double> manual(2, 0.0);
   for (const auto& tree : forest.trees()) {
-    const auto p = tree.PredictProba(row);
+    const auto p = tree.LeafDistribution(row);
     manual[0] += p[0];
     manual[1] += p[1];
   }
@@ -229,8 +228,11 @@ TEST(RandomForestTest, DeterministicAcrossThreadCounts) {
   ASSERT_TRUE(f1.Fit(d, p1, 77).ok());
   ASSERT_TRUE(f4.Fit(d, p4, 77).ok());
   EXPECT_EQ(f1.Serialize(), f4.Serialize());  // includes OOB accuracy
-  auto r1 = f1.PredictPositiveProba(d);
-  auto r4 = f4.PredictPositiveProba(d);
+  auto c1 = FlatForest::Compile(f1);
+  auto c4 = FlatForest::Compile(f4);
+  ASSERT_TRUE(c1.ok() && c4.ok());
+  auto r1 = c1->PredictPositiveProbaBatch(d, testing::AllRows(d));
+  auto r4 = c4->PredictPositiveProbaBatch(d, testing::AllRows(d));
   ASSERT_TRUE(r1.ok() && r4.ok());
   for (size_t i = 0; i < r1->size(); ++i) {
     EXPECT_DOUBLE_EQ((*r1)[i], (*r4)[i]);
@@ -245,9 +247,8 @@ TEST(RandomForestTest, OobAccuracyTracksTestAccuracy) {
   params.max_depth = 8;
   RandomForestClassifier forest;
   ASSERT_TRUE(forest.Fit(train, params, 15).ok());
-  auto preds = forest.PredictBatch(test);
-  ASSERT_TRUE(preds.ok());
-  auto scores = ComputeScores(test.labels(), *preds);
+  const std::vector<int> preds = ForestLabels(forest, test);
+  auto scores = ComputeScores(test.labels(), preds);
   ASSERT_TRUE(scores.ok());
   EXPECT_NEAR(forest.oob_accuracy(), scores->accuracy, 0.06);
 }
@@ -282,7 +283,8 @@ TEST(RandomForestTest, RejectsInvalidInputsAndStates) {
   ForestParams bad;
   bad.num_trees = 0;
   EXPECT_FALSE(forest.Fit(d, bad, 1).ok());
-  EXPECT_FALSE(forest.PredictBatch(d).ok());
+  EXPECT_FALSE(forest.fitted());
+  EXPECT_FALSE(FlatForest::Compile(forest).ok());
   ForestParams ok;
   ok.num_trees = 3;
   ASSERT_TRUE(forest.Fit(d, ok, 1).ok());
@@ -290,7 +292,7 @@ TEST(RandomForestTest, RejectsInvalidInputsAndStates) {
   ASSERT_TRUE(multi.ok());
   RandomForestClassifier mf;
   ASSERT_TRUE(mf.Fit(*multi, ok, 1).ok());
-  EXPECT_FALSE(mf.PredictPositiveProba(*multi).ok());  // not binary
+  EXPECT_FALSE(FlatForest::Compile(mf).ok());  // not binary
 }
 
 TEST(RandomForestTest, NoBootstrapUsesAllRows) {
@@ -301,9 +303,8 @@ TEST(RandomForestTest, NoBootstrapUsesAllRows) {
   RandomForestClassifier forest;
   ASSERT_TRUE(forest.Fit(d, params, 20).ok());
   EXPECT_DOUBLE_EQ(forest.oob_accuracy(), 0.0);  // undefined w/o bootstrap
-  auto preds = forest.PredictBatch(d);
-  ASSERT_TRUE(preds.ok());
-  auto scores = ComputeScores(d.labels(), *preds);
+  const std::vector<int> preds = ForestLabels(forest, d);
+  auto scores = ComputeScores(d.labels(), preds);
   ASSERT_TRUE(scores.ok());
   EXPECT_GT(scores->accuracy, 0.99);
 }
@@ -334,11 +335,10 @@ TEST(ClassWeightTest, BalancedWeightsRaiseMinorityRecall) {
   RandomForestClassifier f_plain, f_balanced;
   ASSERT_TRUE(f_plain.Fit(train, plain, 30).ok());
   ASSERT_TRUE(f_balanced.Fit(train, balanced, 30).ok());
-  auto p_plain = f_plain.PredictBatch(test);
-  auto p_balanced = f_balanced.PredictBatch(test);
-  ASSERT_TRUE(p_plain.ok() && p_balanced.ok());
-  const auto s_plain = *ComputeScores(test.labels(), *p_plain);
-  const auto s_balanced = *ComputeScores(test.labels(), *p_balanced);
+  const auto s_plain =
+      *ComputeScores(test.labels(), ForestLabels(f_plain, test));
+  const auto s_balanced =
+      *ComputeScores(test.labels(), ForestLabels(f_balanced, test));
   // Weighting trades precision for a substantial recall gain on the
   // minority class.
   EXPECT_GT(s_balanced.recall, s_plain.recall + 0.1);
@@ -364,7 +364,8 @@ TEST(ClassWeightTest, UniformWeightsMatchUnweighted) {
   ASSERT_TRUE(t1.Fit(d, plain, 5).ok());
   ASSERT_TRUE(t2.Fit(d, uniform, 5).ok());
   for (size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(t1.Predict(d.row(i)), t2.Predict(d.row(i)));
+    EXPECT_EQ(Argmax(t1.LeafDistribution(d.row(i))),
+              Argmax(t2.LeafDistribution(d.row(i))));
   }
 }
 
@@ -379,9 +380,8 @@ TEST_P(ForestSizeTest, AccurateForAnySize) {
   params.num_trees = GetParam();
   RandomForestClassifier forest;
   ASSERT_TRUE(forest.Fit(train, params, 21).ok());
-  auto preds = forest.PredictBatch(test);
-  ASSERT_TRUE(preds.ok());
-  auto scores = ComputeScores(test.labels(), *preds);
+  const std::vector<int> preds = ForestLabels(forest, test);
+  auto scores = ComputeScores(test.labels(), preds);
   ASSERT_TRUE(scores.ok());
   EXPECT_GT(scores->accuracy, 0.95) << "trees=" << GetParam();
 }
